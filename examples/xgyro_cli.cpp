@@ -71,7 +71,6 @@ struct Options {
   int max_recoveries = 3;
   bool resume = false;
   xg::mpi::FaultPlan faults;
-  double watchdog_timeout_s = 60.0;
   bool check_invariants = true;
   bool analyze = false;
   bool perfmodel_check = false;
@@ -141,7 +140,6 @@ void print_help() {
       "  --faults SPEC       deterministic fault injection, e.g.\n"
       "                      "
       "\"seed=42;straggler=2x3.0;delay=0.3x5e-6;kill=1@0.02\"\n"
-      "  --watchdog SECONDS  deadlock watchdog timeout (0 disables)\n"
       "  --no-invariants     disable the collective invariant monitor\n"
       "  --coll-select NAME  collective algorithm selector: 'tuned'\n"
       "                      (topology-aware decision table, the default) or\n"
@@ -237,9 +235,6 @@ Options parse_args(int argc, char** argv) {
     } else if (a == "--faults") {
       once(a);
       o.faults = xg::mpi::FaultPlan::parse(need_value(i++));
-    } else if (a == "--watchdog") {
-      once(a);
-      o.watchdog_timeout_s = parse_double(a, need_value(i++));
     } else if (a == "--no-invariants") {
       once(a);
       o.check_invariants = false;
@@ -291,9 +286,6 @@ Options parse_args(int argc, char** argv) {
   }
   if (o.max_recoveries < 0) {
     throw xg::InputError("--max-recoveries must be >= 0");
-  }
-  if (o.watchdog_timeout_s < 0.0) {
-    throw xg::InputError("--watchdog must be >= 0");
   }
   if (!o.coll_select.empty() &&
       xg::mpi::CollSelector::named(o.coll_select) == nullptr) {
@@ -370,7 +362,6 @@ int main(int argc, char** argv) {
     mpi::RuntimeOptions ropts;
     ropts.faults = opt.faults;
     ropts.check_invariants = opt.check_invariants;
-    ropts.watchdog_timeout_s = opt.watchdog_timeout_s;
     ropts.coll_selector = selector;
     // Telemetry artifacts need the trace stream; the report and metrics also
     // aggregate the traffic matrix. Both stay off unless requested. The
@@ -421,7 +412,6 @@ int main(int argc, char** argv) {
       ropts_elastic.resume = opt.resume;
       ropts_elastic.faults = opt.faults;
       ropts_elastic.check_invariants = opt.check_invariants;
-      ropts_elastic.watchdog_timeout_s = opt.watchdog_timeout_s;
       ropts_elastic.enable_trace = ropts.enable_trace;
       ropts_elastic.enable_traffic = ropts.enable_traffic;
       ropts_elastic.coll_selector = selector;

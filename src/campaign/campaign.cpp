@@ -270,7 +270,6 @@ ElasticJobResult run_job_elastic(const xgyro::EnsembleInput& batch,
     ropts.enable_traffic = opts.enable_traffic;
     ropts.faults = faults;
     ropts.check_invariants = opts.check_invariants;
-    ropts.watchdog_timeout_s = opts.watchdog_timeout_s;
     ropts.coll_selector = opts.coll_selector;
 
     try {

@@ -157,7 +157,6 @@ struct RecoveryOptions {
   bool resume = false;
   mpi::FaultPlan faults;
   bool check_invariants = true;
-  double watchdog_timeout_s = 60.0;
   bool enable_trace = false;
   bool enable_traffic = false;
   /// Collective decision table for every attempt (nullptr = built-in tuned).

@@ -967,7 +967,6 @@ struct Engine {
       ro.resume = js.has_checkpoint;
       ro.faults = js.faults;
       ro.check_invariants = cfg.check_invariants;
-      ro.watchdog_timeout_s = cfg.watchdog_timeout_s;
       ro.enable_traffic = !cfg.report_dir.empty();
       ro.coll_selector = cfg.coll_selector;
       ro.sharing = xgyro::SharingPolicy::kSingleGroup;

@@ -115,7 +115,6 @@ struct ServiceConfig {
   int preempt_quantum = 1;
   int max_recoveries = 3;         ///< per job, across all its slices
   bool check_invariants = true;
-  double watchdog_timeout_s = 60.0;
   /// Collective decision table for every job (nullptr = built-in tuned).
   std::shared_ptr<const mpi::CollSelector> coll_selector;
   /// When set, a per-job RunReport is written to

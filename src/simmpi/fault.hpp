@@ -163,9 +163,9 @@ struct BlockedRankInfo {
   std::size_t mailbox_pending = 0;  ///< delivered-but-unmatched messages
 };
 
-/// Raised by the deadlock watchdog when every unfinished rank is blocked in
-/// a receive and no message has been delivered or matched for the full
-/// watchdog timeout: the virtual schedule can never make progress again.
+/// Raised by the runtime as soon as every unfinished rank is blocked in a
+/// receive that no running rank can satisfy: the virtual schedule can never
+/// make progress again.
 /// what() carries the full formatted report; blocked() the structured form.
 class DeadlockError : public Error {
  public:

@@ -1,18 +1,24 @@
 #include "simmpi/message.hpp"
 
+#include "simmpi/fiber.hpp"
 #include "util/error.hpp"
 
 namespace xg::mpi {
 
-void Mailbox::begin_run(bool enforce_arrival_order) {
+void Mailbox::begin_run(detail::FiberScheduler* sched, int owner,
+                        bool enforce_arrival_order) {
   const std::scoped_lock lock(mu_);
+  sched_ = sched;
+  owner_ = owner;
   queue_.clear();
+  waiter_.reset();
   aborted_ = false;
   enforce_arrival_order_ = enforce_arrival_order;
   channel_arrival_.clear();
 }
 
 void Mailbox::deliver(Message msg) {
+  bool wake = false;
   {
     const std::scoped_lock lock(mu_);
     if (enforce_arrival_order_) {
@@ -23,9 +29,12 @@ void Mailbox::deliver(Message msg) {
         last = msg.arrival_s;
       }
     }
+    wake = waiter_ && waiter_->context == msg.context &&
+           waiter_->src_world == msg.src_world && waiter_->tag == msg.tag;
+    if (wake) waiter_.reset();
     queue_.push_back(std::move(msg));
   }
-  cv_.notify_all();
+  if (wake) sched_->wake(owner_);
 }
 
 Message Mailbox::take(std::uint64_t context, int src_world, int tag) {
@@ -39,16 +48,27 @@ Message Mailbox::take(std::uint64_t context, int src_world, int tag) {
         return msg;
       }
     }
-    cv_.wait(lock);
+    waiter_ = Channel{context, src_world, tag};
+    lock.unlock();
+    sched_->park(owner_);
+    lock.lock();
   }
 }
 
 void Mailbox::abort() {
+  bool wake = false;
   {
     const std::scoped_lock lock(mu_);
     aborted_ = true;
+    wake = waiter_.has_value();
+    waiter_.reset();
   }
-  cv_.notify_all();
+  if (wake) sched_->wake(owner_);
+}
+
+std::optional<Channel> Mailbox::waiter() const {
+  const std::scoped_lock lock(mu_);
+  return waiter_;
 }
 
 size_t Mailbox::pending() const {

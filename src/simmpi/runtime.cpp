@@ -1,13 +1,12 @@
 #include "simmpi/runtime.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cstring>
 #include <map>
-#include <thread>
 
 #include "simmpi/coll.hpp"
 #include "simmpi/comm.hpp"
+#include "simmpi/fiber.hpp"
 #include "simmpi/invariant.hpp"
 #include "util/error.hpp"
 #include "util/format.hpp"
@@ -129,7 +128,6 @@ double Proc::p2p_isend(int dst_world, std::uint64_t context, int tag,
     fstats_.delay_added_s += faults_->delay_s;
   }
   rt_->mailboxes_[dst_world]->deliver(std::move(m));
-  rt_->progress_.fetch_add(1, std::memory_order_relaxed);
   return complete_at;
 }
 
@@ -145,9 +143,7 @@ void Proc::p2p_recv(int src_world, std::uint64_t context, int tag, void* data,
   XG_ASSERT_MSG(src_world >= 0 && src_world < rt_->nranks_, "recv: bad rank");
   fault_check();
   const double t0 = clock_;
-  rt_->note_blocked(rank_, src_world, context, tag, clock_, phase_);
   Message m = rt_->mailboxes_[rank_]->take(context, src_world, tag);
-  rt_->note_unblocked(rank_);
   if (m.bytes != bytes) {
     throw MpiUsageError(strprintf(
         "recv: payload mismatch on rank %d from %d tag %d: expected %llu "
@@ -244,54 +240,51 @@ Runtime::Runtime(net::MachineSpec spec, int nranks, RuntimeOptions opts)
                strprintf("faults: kill rank %d >= nranks %d", k.rank, nranks_));
   }
   mailboxes_.reserve(nranks_);
-  wait_states_.reserve(nranks_);
   for (int r = 0; r < nranks_; ++r) {
     mailboxes_.push_back(std::make_unique<Mailbox>());
-    wait_states_.push_back(std::make_unique<WaitState>());
   }
 }
 
 Runtime::~Runtime() = default;
 
-void Runtime::note_blocked(int rank, int src_world, std::uint64_t context,
-                           int tag, double vtime_s, const std::string& phase) {
-  WaitState& ws = *wait_states_[rank];
+void Runtime::fail(std::exception_ptr error) {
   {
-    const std::scoped_lock lock(ws.mu);
-    ws.src_world = src_world;
-    ws.tag = tag;
-    ws.context = context;
-    ws.vtime_s = vtime_s;
-    ws.phase = phase;
+    const std::scoped_lock lock(err_mu_);
+    if (!first_error_) first_error_ = std::move(error);
   }
-  ws.blocked.store(true, std::memory_order_release);
+  for (auto& mb : mailboxes_) mb->abort();
 }
 
-void Runtime::note_unblocked(int rank) {
-  wait_states_[rank]->blocked.store(false, std::memory_order_release);
-  progress_.fetch_add(1, std::memory_order_relaxed);
+void Runtime::report_deadlock(const std::vector<Proc>& procs) {
+  // Runs on a worker outside any fiber: whatever happens, the run must be
+  // failed so the parked ranks wake and unwind.
+  try {
+    fail(std::make_exception_ptr(deadlock_error(procs)));
+  } catch (...) {
+    fail(std::current_exception());
+  }
 }
 
-void Runtime::fire_deadlock_report() {
+DeadlockError Runtime::deadlock_error(const std::vector<Proc>& procs) const {
+  // Every unfinished rank is parked, so its Proc and mailbox are quiescent.
   std::vector<BlockedRankInfo> blocked;
   for (int r = 0; r < nranks_; ++r) {
-    WaitState& ws = *wait_states_[r];
-    if (!ws.blocked.load(std::memory_order_acquire)) continue;
-    const std::scoped_lock lock(ws.mu);
+    const auto waiting = mailboxes_[r]->waiter();
+    if (!waiting) continue;
     BlockedRankInfo info;
     info.world_rank = r;
-    info.virtual_time_s = ws.vtime_s;
-    info.phase = ws.phase;
-    info.waiting_src_world = ws.src_world;
-    info.waiting_tag = ws.tag;
-    info.waiting_context = ws.context;
+    info.virtual_time_s = procs[r].clock_;
+    info.phase = procs[r].phase_;
+    info.waiting_src_world = waiting->src_world;
+    info.waiting_tag = waiting->tag;
+    info.waiting_context = waiting->context;
     info.mailbox_pending = mailboxes_[r]->pending();
     blocked.push_back(std::move(info));
   }
   std::string msg = strprintf(
-      "simmpi watchdog: virtual schedule is stuck — %zu rank(s) blocked in "
-      "receives with no progress for %.2f s of real time:",
-      blocked.size(), opts_.watchdog_timeout_s);
+      "simmpi: virtual schedule is stuck — %zu rank(s) blocked in receives "
+      "that no running rank can satisfy:",
+      blocked.size());
   for (const auto& b : blocked) {
     msg += strprintf(
         "\n  rank %d: phase '%s', virtual t=%.9g s, waiting for src=%d tag=%d "
@@ -300,57 +293,15 @@ void Runtime::fire_deadlock_report() {
         b.waiting_tag, static_cast<unsigned long long>(b.waiting_context),
         b.mailbox_pending);
   }
-  {
-    const std::scoped_lock lock(err_mu_);
-    if (!first_error_) {
-      first_error_ = std::make_exception_ptr(
-          DeadlockError(msg, std::move(blocked)));
-    }
-  }
-  aborted_.store(true);
-  for (auto& mb : mailboxes_) mb->abort();
-}
-
-void Runtime::watchdog_loop(const std::atomic<bool>& stop) {
-  using clock = std::chrono::steady_clock;
-  const auto timeout = std::chrono::duration<double>(opts_.watchdog_timeout_s);
-  auto last_change = clock::now();
-  std::uint64_t last_progress = progress_.load(std::memory_order_relaxed);
-  while (!stop.load(std::memory_order_relaxed)) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-    if (aborted_.load()) return;  // an error path is already unwinding
-    const int finished = n_finished_.load(std::memory_order_relaxed);
-    int blocked = 0;
-    for (const auto& ws : wait_states_) {
-      if (ws->blocked.load(std::memory_order_acquire)) ++blocked;
-    }
-    const std::uint64_t progress = progress_.load(std::memory_order_relaxed);
-    const bool stuck = finished < nranks_ && finished + blocked == nranks_;
-    if (!stuck || progress != last_progress) {
-      last_change = clock::now();
-      last_progress = progress;
-      continue;
-    }
-    if (clock::now() - last_change >= timeout) {
-      fire_deadlock_report();
-      return;
-    }
-  }
+  return DeadlockError(msg, std::move(blocked));
 }
 
 RunResult Runtime::run(const std::function<void(Proc&)>& body) {
-  aborted_.store(false);
   first_error_ = nullptr;
   trace_.clear();
   spans_.clear();
-  progress_.store(0);
-  n_finished_.store(0);
   monitor_ = std::make_unique<InvariantMonitor>();
   const bool faults_on = opts_.faults.active();
-  for (int r = 0; r < nranks_; ++r) {
-    mailboxes_[r]->begin_run(faults_on && opts_.faults.perturbs_messages());
-    wait_states_[r]->blocked.store(false);
-  }
 
   std::vector<Proc> procs(static_cast<size_t>(nranks_));
   for (int r = 0; r < nranks_; ++r) {
@@ -366,34 +317,21 @@ RunResult Runtime::run(const std::function<void(Proc&)>& body) {
     }
   }
 
-  std::atomic<bool> watchdog_stop{false};
-  std::thread watchdog;
-  if (opts_.watchdog_timeout_s > 0.0) {
-    watchdog = std::thread([this, &watchdog_stop] {
-      watchdog_loop(watchdog_stop);
-    });
-  }
-
-  std::vector<std::thread> threads;
-  threads.reserve(static_cast<size_t>(nranks_));
-  for (int r = 0; r < nranks_; ++r) {
-    threads.emplace_back([this, &body, &procs, r] {
-      try {
-        body(procs[r]);
-      } catch (...) {
-        {
-          const std::scoped_lock lock(err_mu_);
-          if (!first_error_) first_error_ = std::current_exception();
+  detail::FiberScheduler sched(
+      nranks_,
+      [this, &body, &procs](int r) {
+        try {
+          body(procs[r]);
+        } catch (...) {
+          fail(std::current_exception());
         }
-        aborted_.store(true);
-        for (auto& mb : mailboxes_) mb->abort();
-      }
-      n_finished_.fetch_add(1, std::memory_order_relaxed);
-    });
+      },
+      [this, &procs] { report_deadlock(procs); });
+  for (int r = 0; r < nranks_; ++r) {
+    mailboxes_[r]->begin_run(&sched, r,
+                             faults_on && opts_.faults.perturbs_messages());
   }
-  for (auto& t : threads) t.join();
-  watchdog_stop.store(true);
-  if (watchdog.joinable()) watchdog.join();
+  sched.run();
   if (first_error_) std::rethrow_exception(first_error_);
   if (opts_.check_invariants) monitor_->final_check();
 

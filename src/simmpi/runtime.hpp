@@ -1,16 +1,17 @@
-// Simulated MPI runtime: spawns one OS thread per rank, gives each a
-// virtual clock driven by the simnet cost model, and collects per-rank
-// statistics. Real data moves between ranks (small test/physics grids), or
-// "virtual payloads" carrying only byte counts (paper-scale model runs) —
-// both follow the identical message schedule.
+// Simulated MPI runtime: runs every rank as a fiber on a small pool of
+// worker threads, gives each a virtual clock driven by the simnet cost
+// model, and collects per-rank statistics. Real data moves between ranks
+// (small test/physics grids), or "virtual payloads" carrying only byte
+// counts (paper-scale model runs) — both follow the identical message
+// schedule.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <exception>
 #include <functional>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -32,7 +33,7 @@ struct Group;
 }  // namespace detail
 
 /// Per-rank execution context handed to the user body. All methods are
-/// called only from that rank's own thread.
+/// called only from that rank's own fiber.
 class Proc {
  public:
   [[nodiscard]] int world_rank() const { return rank_; }
@@ -183,11 +184,6 @@ struct RuntimeOptions {
   /// kind, payload bytes, and bitwise-identical typed results). Cheap; on
   /// by default so every run doubles as a runtime self-test.
   bool check_invariants = true;
-  /// Real-time deadlock watchdog: if every unfinished rank sits blocked in
-  /// a receive with no message delivered or matched for this many wall-clock
-  /// seconds, the run aborts with a structured DeadlockError instead of
-  /// hanging. 0 disables the watchdog.
-  double watchdog_timeout_s = 60.0;
   /// Deterministic fault-injection plan (default: inactive).
   FaultPlan faults;
   /// Collective-algorithm decision table for this run. nullptr = the
@@ -197,7 +193,24 @@ struct RuntimeOptions {
   std::shared_ptr<const CollSelector> coll_selector;
 };
 
-/// Owns mailboxes and rank threads for one simulated job.
+/// Owns mailboxes and rank fibers for one simulated job.
+///
+/// Each rank runs as a stackful fiber. The fibers are pinned, in contiguous
+/// blocks, to W = min(nranks, std::thread::hardware_concurrency()) worker
+/// threads; the first worker is the thread that calls run(). A fiber gives
+/// up its worker only when it blocks in a receive or returns. Virtual time
+/// depends only on message arrival stamps, so it is the same under any
+/// schedule.
+///
+/// The fiber contract for rank bodies:
+///  - A rank body may block its OS thread outside simmpi (a host mutex held
+///    across a simmpi call, a host std::barrier between ranks, ...) only
+///    when nranks <= std::thread::hardware_concurrency(), so that every
+///    rank has a worker of its own. Otherwise a rank blocked that way also
+///    stops the other fibers on its worker, and the run can hang.
+///  - A rank must not make a blocking simmpi call (a receive, a collective)
+///    inside a `catch` handler: the fibers on one worker share the C++
+///    runtime's per-thread stack of caught exceptions.
 class Runtime {
  public:
   /// `nranks` may be smaller than the machine's total rank slots (partial
@@ -205,10 +218,12 @@ class Runtime {
   Runtime(net::MachineSpec spec, int nranks, RuntimeOptions opts = {});
   ~Runtime();
 
-  /// Execute `body` on every rank (one OS thread each); returns per-rank
-  /// stats and the trace. Rethrows the first rank exception, if any —
-  /// including RankFailure (fault-plan kill), DeadlockError (watchdog), and
-  /// InvariantViolation (collective disagreement).
+  /// Execute `body` on every rank (one fiber each); returns per-rank stats
+  /// and the trace. Rethrows the first rank exception, if any — including
+  /// RankFailure (fault-plan kill), DeadlockError (every unfinished rank is
+  /// blocked in a receive no running rank can satisfy; raised as soon as
+  /// the last runnable rank blocks), and InvariantViolation (collective
+  /// disagreement).
   RunResult run(const std::function<void(Proc&)>& body);
 
   [[nodiscard]] int nranks() const { return nranks_; }
@@ -218,22 +233,14 @@ class Runtime {
   friend class Proc;
   friend class Comm;
 
-  /// What a blocked rank is waiting for, published for the watchdog report.
-  struct WaitState {
-    std::atomic<bool> blocked{false};
-    std::mutex mu;  ///< guards the descriptive fields below
-    int src_world = -1;
-    int tag = 0;
-    std::uint64_t context = 0;
-    double vtime_s = 0.0;
-    std::string phase;
-  };
-
-  void note_blocked(int rank, int src_world, std::uint64_t context, int tag,
-                    double vtime_s, const std::string& phase);
-  void note_unblocked(int rank);
-  void watchdog_loop(const std::atomic<bool>& stop);
-  void fire_deadlock_report();
+  /// Record `error` as the run's failure (first one wins) and wake every
+  /// blocked rank so the run unwinds.
+  void fail(std::exception_ptr error);
+  /// Called when every unfinished rank is parked: fail with a DeadlockError
+  /// naming each blocked rank and what it waits for.
+  void report_deadlock(const std::vector<Proc>& procs);
+  [[nodiscard]] DeadlockError deadlock_error(
+      const std::vector<Proc>& procs) const;
 
   net::MachineSpec spec_;
   net::Placement placement_;
@@ -241,21 +248,14 @@ class Runtime {
   int nranks_ = 0;
 
   std::vector<std::unique_ptr<Mailbox>> mailboxes_;
-  std::vector<std::unique_ptr<WaitState>> wait_states_;
   std::unique_ptr<InvariantMonitor> monitor_;
 
   std::mutex trace_mu_;
   std::vector<TraceEvent> trace_;
   std::vector<SpanEvent> spans_;
 
-  std::atomic<bool> aborted_{false};
   std::mutex err_mu_;
   std::exception_ptr first_error_;
-
-  /// Deliveries + successful matches; the watchdog fires only when this
-  /// stops moving while every unfinished rank is blocked.
-  std::atomic<std::uint64_t> progress_{0};
-  std::atomic<int> n_finished_{0};
 };
 
 /// Convenience wrapper: build a Runtime and run one job.

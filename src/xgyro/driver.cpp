@@ -53,7 +53,6 @@ mpi::RunResult run_cgyro_job(const gyro::Input& input,
   ropts.enable_traffic = options.enable_traffic;
   ropts.faults = options.faults;
   ropts.check_invariants = options.check_invariants;
-  ropts.watchdog_timeout_s = options.watchdog_timeout_s;
   ropts.coll_selector = options.coll_selector;
   CheckpointHooks hooks(options, nranks, options.n_report_intervals);
   return mpi::run_simulation(
@@ -92,7 +91,6 @@ mpi::RunResult run_xgyro_job(const EnsembleInput& ensemble,
   ropts.enable_traffic = options.enable_traffic;
   ropts.faults = options.faults;
   ropts.check_invariants = options.check_invariants;
-  ropts.watchdog_timeout_s = options.watchdog_timeout_s;
   ropts.coll_selector = options.coll_selector;
   const int nranks = ensemble.n_sims() * ranks_per_sim;
   CheckpointHooks hooks(options, nranks, options.n_report_intervals);

@@ -21,8 +21,6 @@ struct JobOptions {
   mpi::FaultPlan faults;
   /// Per-collective invariant checking (member agreement); on by default.
   bool check_invariants = true;
-  /// Deadlock watchdog timeout (real seconds; 0 disables).
-  double watchdog_timeout_s = 60.0;
   /// Periodic elastic snapshots (see src/checkpoint): empty disables. Real
   /// mode only — model mode carries no restorable state.
   std::string checkpoint_dir;

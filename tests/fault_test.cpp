@@ -1,11 +1,12 @@
 // Fault-injection + invariant-monitor tests: FaultPlan spec parsing, the
 // differential allreduce check (bit-identical results across algorithms on
 // power-of-two and awkward rank counts), deterministic replay of injected
-// faults, rank-kill → structured RankFailure, the deadlock watchdog, and
+// faults, rank-kill → structured RankFailure, exact deadlock detection, and
 // the per-collective invariant monitor catching deliberately broken
 // collectives that a clean run never trips.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstring>
 #include <map>
 #include <mutex>
@@ -279,12 +280,11 @@ TEST(Determinism, StragglerChangesTimingsNotPhysics) {
 // ---------------------------------------------------------------------------
 // Rank kill → structured RankFailure (no deadlock), replayable report.
 
-std::string run_until_killed(const FaultPlan& plan) {
+std::string run_until_killed(const FaultPlan& plan, int nranks = 4) {
   RuntimeOptions opts;
   opts.faults = plan;
-  opts.watchdog_timeout_s = 30.0;  // must NOT be what terminates the run
   try {
-    run_simulation(net::testbox(1, 4), 4, [](Proc& p) {
+    run_simulation(net::testbox(1, nranks), nranks, [](Proc& p) {
       auto world = p.world();
       p.set_phase("work");
       for (int i = 0; i < 10; ++i) {
@@ -310,14 +310,28 @@ TEST(RankKill, SurfacesStructuredFailureInsteadOfDeadlock) {
   EXPECT_EQ(report1, report2);  // same seed ⇒ identical failure report
 }
 
+TEST(RankKill, ManyFibersPerWorkerSurfaceTheSameReplayableFailure) {
+  // 17 ranks: several fibers share each worker thread, and the survivors
+  // are parked mid-barrier when rank 2 dies.
+  const auto plan = FaultPlan::parse("seed=3;kill=2@0.5");
+  const auto report1 = run_until_killed(plan, 17);
+  const auto report2 = run_until_killed(plan, 17);
+  EXPECT_FALSE(report1.empty());
+  EXPECT_EQ(report1, report2);
+}
+
 // ---------------------------------------------------------------------------
-// Deadlock watchdog: a stuck virtual schedule becomes a diagnosable report
-// within bounded real time instead of hanging forever.
+// Deadlock detection: a stuck virtual schedule becomes a diagnosable report
+// the moment the last runnable rank blocks — no timeout involved.
+
+double wall_seconds_since(std::chrono::steady_clock::time_point t0) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+      .count();
+}
 
 TEST(Watchdog, ReportsStuckScheduleWithBlockedRankDetail) {
-  RuntimeOptions opts;
-  opts.watchdog_timeout_s = 0.25;
   bool caught = false;
+  const auto t0 = std::chrono::steady_clock::now();
   try {
     run_simulation(net::testbox(1, 2), 2, [](Proc& p) {
       if (p.world_rank() == 1) {
@@ -326,9 +340,10 @@ TEST(Watchdog, ReportsStuckScheduleWithBlockedRankDetail) {
         // Nobody ever sends this: rank 0 exits immediately.
         p.world().recv(std::span<int>(&v, 1), /*src=*/0, /*tag=*/9);
       }
-    }, opts);
+    });
   } catch (const DeadlockError& d) {
     caught = true;
+    EXPECT_LT(wall_seconds_since(t0), 1.0);
     ASSERT_EQ(d.blocked().size(), 1u);
     const auto& b = d.blocked().front();
     EXPECT_EQ(b.world_rank, 1);
@@ -341,15 +356,70 @@ TEST(Watchdog, ReportsStuckScheduleWithBlockedRankDetail) {
 }
 
 TEST(Watchdog, QuietOnHealthyRuns) {
-  RuntimeOptions opts;
-  opts.watchdog_timeout_s = 0.25;
   // Plenty of real blocking receives, but the schedule always progresses.
   EXPECT_NO_THROW(run_simulation(net::testbox(1, 4), 4, [](Proc& p) {
     for (int i = 0; i < 8; ++i) {
       std::vector<double> v(4, 1.0);
       p.world().allreduce_sum(std::span<double>(v));
     }
-  }, opts));
+  }));
+}
+
+TEST(Deadlock, ReportsTwoRankReceiveCycle) {
+  // Each rank receives from the other before sending: a cycle across two
+  // ranks, which sit on different workers whenever the host has 2+ cores.
+  const auto t0 = std::chrono::steady_clock::now();
+  try {
+    run_simulation(net::testbox(1, 2), 2, [](Proc& p) {
+      p.set_phase("cycle");
+      auto world = p.world();
+      const int peer = 1 - p.world_rank();
+      int v = p.world_rank();
+      world.recv(std::span<int>(&v, 1), peer, /*tag=*/4);
+      world.send(std::span<const int>(&v, 1), peer, /*tag=*/4);
+    });
+    ADD_FAILURE() << "receive cycle did not raise DeadlockError";
+  } catch (const DeadlockError& d) {
+    EXPECT_LT(wall_seconds_since(t0), 1.0);
+    ASSERT_EQ(d.blocked().size(), 2u);
+    for (int r = 0; r < 2; ++r) {
+      const auto& b = d.blocked()[static_cast<size_t>(r)];
+      EXPECT_EQ(b.world_rank, r);
+      EXPECT_EQ(b.waiting_src_world, 1 - r);
+      EXPECT_EQ(b.waiting_tag, 4);
+      EXPECT_EQ(b.phase, "cycle");
+      EXPECT_EQ(b.mailbox_pending, 0u);
+    }
+  }
+}
+
+TEST(Deadlock, NamesTheOneStuckRankAmongManyFibersPerWorker) {
+  // 64 ranks: many fibers per worker. Rank 37 waits forever for a message
+  // rank 5 never sends; the other 63 ranks do real work and finish.
+  constexpr int kRanks = 64;
+  const auto t0 = std::chrono::steady_clock::now();
+  try {
+    run_simulation(net::testbox(4, 16), kRanks, [](Proc& p) {
+      auto world = p.world();
+      p.set_phase("work");
+      std::vector<double> v(4, 1.0);
+      world.allreduce_sum(std::span<double>(v));
+      if (p.world_rank() == 37) {
+        p.set_phase("orphan_recv");
+        int x = 0;
+        world.recv(std::span<int>(&x, 1), /*src=*/5, /*tag=*/77);
+      }
+    });
+    ADD_FAILURE() << "orphaned receive did not raise DeadlockError";
+  } catch (const DeadlockError& d) {
+    EXPECT_LT(wall_seconds_since(t0), 1.0);
+    ASSERT_EQ(d.blocked().size(), 1u);
+    const auto& b = d.blocked().front();
+    EXPECT_EQ(b.world_rank, 37);
+    EXPECT_EQ(b.waiting_src_world, 5);
+    EXPECT_EQ(b.waiting_tag, 77);
+    EXPECT_EQ(b.phase, "orphan_recv");
+  }
 }
 
 // ---------------------------------------------------------------------------

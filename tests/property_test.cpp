@@ -218,15 +218,19 @@ TEST(Spectrum, IndependentOfToroidalSplit) {
 
 // --- randomized collective sequences vs oracle ------------------------------
 
+// Both fields are 8 bytes wide so the struct has no padding: gtest names each
+// case by dumping the parameter's bytes, and padding bytes are indeterminate,
+// which made the case names differ from run to run.
 struct SeqCase {
-  int nranks;
+  std::int64_t nranks;
   std::uint64_t seed;
 };
 
 class CollectiveSequence : public ::testing::TestWithParam<SeqCase> {};
 
 TEST_P(CollectiveSequence, RandomSequenceMatchesOracle) {
-  const auto [nranks, seed] = GetParam();
+  const int nranks = static_cast<int>(GetParam().nranks);
+  const std::uint64_t seed = GetParam().seed;
   const int n_ops = 25;
 
   // Pre-generate the op schedule (shared by all ranks and the oracle).
