@@ -2,7 +2,9 @@
 # ci.sh — the full local gate, in the order a reviewer would run it:
 #
 #   1. default preset build + complete ctest tier-1 suite
-#   2. address+UB-sanitized preset build (compile-time gate)
+#   2. address+UB-sanitized preset build, then fft_test, gyro_test and
+#      xgyro_test run from it (the FFT and solver kernels index raw split
+#      arrays; UBSan findings abort instead of only printing)
 #   3. end-to-end determinism check (identical-seed runs bitwise equal)
 #   4. telemetry artifact smoke (trace/report/metrics export + validation)
 #   5. docs consistency (USER_GUIDE flags vs --help both ways; every guide
@@ -36,9 +38,13 @@ cmake --preset default
 cmake --build --preset default -j "$JOBS"
 ctest --preset default
 
-echo "=== [2/9] sanitized build ==="
+echo "=== [2/9] sanitized build + kernel tests ==="
 cmake --preset sanitize
 cmake --build --preset sanitize -j "$JOBS"
+for t in fft_test gyro_test xgyro_test; do
+  UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \
+    "./build-sanitize/tests/$t" --gtest_brief=1
+done
 
 echo "=== [3/9] determinism check ==="
 bash scripts/check_determinism.sh build

@@ -1,7 +1,9 @@
 #include "fft/fft.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <numbers>
+#include <utility>
 
 #include "util/error.hpp"
 
@@ -11,36 +13,87 @@ namespace {
 
 constexpr double kPi = std::numbers::pi;
 
-/// Bit-reversal permutation for radix-2.
-void bit_reverse_permute(std::span<cplx> a) {
-  const size_t n = a.size();
-  for (size_t i = 1, j = 0; i < n; ++i) {
-    size_t bit = n >> 1;
-    for (; j & bit; bit >>= 1) j ^= bit;
-    j ^= bit;
-    if (i < j) std::swap(a[i], a[j]);
+/// One split-layout butterfly across `lines` lines: v ← v·w, then
+/// (u, v) ← (u + v, u − v). The product is expanded as (ac − bd, ad + bc),
+/// the operations std::complex performs, so each line matches the
+/// single-line butterfly bit for bit.
+void butterfly_lines(double* __restrict ur, double* __restrict ui,
+                     double* __restrict vr, double* __restrict vi,
+                     size_t lines, double wr, double wi) {
+  for (size_t l = 0; l < lines; ++l) {
+    const double tr = vr[l] * wr - vi[l] * wi;
+    const double ti = vr[l] * wi + vi[l] * wr;
+    const double a = ur[l];
+    const double b = ui[l];
+    ur[l] = a + tr;
+    ui[l] = b + ti;
+    vr[l] = a - tr;
+    vi[l] = b - ti;
   }
 }
 
-/// Radix-2 in-place transform using precomputed twiddles.
-/// `twiddles` holds e^{-2πi k/n} for k in [0, n/2) (forward sign).
-void radix2(std::span<cplx> a, std::span<const cplx> twiddles, bool inv) {
-  const size_t n = a.size();
-  bit_reverse_permute(a);
-  for (size_t len = 2; len <= n; len <<= 1) {
-    const size_t step = n / len;
-    for (size_t i = 0; i < n; i += len) {
-      for (size_t k = 0; k < len / 2; ++k) {
-        cplx w = twiddles[k * step];
-        if (inv) w = std::conj(w);
-        const cplx u = a[i + k];
-        const cplx v = a[i + k + len / 2] * w;
-        a[i + k] = u + v;
-        a[i + k + len / 2] = u - v;
+/// Tables of one power-of-two transform length: the bit-reversal swap list
+/// and the twiddles e^{∓2πi k/len}, k < len/2, for both directions (the
+/// inverse ones are the exact conjugates of the forward ones).
+struct Radix2 {
+  size_t n = 0;
+  std::vector<std::pair<size_t, size_t>> swaps;  // (i, j) with i < j
+  std::vector<cplx> fwd, inv;
+
+  explicit Radix2(size_t len) : n(len) {
+    for (size_t i = 1, j = 0; i < n; ++i) {
+      size_t bit = n >> 1;
+      for (; j & bit; bit >>= 1) j ^= bit;
+      j ^= bit;
+      if (i < j) swaps.emplace_back(i, j);
+    }
+    fwd.resize(n / 2);
+    inv.resize(n / 2);
+    for (size_t k = 0; k < n / 2; ++k) {
+      fwd[k] = std::polar(1.0, -2.0 * kPi * double(k) / double(n));
+      inv[k] = std::conj(fwd[k]);
+    }
+  }
+
+  /// Unnormalized in-place transform of one line.
+  void run(cplx* a, bool inverse) const {
+    for (const auto& [i, j] : swaps) std::swap(a[i], a[j]);
+    const cplx* tw = inverse ? inv.data() : fwd.data();
+    for (size_t len = 2; len <= n; len <<= 1) {
+      const size_t half = len / 2;
+      const size_t step = n / len;
+      for (size_t i = 0; i < n; i += len) {
+        for (size_t k = 0; k < half; ++k) {
+          const cplx u = a[i + k];
+          const cplx v = a[i + k + half] * tw[k * step];
+          a[i + k] = u + v;
+          a[i + k + half] = u - v;
+        }
       }
     }
   }
-}
+
+  /// Unnormalized in-place transform of `lines` split-layout lines.
+  void run_lines(double* re, double* im, size_t lines, bool inverse) const {
+    for (const auto& [i, j] : swaps) {
+      std::swap_ranges(re + i * lines, re + (i + 1) * lines, re + j * lines);
+      std::swap_ranges(im + i * lines, im + (i + 1) * lines, im + j * lines);
+    }
+    const cplx* tw = inverse ? inv.data() : fwd.data();
+    for (size_t len = 2; len <= n; len <<= 1) {
+      const size_t half = len / 2;
+      const size_t step = n / len;
+      for (size_t i = 0; i < n; i += len) {
+        for (size_t k = 0; k < half; ++k) {
+          const size_t u = (i + k) * lines;
+          const size_t v = (i + k + half) * lines;
+          butterfly_lines(re + u, im + u, re + v, im + v, lines,
+                          tw[k * step].real(), tw[k * step].imag());
+        }
+      }
+    }
+  }
+};
 
 }  // namespace
 
@@ -54,22 +107,16 @@ size_t next_pow2(size_t n) {
 
 struct Plan::Impl {
   size_t n = 0;
-  // Radix-2 path.
-  std::vector<cplx> twiddles;  // e^{-2πi k/n}, k < n/2
-  // Bluestein path (empty when n is a power of two).
+  // Bluestein path (m == 0 when n is a power of two).
   size_t m = 0;                     // padded pow2 length >= 2n-1
   std::vector<cplx> chirp;          // e^{-πi k²/n}, k < n
   std::vector<cplx> chirp_fft;      // FFT of the padded conjugate chirp
-  std::vector<cplx> m_twiddles;     // twiddles for length-m transforms
+  // Radix-2 tables of length n, or of length m for Bluestein.
+  Radix2 radix;
 
-  explicit Impl(size_t n_in) : n(n_in) {
-    XG_REQUIRE(n >= 1, "FFT plan length must be >= 1");
-    if (is_pow2(n)) {
-      build_twiddles(n, twiddles);
-      return;
-    }
-    m = next_pow2(2 * n - 1);
-    build_twiddles(m, m_twiddles);
+  explicit Impl(size_t n_in)
+      : n(n_in), m(bluestein_length(n_in)), radix(m == 0 ? n_in : m) {
+    if (m == 0) return;
     chirp.resize(n);
     for (size_t k = 0; k < n; ++k) {
       // k² mod 2n keeps the argument bounded for large k.
@@ -82,28 +129,43 @@ struct Plan::Impl {
       b[k] = std::conj(chirp[k]);
       b[m - k] = std::conj(chirp[k]);
     }
-    radix2(b, m_twiddles, /*inv=*/false);
+    radix.run(b.data(), /*inverse=*/false);
     chirp_fft = std::move(b);
   }
 
-  static void build_twiddles(size_t len, std::vector<cplx>& out) {
-    out.resize(len / 2);
-    for (size_t k = 0; k < len / 2; ++k) {
-      out[k] = std::polar(1.0, -2.0 * kPi * double(k) / double(len));
-    }
+  static size_t bluestein_length(size_t n) {
+    XG_REQUIRE(n >= 1, "FFT plan length must be >= 1");
+    return is_pow2(n) ? 0 : next_pow2(2 * n - 1);
   }
 
   void transform(std::span<cplx> a, bool inv) const {
     XG_ASSERT(a.size() == n);
     if (n == 1) return;
-    if (is_pow2(n)) {
-      radix2(a, twiddles, inv);
+    if (m == 0) {
+      radix.run(a.data(), inv);
     } else {
       bluestein(a, inv);
     }
     if (inv) {
       const double scale = 1.0 / double(n);
       for (auto& v : a) v *= scale;
+    }
+  }
+
+  void transform_lines(std::span<double> re, std::span<double> im,
+                       size_t lines, bool inv) const {
+    XG_REQUIRE(re.size() == n * lines && im.size() == n * lines,
+               "FFT lines: re/im must each hold n*lines values");
+    if (n == 1) return;
+    if (m == 0) {
+      radix.run_lines(re.data(), im.data(), lines, inv);
+    } else {
+      bluestein_lines(re.data(), im.data(), lines, inv);
+    }
+    if (inv) {
+      const double scale = 1.0 / double(n);
+      for (auto& v : re) v *= scale;
+      for (auto& v : im) v *= scale;
     }
   }
 
@@ -115,13 +177,51 @@ struct Plan::Impl {
       const cplx xk = inv ? std::conj(a[k]) : a[k];
       t[k] = xk * chirp[k];
     }
-    radix2(t, m_twiddles, /*inv=*/false);
+    radix.run(t.data(), /*inverse=*/false);
     for (size_t k = 0; k < m; ++k) t[k] *= chirp_fft[k];
-    radix2(t, m_twiddles, /*inv=*/true);
+    radix.run(t.data(), /*inverse=*/true);
     const double scale = 1.0 / double(m);
     for (size_t k = 0; k < n; ++k) {
       cplx yk = t[k] * scale * chirp[k];
       a[k] = inv ? std::conj(yk) : yk;
+    }
+  }
+
+  /// bluestein() on split-layout lines, step for step: every complex
+  /// product expanded as (ac − bd, ad + bc), the conjugations as sign flips
+  /// of the imaginary part.
+  void bluestein_lines(double* re, double* im, size_t lines, bool inv) const {
+    std::vector<double> tr(m * lines, 0.0), ti(m * lines, 0.0);
+    for (size_t k = 0; k < n; ++k) {
+      const double cr = chirp[k].real(), ci = chirp[k].imag();
+      for (size_t l = 0; l < lines; ++l) {
+        const double xr = re[k * lines + l];
+        const double xi = inv ? -im[k * lines + l] : im[k * lines + l];
+        tr[k * lines + l] = xr * cr - xi * ci;
+        ti[k * lines + l] = xr * ci + xi * cr;
+      }
+    }
+    radix.run_lines(tr.data(), ti.data(), lines, /*inverse=*/false);
+    for (size_t k = 0; k < m; ++k) {
+      const double fr = chirp_fft[k].real(), fi = chirp_fft[k].imag();
+      for (size_t l = 0; l < lines; ++l) {
+        const double xr = tr[k * lines + l];
+        const double xi = ti[k * lines + l];
+        tr[k * lines + l] = xr * fr - xi * fi;
+        ti[k * lines + l] = xr * fi + xi * fr;
+      }
+    }
+    radix.run_lines(tr.data(), ti.data(), lines, /*inverse=*/true);
+    const double scale = 1.0 / double(m);
+    for (size_t k = 0; k < n; ++k) {
+      const double cr = chirp[k].real(), ci = chirp[k].imag();
+      for (size_t l = 0; l < lines; ++l) {
+        const double xr = tr[k * lines + l] * scale;
+        const double xi = ti[k * lines + l] * scale;
+        const double yi = xr * ci + xi * cr;
+        re[k * lines + l] = xr * cr - xi * ci;
+        im[k * lines + l] = inv ? -yi : yi;
+      }
     }
   }
 };
@@ -135,6 +235,15 @@ size_t Plan::size() const { return impl_->n; }
 
 void Plan::forward(std::span<cplx> data) const { impl_->transform(data, false); }
 void Plan::inverse(std::span<cplx> data) const { impl_->transform(data, true); }
+
+void Plan::forward_lines(std::span<double> re, std::span<double> im,
+                         size_t lines) const {
+  impl_->transform_lines(re, im, lines, false);
+}
+void Plan::inverse_lines(std::span<double> re, std::span<double> im,
+                         size_t lines) const {
+  impl_->transform_lines(re, im, lines, true);
+}
 
 void forward(std::span<cplx> data) { Plan(data.size()).forward(data); }
 void inverse(std::span<cplx> data) { Plan(data.size()).inverse(data); }

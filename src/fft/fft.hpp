@@ -3,8 +3,19 @@
 //
 // CGYRO evaluates the E×B nonlinear bracket pseudo-spectrally; the `nl`
 // phase transforms along the toroidal dimension. Our `gyro` solver does the
-// same through this module. Plans precompute twiddle factors so repeated
-// transforms of the same length (every RK stage, every cell) are cheap.
+// same through this module. Plans precompute the bit-reversal swap list and
+// the forward and inverse twiddle tables once, so repeated transforms of the
+// same length (every RK stage, every cell) are cheap.
+//
+// Two entry points share those tables. forward()/inverse() transform one
+// interleaved std::complex line. forward_lines()/inverse_lines() transform
+// many lines at once, stored split (separate real and imaginary arrays) and
+// interleaved across lines: element t of line l sits at index t·lines + l.
+// Each butterfly then runs as one loop over the lines, which the compiler
+// vectorizes, the way pseudo-spectral codes batch their FFTs across the
+// velocity dimension. Every line of a batch goes through exactly the
+// floating-point operations of a single-line call, so the two are
+// bit-identical.
 #pragma once
 
 #include <complex>
@@ -22,7 +33,8 @@ bool is_pow2(size_t n);
 /// Smallest power of two >= n.
 size_t next_pow2(size_t n);
 
-/// Precomputed plan for length-n complex transforms (any n >= 1).
+/// Precomputed plan for length-n complex transforms (any n >= 1), single
+/// lines or split-layout batches of lines.
 /// Thread-compatible: const methods are safe to call concurrently.
 class Plan {
  public:
@@ -40,6 +52,16 @@ class Plan {
 
   /// In-place inverse DFT, normalized by 1/n (forward∘inverse == identity).
   void inverse(std::span<cplx> data) const;
+
+  /// In-place forward DFT of `lines` lines in the split layout: re/im each
+  /// hold n·lines values, element t of line l at index t·lines + l. Every
+  /// line's result equals forward() on that line, bit for bit.
+  void forward_lines(std::span<double> re, std::span<double> im,
+                     size_t lines) const;
+
+  /// Batched counterpart of inverse() (normalized by 1/n), same layout.
+  void inverse_lines(std::span<double> re, std::span<double> im,
+                     size_t lines) const;
 
  private:
   struct Impl;

@@ -96,10 +96,8 @@ void Simulation::initialize() {
       phi_full_t_.resize(static_cast<size_t>(input_.nc()) * input_.nt());
       const size_t nt = static_cast<size_t>(input_.nt());
       nl_plan_ = std::make_unique<fft::Plan>(nt);
-      nl_a_.resize(nt);
-      nl_b_.resize(nt);
-      nl_c_.resize(nt);
-      nl_d_.resize(nt);
+      nl_lines_.assign(4 * nt * static_cast<size_t>(nv_loc()), 0.0);
+      nl_phi_lines_.assign(4 * nt, 0.0);
       nl_gather_.resize(static_cast<size_t>(input_.nc()) * nt);
     }
     gyro_j_ = tensor::Tensor3<double>(nv_loc(), input_.nc(), nt_loc());
@@ -177,6 +175,39 @@ void Simulation::build_tables() {
         partial += upwind_w_[ivl] * j * j;
       }
       unorm_[idx] = partial;
+    }
+  }
+  // compute_rhs and bracket coefficients. Each entry is the value the inline
+  // Geometry/VelocityGrid calls produced, grouped the same way, so the
+  // kernels that read them stay bit-identical.
+  ky_.resize(static_cast<size_t>(input_.nt()));
+  for (int t = 0; t < input_.nt(); ++t) ky_[t] = geometry_.ky(t);
+  rhs_kpar_.resize(static_cast<size_t>(input_.nc()));
+  rhs_damp_.resize(static_cast<size_t>(input_.nc()));
+  for (int ic = 0; ic < input_.nc(); ++ic) {
+    rhs_kpar_[ic] = geometry_.kpar(ic);
+    rhs_damp_[ic] = input_.upwind * std::abs(rhs_kpar_[ic]);
+  }
+  rhs_v_.resize(static_cast<size_t>(nv_loc()));
+  for (int ivl = 0; ivl < nv_loc(); ++ivl) {
+    const int iv = iv_global_[ivl];
+    const int is = vgrid_->species_of(iv);
+    const double e = vgrid_->energy(vgrid_->energy_of(iv));
+    const double xi = vgrid_->xi(vgrid_->xi_of(iv));
+    const double vpar = vgrid_->v_parallel(iv);
+    rhs_v_[ivl] = {vpar, std::abs(vpar), e, 0.5 + 0.5 * xi * xi,
+                   input_.species[is].a_ln_n +
+                       input_.species[is].a_ln_t * (e - 1.5)};
+  }
+  if (input_.nonlinear) {
+    const int nt = input_.nt();
+    const int nc_pt = input_.nc() / decomp_.pt;
+    nl_kx_.resize(static_cast<size_t>(nc_pt) * nt);
+    for (int aa = 0; aa < nc_pt; ++aa) {
+      const int ic = comms_.t.rank() * nc_pt + aa;
+      for (int t = 0; t < nt; ++t) {
+        nl_kx_[static_cast<size_t>(aa) * nt + t] = geometry_.kx(ic, t);
+      }
     }
   }
   // Complete the upwind normalization across the velocity communicator.
@@ -358,8 +389,10 @@ void Simulation::nonlinear_term(const tensor::Tensor3Z& h) {
   {
     mpi::ScopedSpan span(*proc_, "nl.transpose_to_nl");
     if (mode_ == Mode::kReal) {
-      for (int ivl = 0; ivl < nv_loc(); ++ivl) {
-        for (int ic = 0; ic < input_.nc(); ++ic) {
+      // Cell-major: each ic moves one nv_loc × nt_loc block that stays in
+      // cache, instead of striding the whole tensor per velocity point.
+      for (int ic = 0; ic < input_.nc(); ++ic) {
+        for (int ivl = 0; ivl < nv_loc(); ++ivl) {
           for (int itl = 0; itl < nt_loc(); ++itl) {
             nl_str_perm_(itl, ic, ivl) = h(ivl, ic, itl);
           }
@@ -374,7 +407,8 @@ void Simulation::nonlinear_term(const tensor::Tensor3Z& h) {
   }
 
   // Pseudo-spectral toroidal bracket, one circular convolution pair per
-  // (configuration cell, velocity point).
+  // (configuration cell, velocity point), batched per cell: the two φ lines
+  // are transformed once, the h lines of all nv_loc velocities together.
   proc_->set_phase("nl");
   {
     mpi::ScopedSpan span(*proc_, "nl.fft_bracket");
@@ -383,33 +417,67 @@ void Simulation::nonlinear_term(const tensor::Tensor3Z& h) {
                    compute_model_.nl_fft_flops_per_log *
                        std::log2(static_cast<double>(std::max(2, nt)))));
     if (mode_ == Mode::kReal) {
-      // Plan and line buffers are Simulation members (built in initialize());
-      // this loop used to rebuild them on every RK stage.
-      auto& a = nl_a_;
-      auto& b = nl_b_;
-      auto& c = nl_c_;
-      auto& d = nl_d_;
+      // Split-layout lines (element (t, line) at t·lines + line): p = iky·φ
+      // and q = ikx·φ as 2 lines, b = ikx·h and d = iky·h as nv_loc lines
+      // each. Every complex product is expanded as (ac − bd, ad + bc), the
+      // 0·x terms of the (0, k) multipliers included, so each line sees
+      // the floating-point operations of the single-line std::complex
+      // bracket and the result is bit-identical to it.
+      const size_t n = static_cast<size_t>(nt);
+      const size_t nv = static_cast<size_t>(nv_loc());
+      const size_t len = n * nv;
+      double* br = nl_lines_.data();
+      double* bi = br + len;
+      double* dr = bi + len;
+      double* di = dr + len;
+      double* pqr = nl_phi_lines_.data();
+      double* pqi = pqr + 2 * n;
       auto& hn = nl_layout_[0];
       for (int aa = 0; aa < nc_pt; ++aa) {
         const int ic = comms_.t.rank() * nc_pt + aa;
-        for (int ivl = 0; ivl < nv_loc(); ++ivl) {
-          for (int t = 0; t < nt; ++t) {
-            const cplx iky(0.0, geometry_.ky(t));
-            const cplx ikx(0.0, geometry_.kx(ic, t));
-            const cplx ph = phi_full_t_[static_cast<size_t>(ic) * nt + t];
-            const cplx hh = hn(aa, t, ivl);
-            a[t] = iky * ph;
-            b[t] = ikx * hh;
-            c[t] = ikx * ph;
-            d[t] = iky * hh;
+        const double* kx = nl_kx_.data() + static_cast<size_t>(aa) * n;
+        const cplx* phi = phi_full_t_.data() + static_cast<size_t>(ic) * n;
+        for (size_t t = 0; t < n; ++t) {
+          const double ky = ky_[t];
+          const double fr = phi[t].real();
+          const double fi = phi[t].imag();
+          pqr[2 * t] = 0.0 * fr - ky * fi;
+          pqi[2 * t] = 0.0 * fi + ky * fr;
+          pqr[2 * t + 1] = 0.0 * fr - kx[t] * fi;
+          pqi[2 * t + 1] = 0.0 * fi + kx[t] * fr;
+          const cplx* hrow = &hn(aa, static_cast<int>(t), 0);
+          for (size_t v = 0; v < nv; ++v) {
+            const double hr = hrow[v].real();
+            const double hi = hrow[v].imag();
+            br[t * nv + v] = 0.0 * hr - kx[t] * hi;
+            bi[t * nv + v] = 0.0 * hi + kx[t] * hr;
+            dr[t * nv + v] = 0.0 * hr - ky * hi;
+            di[t * nv + v] = 0.0 * hi + ky * hr;
           }
-          nl_plan_->forward(a);
-          nl_plan_->forward(b);
-          nl_plan_->forward(c);
-          nl_plan_->forward(d);
-          for (int t = 0; t < nt; ++t) a[t] = a[t] * b[t] - c[t] * d[t];
-          nl_plan_->inverse(a);
-          for (int t = 0; t < nt; ++t) hn(aa, t, ivl) = a[t];
+        }
+        nl_plan_->forward_lines({pqr, 2 * n}, {pqi, 2 * n}, 2);
+        nl_plan_->forward_lines({br, len}, {bi, len}, nv);
+        nl_plan_->forward_lines({dr, len}, {di, len}, nv);
+        // b ← p·b − q·d, two products then one subtraction.
+        for (size_t t = 0; t < n; ++t) {
+          const double p_r = pqr[2 * t], p_i = pqi[2 * t];
+          const double q_r = pqr[2 * t + 1], q_i = pqi[2 * t + 1];
+          for (size_t v = 0; v < nv; ++v) {
+            const size_t i = t * nv + v;
+            const double xr = p_r * br[i] - p_i * bi[i];
+            const double xi = p_r * bi[i] + p_i * br[i];
+            const double yr = q_r * dr[i] - q_i * di[i];
+            const double yi = q_r * di[i] + q_i * dr[i];
+            br[i] = xr - yr;
+            bi[i] = xi - yi;
+          }
+        }
+        nl_plan_->inverse_lines({br, len}, {bi, len}, nv);
+        for (size_t t = 0; t < n; ++t) {
+          cplx* hrow = &hn(aa, static_cast<int>(t), 0);
+          for (size_t v = 0; v < nv; ++v) {
+            hrow[v] = cplx(br[t * nv + v], bi[t * nv + v]);
+          }
         }
       }
     }
@@ -422,8 +490,8 @@ void Simulation::nonlinear_term(const tensor::Tensor3Z& h) {
     proc_->stage_for_comm(state_bytes);
     if (mode_ == Mode::kReal) {
       nl_transpose_->to_str(comms_.t, nl_layout_, nl_str_perm_);
-      for (int ivl = 0; ivl < nv_loc(); ++ivl) {
-        for (int ic = 0; ic < input_.nc(); ++ic) {
+      for (int ic = 0; ic < input_.nc(); ++ic) {
+        for (int ivl = 0; ivl < nv_loc(); ++ivl) {
           for (int itl = 0; itl < nt_loc(); ++itl) {
             nl_(ivl, ic, itl) = nl_str_perm_(itl, ic, ivl);
           }
@@ -441,29 +509,39 @@ void Simulation::compute_rhs(const tensor::Tensor3Z& h, tensor::Tensor3Z& rhs) {
   proc_->kernel(static_cast<double>(state_elems()) *
                 compute_model_.rhs_flops_per_elem);
   if (mode_ != Mode::kReal) return;
+  const bool nonlinear = input_.nonlinear;
+  const double* ky_loc = ky_.data() + it_global(0);
   for (int ivl = 0; ivl < nv_loc(); ++ivl) {
-    const int iv = iv_global_[ivl];
-    const int is = vgrid_->species_of(iv);
-    const double e = vgrid_->energy(vgrid_->energy_of(iv));
-    const double xi = vgrid_->xi(vgrid_->xi_of(iv));
-    const double vpar = vgrid_->v_parallel(iv);
-    const double drive_coef =
-        input_.species[is].a_ln_n + input_.species[is].a_ln_t * (e - 1.5);
+    const RhsVelocity& v = rhs_v_[ivl];
     for (int ic = 0; ic < input_.nc(); ++ic) {
-      const double kpar = geometry_.kpar(ic);
+      const double kpar = rhs_kpar_[ic];
+      const double damp = rhs_damp_[ic];
       for (int itl = 0; itl < nt_loc(); ++itl) {
-        const double ky = geometry_.ky(it_global(itl));
+        const double ky = ky_loc[itl];
         const size_t fidx = static_cast<size_t>(ic) * nt_loc() + itl;
-        const double omega =
-            kpar * vpar + 0.4 * ky * e * (0.5 + 0.5 * xi * xi);
+        const double omega = kpar * v.vpar + 0.4 * ky * v.e * v.pitch;
         const double j = gyro_j_(ivl, ic, itl);
-        const cplx hval = h(ivl, ic, itl);
-        cplx r = cplx(0.0, -omega) * hval +
-                 cplx(0.0, ky * j * drive_coef) * field_stack_[fidx] -
-                 input_.upwind * std::abs(kpar) *
-                     (std::abs(vpar) * hval - j * u_[fidx]);
-        if (input_.nonlinear) r += nl_(ivl, ic, itl);
-        rhs(ivl, ic, itl) = r;
+        const double hr = h(ivl, ic, itl).real();
+        const double hi = h(ivl, ic, itl).imag();
+        const double fr = field_stack_[fidx].real();
+        const double fi = field_stack_[fidx].imag();
+        const double ur = u_[fidx].real();
+        const double ui = u_[fidx].imag();
+        // r = (0, −ω)·h + (0, ky·j·drive)·φ − damp·(|v∥|·h − j·u) [+ nl]:
+        // the complex products expanded as (ac − bd, ad + bc), 0·x terms
+        // kept, and summed in the std::complex order, so r rounds exactly
+        // like the complex-typed expression.
+        const double w = -omega;
+        const double g = ky * j * v.drive;
+        double rr = ((0.0 * hr - w * hi) + (0.0 * fr - g * fi)) -
+                    damp * (v.abs_vpar * hr - j * ur);
+        double ri = ((0.0 * hi + w * hr) + (0.0 * fi + g * fr)) -
+                    damp * (v.abs_vpar * hi - j * ui);
+        if (nonlinear) {
+          rr += nl_(ivl, ic, itl).real();
+          ri += nl_(ivl, ic, itl).imag();
+        }
+        rhs(ivl, ic, itl) = cplx(rr, ri);
       }
     }
   }

@@ -195,6 +195,18 @@ class Simulation {
   /// weight·|v_par| per ivl — both were recomputed per (ic, itl) before.
   std::vector<double> field_w_;          // (n_field × nv_loc)
   std::vector<double> upwind_w_;         // (nv_loc)
+  /// compute_rhs and bracket coefficients, built once in build_tables
+  /// instead of per-element Geometry/VelocityGrid calls (kpar's cos among
+  /// them): ky per global toroidal mode, kpar and the upwind damping
+  /// upwind·|kpar| per cell, and the per-velocity constants.
+  struct RhsVelocity {
+    double vpar, abs_vpar, e;
+    double pitch;  ///< 0.5 + 0.5·ξ²
+    double drive;  ///< a_ln_n + a_ln_t·(e − 1.5) of the point's species
+  };
+  std::vector<double> ky_;                   // (nt)
+  std::vector<double> rhs_kpar_, rhs_damp_;  // (nc)
+  std::vector<RhsVelocity> rhs_v_;           // (nv_loc)
 
   // collision-phase objects
   std::unique_ptr<tensor::EnsembleTransposer<cplx>> coll_transpose_;
@@ -209,10 +221,19 @@ class Simulation {
   tensor::Tensor3Z nl_str_perm_;          // (nt_loc, nc, nv_loc)
   std::vector<tensor::Tensor3Z> nl_layout_;
   std::vector<cplx> phi_full_t_;          // φ gathered over t (nc × nt)
-  /// FFT plan and bracket scratch, built once in initialize() — previously
-  /// reallocated on every RK stage of every step.
+  /// FFT plan and bracket scratch, built once in initialize(). The bracket
+  /// runs one configuration cell at a time on split-layout lines (see
+  /// fft::Plan::forward_lines; element (t, line) at t·lines + line):
+  /// nl_lines_ holds [re | im] of the ikx·h lines, which then carry the
+  /// bracket, followed by [re | im] of the iky·h lines — nt × nv_loc each;
+  /// nl_phi_lines_ holds [re | im] of the cell's iky·φ and ikx·φ lines
+  /// (nt × 2 each).
   std::unique_ptr<fft::Plan> nl_plan_;
-  std::vector<cplx> nl_a_, nl_b_, nl_c_, nl_d_;  // bracket lines (nt each)
+  std::vector<double> nl_lines_;          // 4 · nt · nv_loc
+  std::vector<double> nl_phi_lines_;      // 4 · nt
+  /// kx(ic, t) of this rank's nl cells (nc/pt × nt), built in
+  /// build_tables; the bracket's ky(t) is ky_.
+  std::vector<double> nl_kx_;
   std::vector<cplx> nl_gather_;           // allgather staging (nc × nt)
 };
 

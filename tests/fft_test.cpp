@@ -1,8 +1,10 @@
 // FFT tests: fast paths vs the O(n²) reference DFT, roundtrips, Parseval,
-// linearity, and convolution — parameterized across pow2 and non-pow2 sizes.
+// linearity, batched-vs-single-line bit identity, and convolution —
+// parameterized across pow2 and non-pow2 sizes.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <numbers>
 
 #include "fft/fft.hpp"
@@ -124,6 +126,60 @@ TEST_P(FftSizes, Linearity) {
     EXPECT_LT(std::abs(sum[i] - (2.0 * fa[i] + cplx(0, 1) * fb[i])),
               1e-9 * double(n));
   }
+}
+
+/// Interleaved lines (line l at x[l·n, (l+1)·n)) → split layout, element t
+/// of line l at t·lines + l.
+void to_split(std::span<const cplx> x, size_t n, size_t lines,
+              std::vector<double>& re, std::vector<double>& im) {
+  re.assign(n * lines, 0.0);
+  im.assign(n * lines, 0.0);
+  for (size_t l = 0; l < lines; ++l) {
+    for (size_t t = 0; t < n; ++t) {
+      re[t * lines + l] = x[l * n + t].real();
+      im[t * lines + l] = x[l * n + t].imag();
+    }
+  }
+}
+
+bool same_bits(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+TEST_P(FftSizes, BatchedLinesBitIdenticalToSingleLines) {
+  // The batched split-layout kernels must reproduce the single-line
+  // transforms exactly — the nonlinear bracket relies on it to stay
+  // bit-identical — for both the radix-2 and the Bluestein paths.
+  const size_t n = GetParam();
+  const Plan plan(n);
+  for (const size_t lines : {1u, 3u, 64u}) {
+    SCOPED_TRACE(::testing::Message() << "n=" << n << " lines=" << lines);
+    const auto orig = random_signal(n * lines, n * 101 + lines);
+    auto x = orig;
+    std::vector<double> re, im, want_re, want_im;
+    to_split(orig, n, lines, re, im);
+
+    for (size_t l = 0; l < lines; ++l) plan.forward({x.data() + l * n, n});
+    plan.forward_lines(re, im, lines);
+    to_split(x, n, lines, want_re, want_im);
+    EXPECT_TRUE(same_bits(re, want_re));
+    EXPECT_TRUE(same_bits(im, want_im));
+
+    for (size_t l = 0; l < lines; ++l) plan.inverse({x.data() + l * n, n});
+    plan.inverse_lines(re, im, lines);
+    to_split(x, n, lines, want_re, want_im);
+    EXPECT_TRUE(same_bits(re, want_re));
+    EXPECT_TRUE(same_bits(im, want_im));
+    EXPECT_LT(max_err(x, orig), 1e-10 * double(n));
+  }
+}
+
+TEST(Fft, BatchedLinesRejectMismatchedSizes) {
+  const Plan plan(8);
+  std::vector<double> re(8 * 3), im(8 * 2);
+  EXPECT_THROW(plan.forward_lines(re, im, 3), xg::Error);
+  EXPECT_THROW(plan.inverse_lines(re, re, 2), xg::Error);
 }
 
 INSTANTIATE_TEST_SUITE_P(PowersOfTwo, FftSizes,

@@ -4,8 +4,11 @@
 // shape of Fig. 2.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
 #include <map>
 #include <mutex>
+#include <ostream>
 
 #include "gyro/simulation.hpp"
 #include "simmpi/traffic.hpp"
@@ -465,6 +468,96 @@ TEST(CommCost, TraceShowsSeparatedCollCommunicator) {
     }
   }
   EXPECT_TRUE(saw_shared_coll);
+}
+
+// --- Golden bits of the real nonlinear solver -------------------------------
+//
+// Every other real-mode test compares two runs of the same binary. These pin
+// the final state_hash and flux_proxy bit pattern of nonlinear ensembles to
+// constants, so a kernel rewrite (FFT bracket, RHS tables) that changes a
+// single rounding anywhere fails here. The build uses ISO C++ without
+// -ffast-math, so floating-point contraction is off; the constants can only
+// move with a compiler or ISA that fuses multiply-adds.
+
+struct GoldenMember {
+  std::uint64_t state_hash = 0;
+  std::uint64_t flux_bits = 0;
+  bool operator==(const GoldenMember&) const = default;
+};
+
+std::ostream& operator<<(std::ostream& os, const GoldenMember& m) {
+  return os << "{0x" << std::hex << m.state_hash << ", 0x" << m.flux_bits
+            << std::dec << "}";
+}
+
+/// k small_test members (drive and seed swept) on `d` ranks each, advanced
+/// `intervals` report intervals; per-member final bits.
+std::vector<GoldenMember> run_golden(int k, Decomposition d, int nt,
+                                     bool nonlinear = true, int intervals = 3) {
+  Input base = Input::small_test(2);
+  base.n_toroidal = nt;
+  base.nonlinear = nonlinear;
+  const auto e = EnsembleInput::sweep(base, k, [](Input& in, int i) {
+    in.species[0].a_ln_t = 2.0 + 0.5 * i;
+    in.seed = 11 + 7 * static_cast<std::uint64_t>(i);
+  });
+  std::vector<GoldenMember> out(static_cast<size_t>(k));
+  std::mutex mu;
+  mpi::run_simulation(
+      net::testbox(1, k * d.nranks()), k * d.nranks(), [&](mpi::Proc& p) {
+        EnsembleDriver drv(e, d, p, Mode::kReal);
+        drv.initialize();
+        gyro::Diagnostics diag;
+        for (int i = 0; i < intervals; ++i) diag = drv.advance_report_interval();
+        const auto h = drv.simulation().state_hash();
+        if (drv.simulation().sim_rank() == 0) {
+          const std::scoped_lock lock(mu);
+          EXPECT_TRUE(std::isfinite(diag.flux_proxy));
+          out[static_cast<size_t>(drv.sim_index())] = {
+              h, std::bit_cast<std::uint64_t>(diag.flux_proxy)};
+        }
+      });
+  return out;
+}
+
+TEST(Golden, FourMembersOneRankEachPow2) {
+  const std::vector<GoldenMember> want{
+      {0xd9e92f2bd2b0e1fc, 0x3ef4dbd55c6e6978},
+      {0xb85bcc814956a2d2, 0x3ef6a08d003c1c5c},
+      {0x322dc7449daf4cf4, 0x3efb719cf82f35da},
+      {0x3921935170fa6668, 0x3ef57f2b350c9f36}};
+  EXPECT_EQ(run_golden(4, Decomposition{1, 1}, 8), want);
+}
+
+TEST(Golden, TwoMembersSplitOverVelocityAndToroidal) {
+  // pv = pt = 2: the bracket sees half the velocity lines and its φ lines
+  // are gathered across the t communicator.
+  const std::vector<GoldenMember> want{
+      {0xfb76d083d871e334, 0x3ef4dbd55c6e6978},
+      {0x271193ad415b302b, 0x3ef6a08d003c1c58}};
+  EXPECT_EQ(run_golden(2, Decomposition{2, 2}, 8), want);
+}
+
+TEST(Golden, TwoMembersBluesteinLength) {
+  // nt = 6 takes the Bluestein path of the bracket FFT.
+  const std::vector<GoldenMember> want{
+      {0xdec458a2050c927b, 0x3ef25f1a8f1b7ace},
+      {0x6cccec299ae81495, 0x3ef3c17f2a4a565a}};
+  EXPECT_EQ(run_golden(2, Decomposition{1, 2}, 6), want);
+}
+
+TEST(Golden, LinearTwoMembers) {
+  // No bracket: pins the streaming RHS on its own.
+  const std::vector<GoldenMember> want{
+      {0x3b2c7bca02765ebe, 0x3ef4dbd8efab9fda},
+      {0x008032a7d025573b, 0x3ef6a02d15c6f931}};
+  EXPECT_EQ(run_golden(2, Decomposition{2, 1}, 8, /*nonlinear=*/false), want);
+}
+
+TEST(Golden, OneMemberToroidalSplitLongLines) {
+  const std::vector<GoldenMember> want{
+      {0xc7dae61328523194, 0x3f000c45618468b5}};
+  EXPECT_EQ(run_golden(1, Decomposition{1, 2}, 16), want);
 }
 
 }  // namespace
