@@ -10,9 +10,9 @@
 
 namespace {
 
-using xg::mpi::AllReduceAlg;
+using xg::mpi::CollAlg;
 
-void run_allreduce(benchmark::State& state, AllReduceAlg alg) {
+void run_allreduce(benchmark::State& state, CollAlg alg) {
   const int p = static_cast<int>(state.range(0));
   const std::uint64_t bytes = static_cast<std::uint64_t>(state.range(1));
   const auto spec = xg::net::frontier_like((p + 7) / 8);
@@ -27,10 +27,10 @@ void run_allreduce(benchmark::State& state, AllReduceAlg alg) {
 }
 
 void BM_AllReduceRecursiveDoubling(benchmark::State& state) {
-  run_allreduce(state, AllReduceAlg::kRecursiveDoubling);
+  run_allreduce(state, CollAlg::kRecursiveDoubling);
 }
 void BM_AllReduceRing(benchmark::State& state) {
-  run_allreduce(state, AllReduceAlg::kRing);
+  run_allreduce(state, CollAlg::kRing);
 }
 
 void BM_AllToAllPairwise(benchmark::State& state) {

@@ -1,6 +1,9 @@
 #include "gyro/geometry.hpp"
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <memory>
 #include <numbers>
 
 #include "util/error.hpp"
@@ -15,6 +18,11 @@ Geometry::Geometry(const Input& input)
   // lowest finite toroidal mode n₀ = rho_star-scaled q/r factor.
   dkx_ = 2.0 * std::numbers::pi / input.box_radial;
   dky_ = 2.0 * std::numbers::pi * q_safety_ * rho_star_ / 0.5;  // r/a = 0.5
+  theta_.resize(static_cast<size_t>(n_theta_));
+  for (int ith = 0; ith < n_theta_; ++ith) {
+    theta_[ith] = -std::numbers::pi +
+                  2.0 * std::numbers::pi * static_cast<double>(ith) / n_theta_;
+  }
   rho2_.reserve(input.species.size());
   for (const auto& s : input.species) {
     const auto& p = s.physics;
@@ -22,21 +30,6 @@ Geometry::Geometry(const Input& input)
     species_.push_back(p);
   }
 }
-
-double Geometry::theta(int ic) const {
-  const int ith = itheta_of(ic);
-  return -std::numbers::pi +
-         2.0 * std::numbers::pi * static_cast<double>(ith) / n_theta_;
-}
-
-double Geometry::kx(int ic, int it) const {
-  // Centered radial mode numbers; shear twist couples kx to theta·ky.
-  const int ir = ir_of(ic);
-  const double p = static_cast<double>(ir - n_radial_ / 2);
-  return dkx_ * p + shear_ * theta(ic) * ky(it);
-}
-
-double Geometry::ky(int it) const { return dky_ * static_cast<double>(it); }
 
 double Geometry::kpar(int ic) const {
   // 1/(qR) scale with a theta modulation (ballooning-style variation).
@@ -65,6 +58,45 @@ double Geometry::field_denominator(int ic, int it) const {
   // enabled; otherwise a small floor keeps the solve well-posed at
   // k_perp → 0.
   return denom + (adiabatic_ ? 1.0 : 0.1);
+}
+
+int classify_kperp2(const Geometry& geometry, int ic0, int n_ic, int it0,
+                    int n_it, std::span<int> first) {
+  const size_t n = static_cast<size_t>(n_ic) * n_it;
+  XG_ASSERT(first.empty() || first.size() == n);
+  // Open addressing with linear probing at load factor ≤ 1/4 (at 1/2 the
+  // longer, mispredicted probe chains cost more than the larger table),
+  // Fibonacci hashing of the bit pattern. A slot holds the first cell of its
+  // class (−1 when empty), and keys[cell] holds that cell's pattern: written
+  // when the cell claims a slot and only read through a slot, so it needs no
+  // initialization. Cells are visited in index order, so the cell that
+  // claims a slot is its class's lowest.
+  int log2_cap = 2;
+  while ((size_t{1} << log2_cap) < 4 * n) ++log2_cap;
+  const size_t mask = (size_t{1} << log2_cap) - 1;
+  std::vector<int> slots(mask + 1, -1);
+  const auto keys = std::make_unique_for_overwrite<std::uint64_t[]>(n);
+  int n_unique = 0;
+  for (int a = 0; a < n_ic; ++a) {
+    const Geometry::KxRow row = geometry.kx_row(ic0 + a);
+    for (int itl = 0; itl < n_it; ++itl) {
+      const int cell = a * n_it + itl;
+      const auto bits =
+          std::bit_cast<std::uint64_t>(row.kperp2(geometry.ky(it0 + itl)));
+      size_t slot = (bits * 0x9E3779B97F4A7C15ull) >> (64 - log2_cap);
+      while (slots[slot] >= 0 && keys[slots[slot]] != bits) {
+        slot = (slot + 1) & mask;
+      }
+      const int rep = slots[slot];
+      if (rep < 0) {
+        slots[slot] = cell;
+        keys[cell] = bits;
+        ++n_unique;
+      }
+      if (!first.empty()) first[cell] = rep;
+    }
+  }
+  return n_unique;
 }
 
 }  // namespace xg::gyro

@@ -9,6 +9,7 @@
 // matrix total.
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "gyro/input.hpp"
@@ -27,16 +28,36 @@ class Geometry {
   [[nodiscard]] int itheta_of(int ic) const { return ic % n_theta_; }
 
   /// Poloidal angle θ ∈ [−π, π) of a configuration cell.
-  [[nodiscard]] double theta(int ic) const;
+  [[nodiscard]] double theta(int ic) const { return theta_[itheta_of(ic)]; }
+
+  /// The toroidal-independent part of kx on one configuration cell:
+  /// kx(ic, it) = base + twist·ky(it), with base = dkx·p (centered radial
+  /// mode p) and twist = shear·θ. kx and kperp2 evaluate through this form,
+  /// so a caller that hoists the row out of a loop over it gets their bits.
+  struct KxRow {
+    double base;
+    double twist;
+    [[nodiscard]] double kx(double ky) const { return base + twist * ky; }
+    [[nodiscard]] double kperp2(double ky) const {
+      const double x = kx(ky);
+      return x * x + ky * ky;
+    }
+  };
+  [[nodiscard]] KxRow kx_row(int ic) const {
+    const double p = static_cast<double>(ir_of(ic) - n_radial_ / 2);
+    return {dkx_ * p, shear_ * theta(ic)};
+  }
 
   /// Radial wavenumber (shear-twisted) and binormal wavenumber.
-  [[nodiscard]] double kx(int ic, int it) const;
-  [[nodiscard]] double ky(int it) const;
+  [[nodiscard]] double kx(int ic, int it) const {
+    return kx_row(ic).kx(ky(it));
+  }
+  [[nodiscard]] double ky(int it) const {
+    return dky_ * static_cast<double>(it);
+  }
 
   [[nodiscard]] double kperp2(int ic, int it) const {
-    const double x = kx(ic, it);
-    const double y = ky(it);
-    return x * x + y * y;
+    return kx_row(ic).kperp2(ky(it));
   }
 
   /// Parallel wavenumber model: k_par ∝ 1/(qR), modulated over theta.
@@ -58,8 +79,19 @@ class Geometry {
   double shear_, q_safety_, rho_star_;
   bool adiabatic_ = false;
   double dkx_, dky_;
+  std::vector<double> theta_;  // θ of each poloidal index
   std::vector<double> rho2_;
   std::vector<vgrid::Species> species_;
 };
+
+/// Classify the cells of one rank's block — configuration cells
+/// [ic0, ic0 + n_ic) × toroidal modes [it0, it0 + n_it), cell index
+/// a·n_it + itl — by the exact 64-bit pattern of kperp2 (cmat depends on a
+/// cell only through it). Returns the number of distinct patterns. If
+/// `first` is non-empty (size n_ic·n_it), first[cell] receives the lowest
+/// cell with the same pattern, or −1 when the cell is itself that lowest
+/// one. Keys are compared in full, never by hash alone.
+[[nodiscard]] int classify_kperp2(const Geometry& geometry, int ic0, int n_ic,
+                                  int it0, int n_it, std::span<int> first = {});
 
 }  // namespace xg::gyro

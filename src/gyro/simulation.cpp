@@ -3,7 +3,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <unordered_map>
 
 #include "fft/fft.hpp"
 #include "util/error.hpp"
@@ -219,29 +218,15 @@ void Simulation::build_tables() {
 void Simulation::build_cmat() {
   const int nv = input_.nv();
   // cmat depends on the cell only through k_perp², and the spectral geometry
-  // makes many cells degenerate (ky = 0 rows, ±kx symmetry). Memoize on the
-  // k_perp² bit pattern: only the first cell of each equivalence class pays
-  // the O(nv³) LU build; the rest copy its fp32 matrix bit-identically.
-  std::unordered_map<std::uint64_t, int> built;  // kperp2 bits -> first cell
-  std::vector<int> copy_from(static_cast<size_t>(n_coll_cells()), -1);
-  std::vector<double> cell_kperp2(static_cast<size_t>(n_coll_cells()), 0.0);
-  int n_unique = 0;
-  for (int a = 0; a < nc_loc_coll(); ++a) {
-    const int ic = global_ic_of_coll_cell(a);
-    for (int itl = 0; itl < nt_loc(); ++itl) {
-      const int cell = a * nt_loc() + itl;
-      const double kperp2 = geometry_.kperp2(ic, it_global(itl));
-      cell_kperp2[cell] = kperp2;
-      std::uint64_t bits;
-      std::memcpy(&bits, &kperp2, sizeof bits);
-      const auto [slot, inserted] = built.emplace(bits, cell);
-      if (inserted) {
-        ++n_unique;
-      } else {
-        copy_from[cell] = slot->second;
-      }
-    }
-  }
+  // makes many cells degenerate (ky = 0 rows, ±kx symmetry). Cells are
+  // classified by their exact k_perp² bit pattern in a flat table: only the
+  // first cell of each class pays the O(nv³) LU build, the rest copy its fp32
+  // matrix bit-identically. Model mode only needs the class count.
+  const bool real = mode_ == Mode::kReal;
+  std::vector<int> copy_from(real ? static_cast<size_t>(n_coll_cells()) : 0);
+  const int n_unique =
+      classify_kperp2(geometry_, global_ic_of_coll_cell(0), nc_loc_coll(),
+                      it_global(0), nt_loc(), copy_from);
   // cmat is constructed on the host (LU factorizations for the unique cells
   // only) and uploaded to the device once — the one big H2D transfer of a
   // CGYRO run. The charge uses the same unique-cell count in both modes, so
@@ -252,7 +237,7 @@ void Simulation::build_cmat() {
                      collision::CmatRecipe::build_flops_per_cell(nv));
   proc_->stage_upload(static_cast<std::uint64_t>(nv) * nv * n_coll_cells() *
                       sizeof(float));
-  if (mode_ == Mode::kModel) {
+  if (!real) {
     cmat_ = std::make_unique<collision::CollisionTensor>(nv, 0);
     return;
   }
@@ -266,8 +251,10 @@ void Simulation::build_cmat() {
     if (copy_from[cell] >= 0) {
       cmat_->copy_cell(cell, copy_from[cell]);
     } else {
-      cmat_->set_cell(cell,
-                      recipe.build_cell(*vgrid_, scattering, cell_kperp2[cell]));
+      const int a = cell / nt_loc();
+      const double kperp2 = geometry_.kperp2(global_ic_of_coll_cell(a),
+                                             it_global(cell % nt_loc()));
+      cmat_->set_cell(cell, recipe.build_cell(*vgrid_, scattering, kperp2));
     }
   }
 }

@@ -33,10 +33,6 @@ namespace xg::mpi {
 
 class Comm;
 
-/// Historical name for the per-call algorithm request parameter; collective
-/// algorithms are one shared enum across kinds now (see simmpi/stats.hpp).
-using AllReduceAlg = CollAlg;
-
 namespace detail {
 
 struct Group {

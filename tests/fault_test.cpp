@@ -101,9 +101,9 @@ TEST(Differential, AllreduceAlgorithmsBitIdenticalAcrossRankCounts) {
   for (const int p : {2, 3, 4, 5, 7, 8, 12, 16, 17}) {
     // Integer-valued doubles: addition is exact, so recursive doubling and
     // ring (different association orders) must agree to the last bit.
-    std::map<AllReduceAlg, std::vector<double>> results;
-    for (const auto alg : {AllReduceAlg::kAuto, AllReduceAlg::kRecursiveDoubling,
-                           AllReduceAlg::kRing}) {
+    std::map<CollAlg, std::vector<double>> results;
+    for (const auto alg : {CollAlg::kAuto, CollAlg::kRecursiveDoubling,
+                           CollAlg::kRing}) {
       std::vector<double> rank0(kElems);
       std::mutex mu;
       run_simulation(net::testbox(1, p), p, [&](Proc& proc) {
@@ -122,7 +122,7 @@ TEST(Differential, AllreduceAlgorithmsBitIdenticalAcrossRankCounts) {
       });
       results[alg] = std::move(rank0);
     }
-    const auto& ref = results[AllReduceAlg::kAuto];
+    const auto& ref = results[CollAlg::kAuto];
     for (const auto& [alg, got] : results) {
       ASSERT_EQ(got.size(), ref.size());
       EXPECT_EQ(0, std::memcmp(got.data(), ref.data(),
@@ -454,7 +454,7 @@ TEST(InvariantMonitor, CatchesBrokenAllreduceResultDivergence) {
       run_simulation(net::testbox(1, 5), 5, [](Proc& p) {
         std::vector<double> v(8, static_cast<double>(p.world_rank() + 1));
         p.world().allreduce_sum(std::span<double>(v),
-                                AllReduceAlg::kBrokenForTesting);
+                                CollAlg::kBrokenForTesting);
       }),
       InvariantViolation);
 }

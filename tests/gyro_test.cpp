@@ -3,7 +3,11 @@
 // state evolution, and real↔model timing equivalence.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstring>
+#include <map>
+#include <numbers>
 #include <set>
 
 #include "collision/operator.hpp"
@@ -177,6 +181,128 @@ TEST(Geometry, WavenumbersVaryAcrossCellsAndModes) {
   // kperp² must vary with both ic and it (this is why cmat is per-cell)
   EXPECT_NE(g.kperp2(ic_a, 1), g.kperp2(ic_b, 1));
   EXPECT_NE(g.kperp2(ic_a, 1), g.kperp2(ic_a, 2));
+}
+
+/// The kx of every (ic, it) as the closed-form expression, grouped
+/// (dkx·p) + ((shear·θ)·ky) with θ = −π + 2π·itheta/n_theta: the bits every
+/// cmat, golden hash and DES charge was recorded against.
+double closed_form_kx(const Input& in, int ic, int it) {
+  const double dkx = 2.0 * std::numbers::pi / in.box_radial;
+  const double dky = 2.0 * std::numbers::pi * in.q_safety * in.rho_star / 0.5;
+  const double theta =
+      -std::numbers::pi + 2.0 * std::numbers::pi *
+                              static_cast<double>(ic % in.n_theta) / in.n_theta;
+  const double p = static_cast<double>(ic / in.n_theta - in.n_radial / 2);
+  return dkx * p + in.shear * theta * (dky * static_cast<double>(it));
+}
+
+Input shearless_test() {
+  Input in = Input::small_test(2);
+  in.shear = 0.0;
+  return in;
+}
+
+/// Odd grid sizes: θ spacing 2π/6 is inexact, and n_radial/2 truncates.
+Input odd_grid_test() {
+  Input in = Input::small_test(2);
+  in.n_radial = 5;
+  in.n_theta = 6;
+  return in;
+}
+
+TEST(Geometry, RowFormKeepsClosedFormBits) {
+  for (const Input& in : {Input::nl03c_like(), Input::small_test(2),
+                          shearless_test(), odd_grid_test()}) {
+    const Geometry g(in);
+    long mismatches = 0;
+    for (int ic = 0; ic < in.nc(); ++ic) {
+      const Geometry::KxRow row = g.kx_row(ic);
+      for (int it = 0; it < in.nt(); ++it) {
+        const double ky = g.ky(it);
+        const double kx_ref = closed_form_kx(in, ic, it);
+        const double kperp2_ref = kx_ref * kx_ref + ky * ky;
+        const double got[4] = {row.kx(ky), g.kx(ic, it), row.kperp2(ky),
+                               g.kperp2(ic, it)};
+        const double want[4] = {kx_ref, kx_ref, kperp2_ref, kperp2_ref};
+        mismatches += std::memcmp(got, want, sizeof got) != 0;
+      }
+    }
+    EXPECT_EQ(mismatches, 0) << "nc=" << in.nc() << " shear=" << in.shear;
+  }
+}
+
+/// Classify every (coll rank, t rank) block of an n_coll × pt split — each
+/// rank's cmat cells — and compare against a std::map oracle over the
+/// Geometry::kperp2 bit patterns, in both the counting and the
+/// representative form.
+void expect_classes_match_oracle(const Input& in, int n_coll, int pt) {
+  const Geometry g(in);
+  const int n_ic = in.nc() / n_coll;
+  const int n_it = in.nt() / pt;
+  const size_t n = static_cast<size_t>(n_ic) * n_it;
+  std::vector<int> got(n);
+  std::vector<int> want(n);
+  bool degenerate = false;
+  for (int cr = 0; cr < n_coll; ++cr) {
+    for (int tr = 0; tr < pt; ++tr) {
+      const int ic0 = cr * n_ic;
+      const int it0 = tr * n_it;
+      std::map<std::uint64_t, int> seen;
+      for (int a = 0; a < n_ic; ++a) {
+        for (int itl = 0; itl < n_it; ++itl) {
+          const int cell = a * n_it + itl;
+          const auto bits =
+              std::bit_cast<std::uint64_t>(g.kperp2(ic0 + a, it0 + itl));
+          const auto [pos, inserted] = seen.emplace(bits, cell);
+          want[cell] = inserted ? -1 : pos->second;
+        }
+      }
+      const int count = classify_kperp2(g, ic0, n_ic, it0, n_it, got);
+      ASSERT_EQ(count, static_cast<int>(seen.size()))
+          << "coll rank " << cr << ", t rank " << tr;
+      ASSERT_EQ(got, want) << "coll rank " << cr << ", t rank " << tr;
+      ASSERT_EQ(classify_kperp2(g, ic0, n_ic, it0, n_it), count);
+      degenerate = degenerate || seen.size() < n;
+    }
+  }
+  EXPECT_TRUE(degenerate) << "no rank has duplicate cells to classify";
+}
+
+TEST(Geometry, Kperp2ClassesMatchOracleNl03cCgyro256) {
+  const Input in = Input::nl03c_like();
+  const auto d = Decomposition::choose(in, 256);
+  ASSERT_EQ(d.pv, 16);
+  ASSERT_EQ(d.pt, 16);
+  expect_classes_match_oracle(in, d.pv, d.pt);
+}
+
+TEST(Geometry, Kperp2ClassesMatchOracleNl03cXgyro8x32) {
+  const Input in = Input::nl03c_like();
+  const int k = 8;
+  const auto d = Decomposition::choose(in, 32, k);
+  ASSERT_EQ(d.pv, 2);
+  ASSERT_EQ(d.pt, 16);
+  expect_classes_match_oracle(in, k * d.pv, d.pt);
+}
+
+TEST(Geometry, Kperp2ClassesMatchOracleSmallSplits) {
+  const Input in = Input::small_test(2);
+  expect_classes_match_oracle(in, 1, 1);
+  expect_classes_match_oracle(in, 1, 2);  // pt = 2
+  expect_classes_match_oracle(in, 2, 2);  // pv × pt = 4
+}
+
+TEST(Geometry, Kperp2ClassesMatchOracleWideClass) {
+  Input in = Input::small_test(2);
+  in.n_radial = 131072;
+  const auto d = Decomposition::choose(in, 8);
+  expect_classes_match_oracle(in, d.pv, d.pt);
+}
+
+TEST(Geometry, Kperp2ClassesMatchOracleWithoutShear) {
+  const Input in = shearless_test();
+  expect_classes_match_oracle(in, 1, 1);
+  expect_classes_match_oracle(in, 2, 2);
 }
 
 TEST(Geometry, GyroaverageBounded) {

@@ -336,7 +336,7 @@ TEST_P(CollectiveP, AllReduceSumMatchesSerial) {
     const auto v = rank_values(r, n);
     for (int i = 0; i < n; ++i) expected[i] += v[i];
   }
-  for (const auto alg : {AllReduceAlg::kRecursiveDoubling, AllReduceAlg::kRing}) {
+  for (const auto alg : {CollAlg::kRecursiveDoubling, CollAlg::kRing}) {
     run_simulation(small_machine(p), p, [&, alg](Proc& proc) {
       auto world = proc.world();
       auto mine = rank_values(proc.world_rank(), n);
