@@ -52,9 +52,11 @@ void EventLogWriter::abort(const std::string& reason) {
   f_ = nullptr;
 }
 
-Json make_event(long seq, double t, const std::string& type) {
+Json make_event(long seq, double t, std::string_view type) {
   Json rec = Json::object();
-  rec.set("seq", static_cast<std::int64_t>(seq)).set("t", t).set("type", type);
+  rec.set("seq", static_cast<std::int64_t>(seq))
+      .set("t", t)
+      .set("type", std::string(type));
   return rec;
 }
 

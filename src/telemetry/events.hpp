@@ -46,6 +46,7 @@
 #include <cstdio>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "telemetry/json.hpp"
@@ -102,7 +103,7 @@ class EventLogWriter : public EventSink {
 
 /// Build one event record with the common fields set; callers .set() the
 /// type-specific fields on the result.
-[[nodiscard]] Json make_event(long seq, double t, const std::string& type);
+[[nodiscard]] Json make_event(long seq, double t, std::string_view type);
 
 /// Summary of a validated event log.
 struct EventLogStats {

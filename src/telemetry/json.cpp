@@ -7,6 +7,7 @@
 #include <fstream>
 #include <limits>
 #include <sstream>
+#include <variant>
 
 #include "util/error.hpp"
 #include "util/format.hpp"
@@ -15,41 +16,44 @@ namespace xg::telemetry {
 
 Json::Json(std::uint64_t v) {
   if (v <= static_cast<std::uint64_t>(std::numeric_limits<std::int64_t>::max())) {
-    type_ = Type::kInt;
-    i_ = static_cast<std::int64_t>(v);
+    v_ = static_cast<std::int64_t>(v);
   } else {
-    type_ = Type::kDouble;
-    d_ = static_cast<double>(v);
+    v_ = static_cast<double>(v);
   }
 }
 
 Json Json::array() {
   Json j;
-  j.type_ = Type::kArray;
+  j.v_.emplace<Array>();
   return j;
 }
 
 Json Json::object() {
   Json j;
-  j.type_ = Type::kObject;
+  j.v_.emplace<Object>();
   return j;
 }
 
-Json& Json::set(std::string key, Json value) {
-  XG_ASSERT_MSG(type_ == Type::kObject, "Json::set on a non-object");
-  for (auto& [k, v] : obj_) {
+Json& Json::set(std::string key, Json value) & {
+  auto* obj = std::get_if<Object>(&v_);
+  XG_ASSERT_MSG(obj != nullptr, "Json::set on a non-object");
+  for (auto& [k, v] : *obj) {
     if (k == key) {
       v = std::move(value);
       return *this;
     }
   }
-  obj_.emplace_back(std::move(key), std::move(value));
+  // Event records and report sections hold a handful of members each: one
+  // allocation up front instead of growing through 1, 2, 4 and 8.
+  if (obj->empty()) obj->reserve(8);
+  obj->emplace_back(std::move(key), std::move(value));
   return *this;
 }
 
 const Json* Json::find(std::string_view key) const {
-  if (type_ != Type::kObject) return nullptr;
-  for (const auto& [k, v] : obj_) {
+  const auto* obj = std::get_if<Object>(&v_);
+  if (obj == nullptr) return nullptr;
+  for (const auto& [k, v] : *obj) {
     if (k == key) return &v;
   }
   return nullptr;
@@ -65,53 +69,69 @@ const Json& Json::at(std::string_view key) const {
 }
 
 const std::vector<std::pair<std::string, Json>>& Json::items() const {
-  XG_ASSERT_MSG(type_ == Type::kObject, "Json::items on a non-object");
-  return obj_;
+  const auto* obj = std::get_if<Object>(&v_);
+  XG_ASSERT_MSG(obj != nullptr, "Json::items on a non-object");
+  return *obj;
 }
 
 void Json::push(Json value) {
-  XG_ASSERT_MSG(type_ == Type::kArray, "Json::push on a non-array");
-  arr_.push_back(std::move(value));
+  auto* arr = std::get_if<Array>(&v_);
+  XG_ASSERT_MSG(arr != nullptr, "Json::push on a non-array");
+  arr->push_back(std::move(value));
 }
 
 const std::vector<Json>& Json::elems() const {
-  XG_ASSERT_MSG(type_ == Type::kArray, "Json::elems on a non-array");
-  return arr_;
+  const auto* arr = std::get_if<Array>(&v_);
+  XG_ASSERT_MSG(arr != nullptr, "Json::elems on a non-array");
+  return *arr;
 }
 
 size_t Json::size() const {
-  if (type_ == Type::kArray) return arr_.size();
-  if (type_ == Type::kObject) return obj_.size();
+  if (const auto* arr = std::get_if<Array>(&v_)) return arr->size();
+  if (const auto* obj = std::get_if<Object>(&v_)) return obj->size();
   return 0;
 }
 
 bool Json::as_bool() const {
-  if (type_ != Type::kBool) throw InputError("json: expected bool");
-  return b_;
+  const auto* b = std::get_if<bool>(&v_);
+  if (b == nullptr) throw InputError("json: expected bool");
+  return *b;
 }
 
 std::int64_t Json::as_int() const {
-  if (type_ != Type::kInt) throw InputError("json: expected integer");
-  return i_;
+  const auto* i = std::get_if<std::int64_t>(&v_);
+  if (i == nullptr) throw InputError("json: expected integer");
+  return *i;
 }
 
 double Json::as_double() const {
-  if (type_ == Type::kInt) return static_cast<double>(i_);
-  if (type_ != Type::kDouble) throw InputError("json: expected number");
-  return d_;
+  if (const auto* i = std::get_if<std::int64_t>(&v_)) {
+    return static_cast<double>(*i);
+  }
+  const auto* d = std::get_if<double>(&v_);
+  if (d == nullptr) throw InputError("json: expected number");
+  return *d;
 }
 
 const std::string& Json::as_string() const {
-  if (type_ != Type::kString) throw InputError("json: expected string");
-  return s_;
+  const auto* s = std::get_if<std::string>(&v_);
+  if (s == nullptr) throw InputError("json: expected string");
+  return *s;
 }
 
 namespace {
 
-void dump_string(const std::string& s, std::string& out) {
+/// Appends `s` quoted and escaped. Bytes that need no escape are copied a
+/// run at a time; only '"', '\\' and control characters break a run.
+void dump_string(std::string_view s, std::string& out) {
+  static constexpr char kHex[] = "0123456789abcdef";
   out += '"';
-  for (const char ch : s) {
-    const auto c = static_cast<unsigned char>(ch);
+  size_t run = 0;  // start of the pending unescaped run
+  for (size_t i = 0; i < s.size(); ++i) {
+    const auto c = static_cast<unsigned char>(s[i]);
+    if (c >= 0x20 && c != '"' && c != '\\') continue;
+    out.append(s.data() + run, i - run);
+    run = i + 1;
     switch (c) {
       case '"': out += "\\\""; break;
       case '\\': out += "\\\\"; break;
@@ -120,16 +140,13 @@ void dump_string(const std::string& s, std::string& out) {
       case '\n': out += "\\n"; break;
       case '\r': out += "\\r"; break;
       case '\t': out += "\\t"; break;
-      default:
-        if (c < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += ch;
-        }
+      default: {
+        const char esc[] = {'\\', 'u', '0', '0', kHex[c >> 4], kHex[c & 0xF]};
+        out.append(esc, sizeof esc);
+      }
     }
   }
+  out.append(s.data() + run, s.size() - run);
   out += '"';
 }
 
@@ -143,20 +160,17 @@ void dump_double(double v, std::string& out) {
   XG_ASSERT(ec == std::errc{});
   out.append(buf, ptr);
   // Keep numbers that happen to be integral recognizably floating-point so a
-  // dump → parse cycle preserves the kDouble type.
-  std::string_view written(buf, static_cast<size_t>(ptr - buf));
-  if (written.find('.') == std::string_view::npos &&
-      written.find('e') == std::string_view::npos &&
-      written.find("inf") == std::string_view::npos &&
-      written.find("nan") == std::string_view::npos) {
-    out += ".0";
-  }
+  // dump → parse cycle preserves the kDouble type. v is finite, so to_chars
+  // wrote only digits, signs, '.' and 'e'.
+  const std::string_view written(buf, static_cast<size_t>(ptr - buf));
+  if (written.find_first_of(".e") == std::string_view::npos) out += ".0";
 }
 
 }  // namespace
 
 std::string Json::dump(int indent) const {
   std::string out;
+  out.reserve(256);  // one event record, without regrowing from SSO size
   const bool pretty = indent >= 0;
 
   // Iterative-recursive helper (documents are shallow; recursion is fine).
@@ -172,45 +186,54 @@ std::string Json::dump(int indent) const {
     }
 
     void value(const Json& j, int depth) const {
-      switch (j.type_) {
+      switch (j.type()) {
         case Type::kNull: out += "null"; break;
-        case Type::kBool: out += j.b_ ? "true" : "false"; break;
+        case Type::kBool:
+          out += *std::get_if<bool>(&j.v_) ? "true" : "false";
+          break;
         case Type::kInt: {
           char buf[32];
-          const auto [ptr, ec] = std::to_chars(buf, buf + sizeof buf, j.i_);
+          const auto [ptr, ec] = std::to_chars(
+              buf, buf + sizeof buf, *std::get_if<std::int64_t>(&j.v_));
           XG_ASSERT(ec == std::errc{});
           out.append(buf, ptr);
           break;
         }
-        case Type::kDouble: dump_double(j.d_, out); break;
-        case Type::kString: dump_string(j.s_, out); break;
+        case Type::kDouble:
+          dump_double(*std::get_if<double>(&j.v_), out);
+          break;
+        case Type::kString:
+          dump_string(*std::get_if<std::string>(&j.v_), out);
+          break;
         case Type::kArray: {
-          if (j.arr_.empty()) {
+          const Array& arr = *std::get_if<Array>(&j.v_);
+          if (arr.empty()) {
             out += "[]";
             break;
           }
           out += '[';
-          for (size_t i = 0; i < j.arr_.size(); ++i) {
+          for (size_t i = 0; i < arr.size(); ++i) {
             if (i > 0) out += ',';
             newline(depth + 1);
-            value(j.arr_[i], depth + 1);
+            value(arr[i], depth + 1);
           }
           newline(depth);
           out += ']';
           break;
         }
         case Type::kObject: {
-          if (j.obj_.empty()) {
+          const Object& obj = *std::get_if<Object>(&j.v_);
+          if (obj.empty()) {
             out += "{}";
             break;
           }
           out += '{';
-          for (size_t i = 0; i < j.obj_.size(); ++i) {
+          for (size_t i = 0; i < obj.size(); ++i) {
             if (i > 0) out += ',';
             newline(depth + 1);
-            dump_string(j.obj_[i].first, out);
+            dump_string(obj[i].first, out);
             out += pretty ? ": " : ":";
-            value(j.obj_[i].second, depth + 1);
+            value(obj[i].second, depth + 1);
           }
           newline(depth);
           out += '}';
@@ -328,14 +351,19 @@ class Parser {
     ++pos_;  // opening quote
     std::string out;
     while (true) {
+      // Copy the run of plain bytes up to the next quote, backslash or
+      // control character in one append.
+      const size_t run = pos_;
+      while (!eof()) {
+        const auto c = static_cast<unsigned char>(peek());
+        if (c == '"' || c == '\\' || c < 0x20) break;
+        ++pos_;
+      }
+      out.append(text_.data() + run, pos_ - run);
       const char c = next();
       if (c == '"') return out;
       if (static_cast<unsigned char>(c) < 0x20) {
         fail("unescaped control character in string");
-      }
-      if (c != '\\') {
-        out += c;
-        continue;
       }
       const char esc = next();
       switch (esc) {
@@ -399,6 +427,17 @@ class Parser {
           std::from_chars(tok.data(), tok.data() + tok.size(), v);
       if (ec == std::errc{} && ptr == tok.data() + tok.size()) return Json(v);
       is_double = true;  // integer overflow: fall through to double
+    }
+    // from_chars is exact and allocation-free; strtod stays the reference
+    // for every token it does not take whole with a finite value (a leading
+    // '+', underflow flushed to 0, overflow, malformed tails), so the
+    // accepted grammar and each parsed value are strtod's.
+    double fast = 0.0;
+    const auto [fast_end, fast_ec] =
+        std::from_chars(tok.data(), tok.data() + tok.size(), fast);
+    if (fast_ec == std::errc{} && fast_end == tok.data() + tok.size() &&
+        std::isfinite(fast)) {
+      return Json(fast);
     }
     const std::string buf(tok);
     char* end = nullptr;

@@ -355,9 +355,9 @@ TEST(KeyValueFuzz, BadNumericsThrowOnTypedAccessNotParse) {
   // The raw store accepts any value string; the typed getter is the gate.
   const auto kv =
       KeyValueFile::parse("N_RADIAL=abc\nE_MAX=1.5e\nDELTA_T=0.01x");
-  EXPECT_THROW(kv.get_int("N_RADIAL"), InputError);
-  EXPECT_THROW(kv.get_real("E_MAX"), InputError);
-  EXPECT_THROW(kv.get_real("DELTA_T"), InputError);
+  EXPECT_THROW((void)kv.get_int("N_RADIAL"), InputError);
+  EXPECT_THROW((void)kv.get_real("E_MAX"), InputError);
+  EXPECT_THROW((void)kv.get_real("DELTA_T"), InputError);
   EXPECT_THROW(static_cast<void>(Input::from_keyvalue(kv)), Error);
 }
 

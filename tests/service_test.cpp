@@ -30,6 +30,7 @@
 #include "gyro/simulation.hpp"
 #include "perfmodel/perfmodel.hpp"
 #include "simnet/machine.hpp"
+#include "util/hash.hpp"
 #include "xgyro/ensemble.hpp"
 
 namespace xg::campaign {
@@ -551,7 +552,9 @@ TEST_P(FastPathDifferential, ModeledPricesTrackDesWithinAuditTolerance) {
         << " vs DES " << dj.busy_s;
   }
   for (const auto& oc : modeled.outcomes) {
-    if (oc.completed) EXPECT_TRUE(oc.modeled) << "request " << oc.id;
+    if (oc.completed) {
+      EXPECT_TRUE(oc.modeled) << "request " << oc.id;
+    }
   }
 }
 
@@ -788,6 +791,55 @@ TEST(StreamSpec, GeneratesDeterministicSweepSafeStreams) {
   }
   EXPECT_LE(fps.size(), 3u);   // at most one fingerprint per signature
   EXPECT_GE(fps.size(), 2u);   // and the draw actually uses several
+}
+
+// ---------------------------------------------------------------------------
+// Cross-commit byte pin
+
+// The event log, the report and its pretty-printed file form are what the
+// validator, the monitor and the replay tools read. A seeded fast-path
+// stream with snapshots, SLO alerts, audits and backfilling pins their exact
+// bytes: a serializer or emit-path change that moves one byte fails here,
+// not in a downstream consumer.
+TEST(Golden, ServiceEventLogAndReportBytes) {
+  const auto stream = StreamSpec::parse(
+                          "seed=5;n=300;rate=40;tenants=4;sigs=3;prios=2;"
+                          "species=2")
+                          .generate();
+  ServiceConfig cfg;
+  cfg.cluster = net::testbox(4, 4);
+  cfg.max_queue_depth = 16;
+  cfg.tenant_quota = 6;
+  cfg.mode = gyro::Mode::kModel;
+  cfg.fast_path = true;
+  cfg.audit_frac = 0.05;
+  cfg.placement = PlacementPolicy::kBackfill;
+  cfg.window_auto = true;
+  telemetry::EventBuffer events;
+  cfg.events = &events;
+  cfg.metrics_every_s = 0.5;
+  cfg.slo = "wait=0.1;target=0.9;window=5";
+  const auto res = CampaignService(cfg).run(stream);
+
+  std::string jsonl;
+  for (const auto& rec : events.records) {
+    jsonl += rec.dump();
+    jsonl += '\n';
+  }
+  const auto fnv = [](const std::string& s) {
+    return Hasher().bytes(s.data(), s.size()).digest();
+  };
+  const telemetry::Json doc = res.to_json();
+  auto stats = telemetry::validate_events(events.records);
+  EXPECT_TRUE(stats.ended);
+  EXPECT_GT(stats.by_type["monitor.snapshot"], 0);
+  EXPECT_GT(stats.by_type["slo.alert"], 0);
+  EXPECT_GT(stats.rejected, 0);
+  EXPECT_GT(stats.jobs_audited, 0);
+  EXPECT_EQ(events.records.size(), 1722u);
+  EXPECT_EQ(fnv(jsonl), 0x805e3253a0a1ddffull);
+  EXPECT_EQ(fnv(doc.dump()), 0xe44a9f2c99705d86ull);
+  EXPECT_EQ(fnv(doc.dump(2)), 0x2e761c2507f004a2ull);
 }
 
 }  // namespace

@@ -5,8 +5,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
+#include <cstring>
 #include <limits>
 #include <set>
+#include <string_view>
 
 #include "gyro/timing_log.hpp"
 #include "simmpi/fault.hpp"
@@ -15,6 +18,8 @@
 #include "telemetry/metrics.hpp"
 #include "telemetry/report.hpp"
 #include "telemetry/trace.hpp"
+#include "util/hash.hpp"
+#include "util/rng.hpp"
 #include "xgyro/driver.hpp"
 #include "xgyro/ensemble.hpp"
 
@@ -124,6 +129,252 @@ TEST(Json, NonFiniteDoublesSerializeAsNull) {
 TEST(Json, WriteToUnwritablePathThrowsCleanError) {
   const Json doc = Json::object().set("a", Json(1));
   EXPECT_THROW(write_json_file("/nonexistent-dir-xg/out.json", doc), Error);
+}
+
+// --- Json conformance ------------------------------------------------------
+// Exact outcomes (value bits, or the InputError message with its byte
+// offset) of the edge cases a parser/serializer rewrite is most likely to
+// move. Every log, report and metrics file goes through these paths, so
+// any change here is a change to the bytes on disk.
+
+std::uint64_t bits_of(double v) {
+  std::uint64_t b = 0;
+  std::memcpy(&b, &v, sizeof b);
+  return b;
+}
+
+std::string parse_error(std::string_view text) {
+  try {
+    (void)Json::parse(text);
+  } catch (const InputError& e) {
+    return e.what();
+  }
+  return "(parsed)";
+}
+
+TEST(JsonConformance, NumberTokensParseToPinnedValuesOrErrors) {
+  struct Case {
+    const char* text;
+    Json::Type type;
+    double value;  ///< compared by bits; kInt cases hold the integer value
+  };
+  const Case parsed[] = {
+      {"+1", Json::Type::kDouble, 1.0},
+      {"1.", Json::Type::kDouble, 1.0},
+      {".5", Json::Type::kDouble, 0.5},
+      {"-0", Json::Type::kInt, 0.0},
+      {"-0.0", Json::Type::kDouble, -0.0},
+      {"007", Json::Type::kInt, 7.0},
+      {"1e-400", Json::Type::kDouble, 0.0},  // underflow flushes to +0
+      {"4e-320", Json::Type::kDouble, 4e-320},  // subnormal kept exactly
+      {"1.5e+3", Json::Type::kDouble, 1500.0},
+      {"1E2", Json::Type::kDouble, 100.0},
+      {"0.1", Json::Type::kDouble, 0.1},
+      {"9223372036854775807", Json::Type::kInt, 0.0},
+      {"9223372036854775808", Json::Type::kDouble, 9223372036854775808.0},
+      {"-9223372036854775808", Json::Type::kInt, 0.0},
+      {"123456789012345678901234567890", Json::Type::kDouble,
+       123456789012345678901234567890.0},
+      // Correct rounding at the edges of the double range and at ties.
+      {"2.2250738585072011e-308", Json::Type::kDouble, 2.2250738585072011e-308},
+      {"2.2250738585072012e-308", Json::Type::kDouble, 2.2250738585072012e-308},
+      {"4.9406564584124654e-324", Json::Type::kDouble, 4.9406564584124654e-324},
+      {"2.4703282292062328e-324", Json::Type::kDouble, 4.9406564584124654e-324},
+      {"2.4703282292062327e-324", Json::Type::kDouble, 0.0},
+      {"1.7976931348623157e308", Json::Type::kDouble, 1.7976931348623157e308},
+      {"1.7976931348623158e308", Json::Type::kDouble, 1.7976931348623157e308},
+      {"9007199254740993.0", Json::Type::kDouble, 9007199254740992.0},
+      {"0.1000000000000000055511151231257827021181583404541015625",
+       Json::Type::kDouble, 0.1},
+  };
+  for (const auto& c : parsed) {
+    const Json j = Json::parse(c.text);
+    ASSERT_EQ(j.type(), c.type) << c.text;
+    if (c.type == Json::Type::kDouble) {
+      EXPECT_EQ(bits_of(j.as_double()), bits_of(c.value)) << c.text;
+    }
+  }
+  EXPECT_EQ(Json::parse("-0").as_int(), 0);
+  EXPECT_EQ(Json::parse("007").as_int(), 7);
+  EXPECT_EQ(Json::parse("9223372036854775807").as_int(),
+            std::numeric_limits<std::int64_t>::max());
+  EXPECT_EQ(Json::parse("-9223372036854775808").as_int(),
+            std::numeric_limits<std::int64_t>::min());
+
+  EXPECT_EQ(parse_error("1e309"),
+            "json parse error at byte 5: invalid number '1e309'");
+  EXPECT_EQ(parse_error("-1e309"),
+            "json parse error at byte 6: invalid number '-1e309'");
+  EXPECT_EQ(parse_error("1.7976931348623159e308"),
+            "json parse error at byte 22: invalid number "
+            "'1.7976931348623159e308'");
+  EXPECT_EQ(parse_error("1e"),
+            "json parse error at byte 2: invalid number '1e'");
+  EXPECT_EQ(parse_error("1-2"),
+            "json parse error at byte 3: invalid number '1-2'");
+  EXPECT_EQ(parse_error("-"), "json parse error at byte 1: invalid number");
+  EXPECT_EQ(parse_error("[1,-]"), "json parse error at byte 4: invalid number");
+  EXPECT_EQ(parse_error("x"), "json parse error at byte 0: invalid number");
+}
+
+TEST(JsonConformance, RandomBitDoublesRoundTripBitExactly) {
+  Rng rng(7);
+  for (int i = 0; i < 40000; ++i) {
+    std::uint64_t bits = rng.next_u64();
+    if (i % 8 == 0) bits &= 0x800FFFFFFFFFFFFFull;  // subnormals and zeros
+    double v = 0.0;
+    std::memcpy(&v, &bits, sizeof v);
+    const Json back = Json::parse(Json(v).dump());
+    if (!std::isfinite(v)) {
+      EXPECT_TRUE(back.is_null()) << std::hex << bits;
+      continue;
+    }
+    ASSERT_EQ(back.type(), Json::Type::kDouble) << std::hex << bits;
+    EXPECT_EQ(bits_of(back.as_double()), bits) << std::hex << bits;
+  }
+}
+
+/// The serializer's escaping rule, spelled out byte by byte.
+std::string expected_escape(unsigned char c) {
+  switch (c) {
+    case '"': return "\\\"";
+    case '\\': return "\\\\";
+    case '\b': return "\\b";
+    case '\f': return "\\f";
+    case '\n': return "\\n";
+    case '\r': return "\\r";
+    case '\t': return "\\t";
+    default: break;
+  }
+  if (c < 0x20) {
+    char buf[8];
+    std::snprintf(buf, sizeof buf, "\\u%04x", c);
+    return buf;
+  }
+  return std::string(1, static_cast<char>(c));
+}
+
+TEST(JsonConformance, EveryByteSurvivesDumpParse) {
+  std::string all, want = "\"";
+  for (int b = 0; b < 256; ++b) {
+    all += static_cast<char>(b);
+    want += expected_escape(static_cast<unsigned char>(b));
+  }
+  want += '"';
+  const std::string dumped = Json(all).dump();
+  EXPECT_EQ(dumped, want);
+  EXPECT_EQ(Json::parse(dumped).as_string(), all);
+  // One byte inside runs of plain text, as a value and as a key.
+  for (int b = 0; b < 256; ++b) {
+    const std::string s = std::string("ab") + static_cast<char>(b) + "cd";
+    const std::string text = Json::object().set(s, Json(s)).dump();
+    EXPECT_EQ(text, "{\"ab" + expected_escape(static_cast<unsigned char>(b)) +
+                        "cd\":\"ab" +
+                        expected_escape(static_cast<unsigned char>(b)) +
+                        "cd\"}")
+        << "byte " << b;
+    const Json back = Json::parse(text);
+    ASSERT_EQ(back.size(), 1u);
+    EXPECT_EQ(back.items()[0].first, s) << "byte " << b;
+    EXPECT_EQ(back.items()[0].second.as_string(), s) << "byte " << b;
+  }
+  // Escapes the serializer never writes still decode (\u to UTF-8).
+  EXPECT_EQ(Json::parse(R"("a\/b\u0000\u00e9\u20AC")").as_string(),
+            std::string("a/b\0\xC3\xA9\xE2\x82\xAC", 9));
+}
+
+TEST(JsonConformance, StringErrorsReportTheirByteOffset) {
+  EXPECT_EQ(parse_error("\"a\x01" "b\""),
+            "json parse error at byte 3: unescaped control character in "
+            "string");
+  EXPECT_EQ(parse_error("{\"k\x1f\":1}"),
+            "json parse error at byte 4: unescaped control character in "
+            "string");
+  EXPECT_EQ(parse_error("\"abc"),
+            "json parse error at byte 4: unexpected end of input");
+  EXPECT_EQ(parse_error("\"ab\\"),
+            "json parse error at byte 4: unexpected end of input");
+  EXPECT_EQ(parse_error("\"\\u12"),
+            "json parse error at byte 5: unexpected end of input");
+  EXPECT_EQ(parse_error("\"\\u12g4\""),
+            "json parse error at byte 6: bad \\u escape");
+  EXPECT_EQ(parse_error("\"\\x\""),
+            "json parse error at byte 3: bad escape character");
+  EXPECT_EQ(parse_error("\""),
+            "json parse error at byte 1: unexpected end of input");
+}
+
+TEST(JsonConformance, DuplicateKeyLastValueWinsAtFirstPosition) {
+  const Json doc = Json::parse(R"({"a":1,"b":2,"a":{"x":3}})");
+  ASSERT_EQ(doc.size(), 2u);
+  EXPECT_EQ(doc.items()[0].first, "a");
+  EXPECT_EQ(doc.items()[1].first, "b");
+  EXPECT_EQ(doc.at("a").at("x").as_int(), 3);
+  EXPECT_EQ(doc.dump(), R"({"a":{"x":3},"b":2})");
+  Json built = Json::object();
+  built.set("a", 1).set("b", 2).set("a", "again");
+  EXPECT_EQ(built.dump(), R"({"a":"again","b":2})");
+}
+
+/// Seeded random document: every type, raw-byte strings and keys (so
+/// escapes land inside runs), random-bit doubles (NaN/Inf included, which
+/// serialize as null), and nesting to `depth`.
+Json random_json(Rng& rng, int depth) {
+  const auto random_string = [&rng] {
+    std::string s(rng.next_below(12), '\0');
+    for (char& c : s) {
+      // Half plain ASCII letters, half any byte.
+      c = rng.next_below(2) == 0 ? static_cast<char>('a' + rng.next_below(26))
+                                 : static_cast<char>(rng.next_below(256));
+    }
+    return s;
+  };
+  const std::uint64_t kind = rng.next_below(depth > 0 ? 10 : 6);
+  switch (kind) {
+    case 0: return Json();
+    case 1: return Json(rng.next_below(2) == 1);
+    case 2: return Json(static_cast<std::int64_t>(rng.next_u64()));
+    case 3: {
+      const std::uint64_t bits = rng.next_u64();
+      double v = 0.0;
+      std::memcpy(&v, &bits, sizeof v);
+      return Json(v);
+    }
+    case 4: return Json(rng.uniform(-1e3, 1e3));
+    case 5: return Json(random_string());
+    case 6:
+    case 7: {
+      Json a = Json::array();
+      for (std::uint64_t i = rng.next_below(6); i > 0; --i) {
+        a.push(random_json(rng, depth - 1));
+      }
+      return a;
+    }
+    default: {
+      Json o = Json::object();
+      for (std::uint64_t i = rng.next_below(6); i > 0; --i) {
+        o.set(random_string(), random_json(rng, depth - 1));
+      }
+      return o;
+    }
+  }
+}
+
+TEST(JsonConformance, SeededRandomTreeDumpParseDumpIsAFixedPoint) {
+  Rng rng(20260717);
+  Json forest = Json::array();
+  for (int i = 0; i < 256; ++i) forest.push(random_json(rng, 5));
+  const std::string compact = forest.dump();
+  for (const int indent : {-1, 0, 2}) {
+    const std::string text = forest.dump(indent);
+    const Json back = Json::parse(text);
+    EXPECT_EQ(back.dump(indent), text) << "indent " << indent;
+    EXPECT_EQ(back.dump(), compact) << "indent " << indent;
+  }
+  // Pin the serialized bytes themselves across commits.
+  EXPECT_EQ(compact.size(), 20964u);
+  EXPECT_EQ(Hasher().bytes(compact.data(), compact.size()).digest(),
+            0x9e935900ec59f4f5ull);
 }
 
 // --- Histogram / metrics ---------------------------------------------------
