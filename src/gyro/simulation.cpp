@@ -120,9 +120,13 @@ void Simulation::initialize() {
   if (mode_ == Mode::kReal) apply_initial_condition();
 
   coll_states_.clear();
-  if (mode_ == Mode::kReal) coll_states_ = coll_transpose_->make_coll_tensors();
-  coll_scratch_.assign(
-      static_cast<size_t>(input_.nv()) * 2 * comms_.n_sims_sharing, cplx{});
+  coll_scratch_.clear();
+  if (mode_ == Mode::kReal) {
+    coll_states_ = coll_transpose_->make_coll_tensors();
+    // Only the real collision apply reads the nv×k panels.
+    coll_scratch_.assign(
+        static_cast<size_t>(input_.nv()) * 2 * comms_.n_sims_sharing, cplx{});
+  }
 
   // Enter the step loop synchronized, as production solvers do before the
   // timed loop. The memoized cmat build charges differ per rank (each skips

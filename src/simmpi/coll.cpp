@@ -47,10 +47,15 @@ int index_of(std::span<const int> ranks, int r) {
   return static_cast<int>(it - ranks.begin());
 }
 
-std::vector<int> identity_ranks(int p) {
-  std::vector<int> ranks(static_cast<size_t>(p));
-  std::iota(ranks.begin(), ranks.end(), 0);
-  return ranks;
+/// 0, 1, ..., c.size() − 1, from the calling rank's scratch. Filled once to
+/// the world size, so the span stays valid for the rest of the run.
+std::span<const int> identity_ranks(Comm& c) {
+  auto& ranks = c.proc().coll_scratch().ranks;
+  if (ranks.empty()) {
+    ranks.resize(static_cast<size_t>(c.proc().world_size()));
+    std::iota(ranks.begin(), ranks.end(), 0);
+  }
+  return std::span<const int>(ranks).first(static_cast<size_t>(c.size()));
 }
 
 // --- AllReduce schedules over an ordered rank subset ------------------------
@@ -178,7 +183,8 @@ void allreduce_rabenseifner(Comm& c, CollBuf& buf, int tag) {
     // Recursive halving: each step trades away half of the owned range.
     size_t lo = 0;
     size_t hi = n;
-    std::vector<std::pair<size_t, size_t>> enclosing;  // range before split
+    auto& enclosing = c.proc().coll_scratch().ranges;  // range before split
+    enclosing.clear();
     for (int mask = p2 >> 1; mask > 0; mask >>= 1) {
       const int partner_new = newrank ^ mask;
       const int partner = old_of(partner_new);
@@ -428,8 +434,9 @@ void allgather_bruck(Comm& c, BlockBuf& buf, int tag) {
   const int p = c.size();
   const int r = c.rank();
   buf.copy_in_to_out(0, 0);
-  std::vector<int> send_blocks;
-  std::vector<int> recv_blocks;
+  auto& scratch = c.proc().coll_scratch();
+  auto& send_blocks = scratch.send_blocks;
+  auto& recv_blocks = scratch.recv_blocks;
   for (int k = 1; k < p; k <<= 1) {
     const int m = std::min(k, p - k);
     send_blocks.resize(static_cast<size_t>(m));
@@ -441,7 +448,8 @@ void allgather_bruck(Comm& c, BlockBuf& buf, int tag) {
   }
   // Final rotation: out[j] must hold rank j's block, currently at slot
   // (j - r) mod p.
-  std::vector<int> perm(static_cast<size_t>(p));
+  auto& perm = scratch.perm;
+  perm.resize(static_cast<size_t>(p));
   for (int j = 0; j < p; ++j) perm[static_cast<size_t>(j)] = (j - r + p) % p;
   buf.permute_out(perm);
 }
@@ -483,7 +491,8 @@ void alltoall_bruck(Comm& c, BlockBuf& buf, int tag) {
   for (int i = 0; i < p; ++i) buf.copy_in_to_out((r + i) % p, i);
   // Phase 2: for each bit k, the blocks whose slot has bit k set move k
   // ranks forward — each block travels exactly the bits of its distance.
-  std::vector<int> blocks;
+  auto& scratch = c.proc().coll_scratch();
+  auto& blocks = scratch.send_blocks;
   for (int k = 1; k < p; k <<= 1) {
     blocks.clear();
     for (int i = 0; i < p; ++i) {
@@ -494,7 +503,8 @@ void alltoall_bruck(Comm& c, BlockBuf& buf, int tag) {
   }
   // Phase 3: inverse rotation; slot j's final content is currently at slot
   // (r - j) mod p.
-  std::vector<int> perm(static_cast<size_t>(p));
+  auto& perm = scratch.perm;
+  perm.resize(static_cast<size_t>(p));
   for (int j = 0; j < p; ++j) perm[static_cast<size_t>(j)] = (r - j + p) % p;
   buf.permute_out(perm);
 }
@@ -508,7 +518,7 @@ void alltoall_bruck(Comm& c, BlockBuf& buf, int tag) {
 }  // namespace
 
 void ring_reduce_scatter_impl(Comm& c, CollBuf& buf, int tag) {
-  const auto ranks = identity_ranks(c.size());
+  const auto ranks = identity_ranks(c);
   ring_reduce_scatter_subset(c, buf, tag, ranks, c.rank(), 0, buf.count());
 }
 
@@ -525,7 +535,7 @@ CollAlg allreduce_impl(Comm& c, CollBuf& buf, CollAlg alg) {
   alg = c.resolve_alg(TraceEvent::Kind::kAllReduce, buf.total_bytes(), alg);
   const int tag = c.internal_tag();
   if (c.size() == 1) return alg;
-  const auto ranks = identity_ranks(c.size());
+  const auto ranks = identity_ranks(c);
   const int r = c.rank();
   switch (alg) {
     case CollAlg::kLinear:
@@ -581,7 +591,7 @@ CollAlg bcast_impl(Comm& c, CollBuf& buf, int root, CollAlg alg) {
   alg = c.resolve_alg(TraceEvent::Kind::kBcast, buf.total_bytes(), alg);
   const int tag = c.internal_tag();
   if (c.size() == 1) return alg;
-  const auto ranks = identity_ranks(c.size());
+  const auto ranks = identity_ranks(c);
   switch (alg) {
     case CollAlg::kLinear:
       bcast_linear(c, buf, tag, root);

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <map>
 #include <tuple>
+#include <utility>
 
 #include "simmpi/coll.hpp"
 #include "util/format.hpp"
@@ -246,24 +247,44 @@ void Comm::compute_node_info() const {
   auto* g = group_.get();
   if (g->node_info_ready) return;
   const auto& place = proc_->placement();
-  // Node ids in ascending order → deterministic group order on every member.
-  std::map<int, std::vector<int>> by_node;
+  // (node, local rank) sorted: node ids ascending, then local ranks
+  // ascending within a node — the same group order on every member.
+  std::vector<std::pair<int, int>> by_node(g->members.size());
   for (size_t local = 0; local < g->members.size(); ++local) {
-    by_node[place.node_of(g->members[local])].push_back(static_cast<int>(local));
+    by_node[local] = {place.node_of(g->members[local]),
+                      static_cast<int>(local)};
   }
+  std::sort(by_node.begin(), by_node.end());
   g->node_groups.clear();
-  g->node_groups.reserve(by_node.size());
   const int my_node = place.node_of(g->members[myrank_]);
-  for (auto& [node, locals] : by_node) {
-    if (node == my_node) g->my_group = static_cast<int>(g->node_groups.size());
-    g->node_groups.push_back(std::move(locals));
+  for (size_t lo = 0; lo < by_node.size();) {
+    size_t hi = lo + 1;
+    while (hi < by_node.size() && by_node[hi].first == by_node[lo].first) ++hi;
+    if (by_node[lo].first == my_node) {
+      g->my_group = static_cast<int>(g->node_groups.size());
+    }
+    auto& locals = g->node_groups.emplace_back();
+    locals.reserve(hi - lo);
+    for (size_t i = lo; i < hi; ++i) locals.push_back(by_node[i].second);
+    lo = hi;
   }
   g->node_info_ready = true;
 }
 
 bool Comm::spans_nodes() const {
-  compute_node_info();
-  return group_->node_groups.size() > 1;
+  // Every collective's selector asks this, so answer it without building
+  // the node groups only the hierarchical schedules read.
+  auto* g = group_.get();
+  if (g->spans_nodes < 0) {
+    const auto& place = proc_->placement();
+    const int node0 = place.node_of(g->members.front());
+    g->spans_nodes =
+        std::any_of(g->members.begin(), g->members.end(),
+                    [&](int r) { return place.node_of(r) != node0; })
+            ? 1
+            : 0;
+  }
+  return g->spans_nodes == 1;
 }
 
 const std::vector<std::vector<int>>& Comm::node_groups() const {

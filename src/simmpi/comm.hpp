@@ -58,6 +58,7 @@ struct Group {
   // --- lazily computed topology view (Group objects are per rank — the
   // world group is cached per Proc, split groups are created per rank — so
   // in-place mutation here is thread-safe).
+  int spans_nodes = -1;  ///< members on more than one node; -1 = not yet known
   bool node_info_ready = false;
   /// Local ranks grouped by node (ascending within a node), ordered by node
   /// id. One group per distinct node the members occupy.

@@ -3,9 +3,17 @@
 //
 // Fiber i runs on worker ⌊i·W/n⌋, W = min(n, hardware_concurrency()); the
 // first worker is the thread that calls run(). Fibers never migrate, so only
-// the owning worker ever resumes a fiber and a wake is a push onto that
-// worker's ready queue. Each worker runs its ready fibers until they block
-// and sleeps only when its queue is empty.
+// the owning worker ever resumes a fiber. A wake issued on the target's own
+// worker goes to that worker's unlocked local queue; a wake from another
+// thread goes to its mutex-guarded remote queue. Each worker runs its ready
+// fibers until they block and sleeps only when both queues are empty.
+//
+// On x86-64 a switch is an in-tree, register-only swap: the callee-saved
+// GPRs, rsp, MXCSR and the x87 control word — no signal-mask syscall, so a
+// park/resume pair never enters the kernel. Other ISAs (and builds with
+// shadow stacks) fall back to glibc ucontext. Fiber stacks come from a
+// bounded process-wide pool and go back to it when the scheduler is
+// destroyed, so a job maps stacks only until the pool has enough of them.
 //
 // A fiber leaves the CPU only by park() or by returning; park() is matched
 // by exactly one wake(). The scheduler counts runnable fibers (ready plus
@@ -16,6 +24,7 @@
 #pragma once
 
 #include <atomic>
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <vector>
@@ -30,6 +39,7 @@ class FiberScheduler {
   /// make them return).
   FiberScheduler(int nfibers, std::function<void(int)> body,
                  std::function<void()> on_stall);
+  /// Returns the fibers' stacks to the pool.
   ~FiberScheduler();
   FiberScheduler(const FiberScheduler&) = delete;
   FiberScheduler& operator=(const FiberScheduler&) = delete;
@@ -47,12 +57,15 @@ class FiberScheduler {
   /// Worker threads a run of `nfibers` uses: min(nfibers, nproc).
   static int workers_for(int nfibers);
 
+  /// Fiber stacks this process has mapped so far. Stacks reused from the
+  /// pool are not counted again.
+  static std::uint64_t stacks_mapped();
+
  private:
   struct Fiber;
   struct Worker;
 
-  static void init_context(Fiber& f);
-  static void entry(unsigned hi, unsigned lo) noexcept;
+  static void entry(void* fiber) noexcept;
   void resume(Worker& w, Fiber& f);
   void worker_loop(Worker& w);
 

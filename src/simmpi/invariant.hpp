@@ -9,12 +9,19 @@
 // benchmarks would otherwise silently absorb. The monitor is on by default
 // in every run (RuntimeOptions::check_invariants), so the entire existing
 // test and bench suite doubles as its clean-run corpus.
+//
+// The monitor sits on every collective's path, so a clean observation
+// formats nothing and locks only the shard its (context, seq) hashes to;
+// the message text is built only when a check fails.
 #pragma once
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <utility>
 
 #include "simmpi/stats.hpp"
@@ -41,7 +48,7 @@ class InvariantMonitor {
     bool has_hash = false;        ///< typed value-returning collective
     std::uint64_t result_hash = 0;
     int world_rank = -1;
-    std::string comm_label;
+    std::string_view comm_label;  ///< must outlive the observe() call
   };
 
   /// Record one member's view of a completed collective. Thread-safe.
@@ -54,6 +61,10 @@ class InvariantMonitor {
 
   /// Number of collective instances fully checked (all members agreed).
   [[nodiscard]] std::uint64_t completed() const;
+
+  static constexpr std::size_t kShards = 16;
+  /// The shard that holds collective instance (context, seq).
+  static std::size_t shard_of(std::uint64_t context, std::uint64_t seq);
 
  private:
   struct Inflight {
@@ -68,9 +79,13 @@ class InvariantMonitor {
     std::string comm_label;
   };
 
-  mutable std::mutex mu_;
-  std::map<std::pair<std::uint64_t, std::uint64_t>, Inflight> inflight_;
-  std::uint64_t completed_ = 0;
+  struct alignas(64) Shard {
+    mutable std::mutex mu;  ///< guards the members below
+    std::map<std::pair<std::uint64_t, std::uint64_t>, Inflight> inflight;
+    std::uint64_t completed = 0;
+  };
+
+  std::array<Shard, kShards> shards_;
 };
 
 }  // namespace xg::mpi

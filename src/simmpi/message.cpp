@@ -5,12 +5,20 @@
 
 namespace xg::mpi {
 
+namespace {
+/// Pending messages a mailbox holds without growing: one per peer for two
+/// overlapping collective instances on a 32-rank communicator. A mailbox
+/// keeps any larger capacity a run needed.
+constexpr size_t kInitialCapacity = 64;
+}  // namespace
+
 void Mailbox::begin_run(detail::FiberScheduler* sched, int owner,
                         bool enforce_arrival_order) {
   const std::scoped_lock lock(mu_);
   sched_ = sched;
   owner_ = owner;
   queue_.clear();
+  queue_.reserve(kInitialCapacity);
   waiter_.reset();
   aborted_ = false;
   enforce_arrival_order_ = enforce_arrival_order;

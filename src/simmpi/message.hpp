@@ -6,10 +6,15 @@
 // exists, then advances the receiver's *virtual clock* to max(local,
 // arrival). Virtual time is therefore independent of how fibers are
 // scheduled onto worker threads.
+//
+// Hot-path cost: a virtual payload moves no bytes and allocates nothing. A
+// mailbox is a vector of pending messages whose capacity survives across
+// runs, scanned in arrival order and erased in place, so a send/receive
+// pair touches no allocator once the mailbox has grown to its run's
+// high-water mark. A real payload still owns one byte vector.
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <mutex>
 #include <optional>
@@ -75,7 +80,7 @@ class Mailbox {
   detail::FiberScheduler* sched_ = nullptr;
   int owner_ = -1;
   mutable std::mutex mu_;  ///< guards everything below
-  std::deque<Message> queue_;
+  std::vector<Message> queue_;  ///< pending messages, in arrival order
   std::optional<Channel> waiter_;
   bool aborted_ = false;
   bool enforce_arrival_order_ = false;

@@ -76,7 +76,10 @@ void Proc::stage_upload(std::uint64_t bytes) {
   bucket().compute_s += dt;
 }
 
-void Proc::set_phase(std::string name) { phase_ = std::move(name); }
+void Proc::set_phase(std::string name) {
+  phase_ = std::move(name);
+  bucket_ = nullptr;
+}
 
 Comm Proc::world() { return Comm::make_world(*this); }
 

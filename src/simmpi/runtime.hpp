@@ -4,6 +4,12 @@
 // (small test/physics grids), or "virtual payloads" carrying only byte
 // counts (paper-scale model runs) — both follow the identical message
 // schedule.
+//
+// The per-message path allocates nothing and takes no lock shared by all
+// ranks once a run is warm: a Proc charges its cached phase bucket,
+// collective schedules draw their rank and block lists from per-Proc
+// scratch, a mailbox reuses its capacity, and the invariant monitor locks
+// only the shard that holds the collective instance.
 #pragma once
 
 #include <cstdint>
@@ -13,6 +19,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "simmpi/fault.hpp"
@@ -30,6 +37,18 @@ class Runtime;
 
 namespace detail {
 struct Group;
+
+/// Reusable scratch for collective schedules. It belongs to one Proc, never
+/// to a thread: the fibers on one worker interleave across parks, so a
+/// thread_local buffer could change under a parked schedule.
+struct CollScratch {
+  std::vector<int> ranks;        ///< 0, 1, ..., world size − 1
+  std::vector<int> send_blocks;  ///< Bruck: blocks one round sends
+  std::vector<int> recv_blocks;  ///< Bruck: blocks one round receives
+  std::vector<int> perm;         ///< Bruck: the final rotation
+  /// Rabenseifner: the range owned before each halving step.
+  std::vector<std::pair<size_t, size_t>> ranges;
+};
 }  // namespace detail
 
 /// Per-rank execution context handed to the user body. All methods are
@@ -122,11 +141,20 @@ class Proc {
   /// every collective entered with CollAlg::kAuto.
   [[nodiscard]] const CollSelector& coll_selector() const;
 
+  /// This rank's scratch for collective schedules (internal, used by the
+  /// collective implementations).
+  [[nodiscard]] detail::CollScratch& coll_scratch() { return coll_scratch_; }
+
  private:
   friend class Runtime;
   friend class Comm;
 
-  PhaseStats& bucket() { return stats_[phase_]; }
+  /// The current phase's stats, looked up at its first charge, so a phase
+  /// that is never charged never appears in stats_.
+  PhaseStats& bucket() {
+    if (bucket_ == nullptr) bucket_ = &stats_[phase_];
+    return *bucket_;
+  }
 
   /// Apply straggler slowdown + jitter to a compute-side charge; returns
   /// the (possibly stretched) duration and accounts the injected excess.
@@ -142,6 +170,8 @@ class Proc {
   double nic_free_ = 0.0;  ///< when this rank's injection engine frees up
   std::string phase_ = "default";
   std::map<std::string, PhaseStats> stats_;
+  PhaseStats* bucket_ = nullptr;  ///< &stats_[phase_] once charged
+  detail::CollScratch coll_scratch_;
 
   /// Cached world group so repeated world() calls share one collective
   /// sequence counter (keeps (context, seq) unique within a run).

@@ -3,11 +3,13 @@
 // power-of-two and awkward rank counts), deterministic replay of injected
 // faults, rank-kill → structured RankFailure, exact deadlock detection, and
 // the per-collective invariant monitor catching deliberately broken
-// collectives that a clean run never trips.
+// collectives that a clean run never trips, with the full text of each kind
+// of violation pinned.
 #include <gtest/gtest.h>
 
 #include <chrono>
 #include <cstring>
+#include <functional>
 #include <map>
 #include <mutex>
 #include <string>
@@ -507,6 +509,146 @@ TEST(InvariantMonitor, DelayFaultsDoNotTripInvariants) {
     }
   }, opts);
   EXPECT_EQ(r.collectives_checked, 4u);
+}
+
+// ---------------------------------------------------------------------------
+// Invariant monitor: the full text of every violation, pinned. The monitor
+// is fed reports directly, so which member observes first is fixed.
+
+InvariantMonitor::Report allreduce_report(std::uint64_t context,
+                                          std::uint64_t seq, int world_rank) {
+  InvariantMonitor::Report r;
+  r.context = context;
+  r.seq = seq;
+  r.kind = TraceEvent::Kind::kAllReduce;
+  r.alg = CollAlg::kRing;
+  r.participants = 3;
+  r.payload_bytes = 4096;
+  r.has_hash = true;
+  r.result_hash = 0x0123456789abcdefULL;
+  r.world_rank = world_rank;
+  r.comm_label = "str_comm/member.2";
+  return r;
+}
+
+/// what() of the InvariantViolation `f` throws ("<none>" if it returns).
+std::string violation_text(const std::function<void()>& f) {
+  try {
+    f();
+  } catch (const InvariantViolation& e) {
+    return e.what();
+  }
+  return "<none>";
+}
+
+/// Observe a clean first report of (context, seq), then `second`.
+std::string second_report_text(const InvariantMonitor::Report& second) {
+  InvariantMonitor m;
+  m.observe(allreduce_report(second.context, second.seq, 0));
+  return violation_text([&] { m.observe(second); });
+}
+
+constexpr std::uint64_t kCtx = 0xfeedc0de12345678ULL;
+/// How every mismatch below names the collective.
+const std::string kWhere =
+    "invariant violation: collective (comm 'str_comm/member.2' "
+    "ctx=feedc0de12345678 seq=41)";
+
+TEST(InvariantMonitorText, KindMismatch) {
+  auto r = allreduce_report(kCtx, 41, 2);
+  r.kind = TraceEvent::Kind::kBcast;
+  EXPECT_EQ(second_report_text(r),
+            kWhere + ": rank 0 entered "
+            "AllReduce but rank 2 entered Bcast at the same sequence number "
+            "\u2014 members disagree on the collective schedule");
+}
+
+TEST(InvariantMonitorText, AlgorithmMismatch) {
+  auto r = allreduce_report(kCtx, 41, 1);
+  r.alg = CollAlg::kRabenseifner;
+  EXPECT_EQ(second_report_text(r),
+            kWhere + " (AllReduce): rank 0 ran "
+            "algorithm 'ring' but rank 1 ran 'rabenseifner' \u2014 members "
+            "resolved the selector differently");
+}
+
+TEST(InvariantMonitorText, ParticipantsMismatch) {
+  auto r = allreduce_report(kCtx, 41, 2);
+  r.participants = 4;
+  EXPECT_EQ(second_report_text(r),
+            kWhere + " (AllReduce): rank 0 sees 3 "
+            "participants but rank 2 sees 4");
+}
+
+TEST(InvariantMonitorText, PayloadBytesMismatch) {
+  auto r = allreduce_report(kCtx, 41, 1);
+  r.payload_bytes = 8192;
+  EXPECT_EQ(second_report_text(r),
+            kWhere + " (AllReduce): rank 0 passed "
+            "4096 payload bytes but rank 1 passed 8192");
+}
+
+TEST(InvariantMonitorText, ResultHashMismatch) {
+  auto r = allreduce_report(kCtx, 41, 2);
+  r.result_hash = 0xfedcba9876543210ULL;
+  EXPECT_EQ(second_report_text(r),
+            kWhere + " (AllReduce): result buffers "
+            "are not bitwise identical across members \u2014 rank 0 has hash "
+            "0123456789abcdef, rank 2 has fedcba9876543210");
+}
+
+TEST(InvariantMonitorText, AgreeingMembersCompleteSilently) {
+  InvariantMonitor m;
+  for (int rank = 0; rank < 3; ++rank) m.observe(allreduce_report(kCtx, 41, rank));
+  EXPECT_EQ(m.completed(), 1u);
+  EXPECT_NO_THROW(m.final_check());
+}
+
+TEST(InvariantMonitorText, FinalCheckNamesSmallestOfTwoIncomplete) {
+  // Observed largest key first, so "first" must mean smallest (context,
+  // seq), not first observed. The two keys live on different shards.
+  ASSERT_NE(InvariantMonitor::shard_of(kCtx, 9),
+            InvariantMonitor::shard_of(kCtx - 1, 12));
+  InvariantMonitor m;
+  m.observe(allreduce_report(kCtx, 9, 1));
+  auto small = allreduce_report(kCtx - 1, 12, 0);
+  small.kind = TraceEvent::Kind::kAllGather;
+  small.participants = 5;
+  small.comm_label = "nl_comm";
+  m.observe(small);
+  small.world_rank = 3;
+  m.observe(small);
+  EXPECT_EQ(violation_text([&] { m.final_check(); }),
+            "invariant violation: run finished with 2 incomplete "
+            "collective(s); first: collective (comm 'nl_comm' "
+            "ctx=feedc0de12345677 seq=12) (AllGather) observed by 2 of 5 "
+            "members \u2014 some members skipped it");
+}
+
+TEST(InvariantMonitorText, RuntimeReportsKindMismatchThroughComm) {
+  // Rank 1 enters its collective only after rank 0 has finished its own,
+  // so rank 0 is the first member the monitor sees.
+  const std::string text = violation_text([] {
+    run_simulation(net::testbox(1, 2), 2, [](Proc& p) {
+      auto world = p.world();
+      if (p.world_rank() == 0) {
+        std::vector<int> b(2, 1);
+        world.bcast(std::span<int>(b), /*root=*/0);
+        world.send(std::span<const int>(b), /*dst=*/1, /*tag=*/5);
+      } else {
+        std::vector<int> b(2);
+        world.recv(std::span<int>(b), /*src=*/0, /*tag=*/5);
+        std::vector<int> all(4, 2), mine(2);
+        world.scatter(std::span<const int>(all), std::span<int>(mine),
+                      /*root=*/1);
+      }
+    });
+  });
+  EXPECT_EQ(text,
+            "invariant violation: collective (comm 'world' "
+            "ctx=c50a6826fbdee00f seq=1): rank 0 entered Bcast but rank 1 "
+            "entered Scatter at the same sequence number \u2014 members "
+            "disagree on the collective schedule");
 }
 
 }  // namespace

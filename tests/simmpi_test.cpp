@@ -1,23 +1,117 @@
 // Simulated-MPI runtime tests: p2p semantics, every collective against a
-// serial reference, communicator splitting, virtual-time behaviour, and the
-// participant-count scaling the XGYRO paper relies on.
+// serial reference, communicator splitting, virtual-time behaviour, the
+// participant-count scaling the XGYRO paper relies on, the fiber switch and
+// stack pool, and the allocation-free message path.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cfenv>
 #include <cmath>
+#include <cstdlib>
+#include <functional>
 #include <map>
+#include <new>
 #include <numeric>
 #include <set>
+#include <thread>
 
 #include "simmpi/comm.hpp"
+#include "simmpi/fiber.hpp"
 #include "simmpi/runtime.hpp"
 #include "simmpi/traffic.hpp"
 #include "simnet/machine.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 
+// ---------------------------------------------------------------------------
+// Every heap allocation in this binary goes through the counting operators
+// below, so tests can assert that a warm message path never reaches the
+// allocator. All forms are replaced, so every block is malloc'd and freed
+// by the same family (AddressSanitizer checks that pairing).
+
+namespace {
+
+std::atomic<std::uint64_t> g_heap_allocs{0};
+
+void* counted_alloc(std::size_t n) {
+  g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
+  throw std::bad_alloc();
+}
+
+void* counted_alloc(std::size_t n, std::align_val_t al) {
+  g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
+  const auto a = static_cast<std::size_t>(al);
+  if (void* p = std::aligned_alloc(a, std::max(a, (n + a - 1) / a * a))) {
+    return p;
+  }
+  throw std::bad_alloc();
+}
+
+}  // namespace
+
+void* operator new(std::size_t n) { return counted_alloc(n); }
+void* operator new[](std::size_t n) { return counted_alloc(n); }
+void* operator new(std::size_t n, std::align_val_t a) {
+  return counted_alloc(n, a);
+}
+void* operator new[](std::size_t n, std::align_val_t a) {
+  return counted_alloc(n, a);
+}
+void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
+  try {
+    return counted_alloc(n);
+  } catch (const std::bad_alloc&) {
+    return nullptr;
+  }
+}
+void* operator new[](std::size_t n, const std::nothrow_t&) noexcept {
+  return operator new(n, std::nothrow);
+}
+void* operator new(std::size_t n, std::align_val_t a,
+                   const std::nothrow_t&) noexcept {
+  try {
+    return counted_alloc(n, a);
+  } catch (const std::bad_alloc&) {
+    return nullptr;
+  }
+}
+void* operator new[](std::size_t n, std::align_val_t a,
+                     const std::nothrow_t&) noexcept {
+  return operator new(n, a, std::nothrow);
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
+  std::free(p);
+}
+void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
+  std::free(p);
+}
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept {
+  std::free(p);
+}
+void operator delete(void* p, std::align_val_t,
+                     const std::nothrow_t&) noexcept {
+  std::free(p);
+}
+void operator delete[](void* p, std::align_val_t,
+                       const std::nothrow_t&) noexcept {
+  std::free(p);
+}
+
 namespace xg::mpi {
 namespace {
+
+std::uint64_t heap_allocs() {
+  return g_heap_allocs.load(std::memory_order_relaxed);
+}
 
 net::MachineSpec small_machine(int nranks) {
   // Single testbox node large enough for nranks.
@@ -911,6 +1005,174 @@ TEST(Runtime, PhaseAccountingSeparatesCommAndCompute) {
     EXPECT_DOUBLE_EQ(r.phases.at("coll").comm_s, 0.0);
   }
   EXPECT_GT(res.phase_total("str_comm").bytes_sent, 0u);
+}
+
+TEST(Runtime, PhaseThatIsNeverChargedNeverAppears) {
+  const auto res = run_simulation(small_machine(2), 2, [](Proc& p) {
+    p.set_phase("unused");
+    p.set_phase("coll");
+    p.compute(1e6);
+    p.set_phase("unused_too");
+  });
+  for (const auto& r : res.ranks) {
+    ASSERT_EQ(r.phases.size(), 1u);
+    EXPECT_EQ(r.phases.begin()->first, "coll");
+  }
+}
+
+// ---------------------------------------------------------------------------
+// The fiber switch and the stack pool.
+
+TEST(Fiber, RoundingModeStaysWithItsFiber) {
+  // n = 2·nproc puts ranks 0 and 1 on worker 0 (blocks of n/W = 2 fibers),
+  // so rank 1 runs in the gap rank 0's receive leaves on the same thread.
+  const int nproc =
+      std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
+  const int n = 2 * nproc;
+  int rank0_after_park = -1;
+  int rank1_sees = -1;
+  run_simulation(small_machine(n), n, [&](Proc& p) {
+    auto world = p.world();
+    if (p.world_rank() == 0) {
+      std::fesetround(FE_TOWARDZERO);
+      world.send_virtual(8, 1, /*tag=*/1);
+      world.recv_virtual(8, 1, /*tag=*/2);
+      rank0_after_park = std::fegetround();
+      std::fesetround(FE_TONEAREST);
+    } else if (p.world_rank() == 1) {
+      world.recv_virtual(8, 0, /*tag=*/1);
+      rank1_sees = std::fegetround();
+      world.send_virtual(8, 0, /*tag=*/2);
+    }
+  });
+  EXPECT_EQ(rank0_after_park, FE_TOWARDZERO);
+  EXPECT_EQ(rank1_sees, FE_TONEAREST);
+  EXPECT_EQ(std::fegetround(), FE_TONEAREST);
+}
+
+/// A job whose ranks use their stacks unevenly and exchange real and
+/// virtual payloads.
+RunResult stack_job(int n) {
+  return run_simulation(small_machine(n), n, [](Proc& p) {
+    auto world = p.world();
+    volatile char frame[16384];
+    const size_t used = 1024 * (1 + static_cast<size_t>(p.world_rank()) % 16);
+    for (size_t i = 0; i < used; ++i) {
+      frame[i] = static_cast<char>(i + static_cast<size_t>(p.world_rank()));
+    }
+    auto v = rank_values(p.world_rank(), 64);
+    world.allreduce_sum(std::span<double>(v));
+    p.compute(1e6 * (1 + frame[used - 1] % 3));
+    world.alltoall_virtual(512);
+    world.barrier();
+  });
+}
+
+void expect_same_result(const RunResult& a, const RunResult& b) {
+  EXPECT_EQ(a.makespan_s, b.makespan_s);
+  EXPECT_EQ(a.collectives_checked, b.collectives_checked);
+  ASSERT_EQ(a.ranks.size(), b.ranks.size());
+  for (size_t r = 0; r < a.ranks.size(); ++r) {
+    EXPECT_EQ(a.ranks[r].final_time_s, b.ranks[r].final_time_s);
+    ASSERT_EQ(a.ranks[r].phases.size(), b.ranks[r].phases.size());
+    for (const auto& [name, pa] : a.ranks[r].phases) {
+      const PhaseStats& pb = b.ranks[r].phases.at(name);
+      EXPECT_EQ(pa.comm_s, pb.comm_s);
+      EXPECT_EQ(pa.compute_s, pb.compute_s);
+      EXPECT_EQ(pa.bytes_sent, pb.bytes_sent);
+      EXPECT_EQ(pa.msgs_sent, pb.msgs_sent);
+    }
+  }
+}
+
+TEST(Fiber, BackToBackRunsReusePooledStacks) {
+  const std::vector<int> sizes{3, 64, 17};
+  std::vector<RunResult> first;
+  for (const int n : sizes) first.push_back(stack_job(n));
+  const std::uint64_t mapped = detail::FiberScheduler::stacks_mapped();
+  EXPECT_GE(mapped, 64u);
+  for (size_t i = 0; i < sizes.size(); ++i) {
+    SCOPED_TRACE(sizes[i]);
+    expect_same_result(stack_job(sizes[i]), first[i]);
+  }
+  EXPECT_EQ(detail::FiberScheduler::stacks_mapped(), mapped);
+}
+
+// ---------------------------------------------------------------------------
+// The warm message path does not allocate.
+
+TEST(HotPath, WarmVirtualRoundTripsDoNotAllocate) {
+  std::uint64_t allocs = ~std::uint64_t{0};
+  run_simulation(small_machine(2), 2, [&](Proc& p) {
+    auto world = p.world();
+    const int me = p.world_rank();
+    const auto round_trip = [&] {
+      if (me == 0) {
+        world.send_virtual(256, 1, /*tag=*/3);
+        world.recv_virtual(256, 1, /*tag=*/3);
+      } else {
+        world.recv_virtual(256, 0, /*tag=*/3);
+        world.send_virtual(256, 0, /*tag=*/3);
+      }
+    };
+    round_trip();  // charges the phase once
+    const std::uint64_t before = heap_allocs();
+    for (int i = 0; i < 1000; ++i) round_trip();
+    // Rank 1's final send precedes rank 0's final receive, so the window
+    // covers both ranks' loops.
+    if (me == 0) allocs = heap_allocs() - before;
+  });
+  EXPECT_EQ(allocs, 0u);
+}
+
+/// Heap allocations while 16 ranks run `reps` warm instances of
+/// `collective`. Rank 0 reads the counter after one barrier and after a
+/// final one, and a second barrier separates the warm-up from the counted
+/// instances, so every rank's counted work falls inside the window.
+/// Returns {allocations, collective instances in the window}.
+std::pair<std::uint64_t, std::uint64_t> warm_collective_allocs(
+    bool check_invariants, const std::function<void(Comm&)>& collective) {
+  constexpr int kRanks = 16;
+  constexpr int kReps = 20;
+  RuntimeOptions opts;
+  opts.check_invariants = check_invariants;
+  std::uint64_t allocs = 0;
+  run_simulation(small_machine(kRanks), kRanks, [&](Proc& p) {
+    auto world = p.world();
+    for (int i = 0; i < 3; ++i) {
+      collective(world);
+      world.barrier();
+    }
+    const std::uint64_t before = heap_allocs();
+    world.barrier();
+    for (int i = 0; i < kReps; ++i) collective(world);
+    world.barrier();
+    if (p.world_rank() == 0) allocs = heap_allocs() - before;
+  }, opts);
+  // The counted reps, the two barriers inside the window, and the tail of
+  // the barrier before it.
+  return {allocs, kReps + 3};
+}
+
+TEST(HotPath, WarmVirtualCollectivesDoNotAllocate) {
+  const std::vector<std::pair<const char*, std::function<void(Comm&)>>> cases{
+      {"alltoall pairwise",
+       [](Comm& c) { c.alltoall_virtual(1024, CollAlg::kPairwise); }},
+      {"alltoall bruck",
+       [](Comm& c) { c.alltoall_virtual(1024, CollAlg::kBruck); }},
+      {"allgather bruck",
+       [](Comm& c) { c.allgather_virtual(1024, CollAlg::kBruck); }},
+      {"allreduce rabenseifner",
+       [](Comm& c) { c.allreduce_virtual(1 << 20, CollAlg::kRabenseifner); }},
+  };
+  for (const auto& [name, collective] : cases) {
+    SCOPED_TRACE(name);
+    EXPECT_EQ(warm_collective_allocs(false, collective).first, 0u);
+    // The invariant monitor records each instance once, in its first
+    // member's map node.
+    const auto [allocs, instances] = warm_collective_allocs(true, collective);
+    EXPECT_LE(allocs, instances);
+  }
 }
 
 }  // namespace
