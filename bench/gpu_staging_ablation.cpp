@@ -7,7 +7,14 @@
 // GPU-resident fusion codes, and one the authors' earlier work (PEARC22,
 // ref [2]) measures. This bench quantifies the penalty on the Fig. 2 point
 // and shows that XGYRO's relative advantage survives either way.
+//
+//   ./bench/gpu_staging_ablation [--steps N] [--smoke]
+//
+// Exit status 0 iff XGYRO beats the CGYRO campaign in both MPI modes;
+// --smoke checks that on a 1-step report interval.
 #include <cstdio>
+#include <cstdlib>
+#include <string>
 
 #include "gyro/simulation.hpp"
 #include "perfmodel/perfmodel.hpp"
@@ -18,8 +25,10 @@
 int main(int argc, char** argv) {
   using namespace xg;
   int steps = 5;
-  for (int i = 1; i < argc - 1; ++i) {
-    if (std::string(argv[i]) == "--steps") steps = std::atoi(argv[i + 1]);
+  for (int i = 1; i < argc; ++i) {
+    const std::string a = argv[i];
+    if (a == "--steps" && i + 1 < argc) steps = std::atoi(argv[++i]);
+    if (a == "--smoke") steps = 1;
   }
   gyro::Input base = gyro::Input::nl03c_like();
   base.n_steps_per_report = steps;

@@ -3,15 +3,18 @@
 #
 #   1. default preset build + complete ctest tier-1 suite
 #   2. address+UB-sanitized preset build, then fft_test, gyro_test,
-#      xgyro_test, simmpi_test, fault_test, coll_test, telemetry_test and
-#      events_test run from it (the FFT and solver kernels index raw split
-#      arrays; simmpi_test drives the register-only fiber switch, its ASan
-#      stack-switch annotations, pooled stack reuse and the counting
-#      operator new of the allocation-free message path; the fault and
-#      collective tests drive the fiber runtime's kill, deadlock and
-#      schedule paths; the telemetry and event tests drive the Json
-#      variant, whose moves hand string and vector ownership between nodes;
-#      UBSan findings abort instead of only printing)
+#      xgyro_test, simmpi_test, fault_test, coll_test, telemetry_test,
+#      events_test, checkpoint_test and campaign_test run from it (the FFT
+#      and solver kernels index raw split arrays; simmpi_test drives the
+#      register-only fiber switch, its ASan stack-switch annotations,
+#      pooled stack reuse and the counting operator new of the
+#      allocation-free message path; the fault and collective tests drive
+#      the fiber runtime's kill, deadlock and schedule paths; the telemetry
+#      and event tests drive the Json variant, whose moves hand string and
+#      vector ownership between nodes; the checkpoint and campaign tests
+#      drive the job runner's recovery loop, which catches RankFailure and
+#      DeadlockError thrown out of the fiber runtime and writes and
+#      restores snapshots; UBSan findings abort instead of only printing)
 #   3. end-to-end determinism check (identical-seed runs bitwise equal)
 #   4. telemetry artifact smoke (trace/report/metrics export + validation)
 #   5. docs consistency (USER_GUIDE flags vs --help both ways; every guide
@@ -45,11 +48,11 @@ cmake --preset default
 cmake --build --preset default -j "$JOBS"
 ctest --preset default
 
-echo "=== [2/9] sanitized build + kernel, fiber runtime and telemetry tests ==="
+echo "=== [2/9] sanitized build + kernel, fiber runtime, telemetry and job-runner tests ==="
 cmake --preset sanitize
 cmake --build --preset sanitize -j "$JOBS"
 for t in fft_test gyro_test xgyro_test simmpi_test fault_test coll_test \
-    telemetry_test events_test; do
+    telemetry_test events_test checkpoint_test campaign_test; do
   UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \
     "./build-sanitize/tests/$t" --gtest_brief=1
 done

@@ -20,14 +20,13 @@
 // consistent by scripts/docs_check.sh).
 //
 // Exit status: 0 success (including recovered runs); 1 usage, input, or
-// configuration error; 2 structured failure (RankFailure / DeadlockError)
-// that was not recovered.
+// configuration error; 2 structured failure (rank kill / deadlock) that was
+// not recovered.
 #include <cerrno>
 #include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <mutex>
 #include <set>
 #include <string>
 #include <vector>
@@ -35,8 +34,6 @@
 #include "analysis/critical_path.hpp"
 #include "analysis/divergence.hpp"
 #include "analysis/waitwork.hpp"
-#include "campaign/campaign.hpp"
-#include "gyro/restart.hpp"
 #include "gyro/simulation.hpp"
 #include "gyro/timing_log.hpp"
 #include "simmpi/coll.hpp"
@@ -65,7 +62,6 @@ struct Options {
   std::string report_out;
   std::string metrics_out;
   bool grouped = false;
-  std::string restart_write, restart_read;
   std::string checkpoint_dir;
   int checkpoint_every = 1;
   int max_recoveries = 3;
@@ -126,9 +122,6 @@ void print_help() {
       "(xgyro.metrics JSON)\n"
       "  --grouped           allow mixed physics: members grouped by\n"
       "                      cmat fingerprint, one shared tensor each\n"
-      "  --restart-write DIR write decomposition-specific restart files\n"
-      "                      after the run (real mode; legacy format)\n"
-      "  --restart-read DIR  resume from restart files before the run\n"
       "  --checkpoint-dir DIR  elastic snapshots: write a validated,\n"
       "                      atomically-committed snapshot every\n"
       "                      --checkpoint-every intervals and recover\n"
@@ -214,12 +207,6 @@ Options parse_args(int argc, char** argv) {
     } else if (a == "--grouped") {
       once(a);
       o.grouped = true;
-    } else if (a == "--restart-write") {
-      once(a);
-      o.restart_write = need_value(i++);
-    } else if (a == "--restart-read") {
-      once(a);
-      o.restart_read = need_value(i++);
     } else if (a == "--checkpoint-dir") {
       once(a);
       o.checkpoint_dir = need_value(i++);
@@ -311,17 +298,10 @@ Options parse_args(int argc, char** argv) {
             xg::strprintf("%s requires --checkpoint-dir", f));
       }
     }
-  } else {
-    if (o.mode != xg::gyro::Mode::kReal) {
-      throw xg::InputError(
-          "--checkpoint-dir requires --mode real (model mode carries no "
-          "restorable state)");
-    }
-    if (!o.restart_read.empty() || !o.restart_write.empty()) {
-      throw xg::InputError(
-          "--checkpoint-dir and --restart-read/--restart-write are mutually "
-          "exclusive (elastic snapshots supersede the legacy restart files)");
-    }
+  } else if (o.mode != xg::gyro::Mode::kReal) {
+    throw xg::InputError(
+        "--checkpoint-dir requires --mode real (model mode carries no "
+        "restorable state)");
   }
   return o;
 }
@@ -341,8 +321,8 @@ int main(int argc, char** argv) {
                               ? manifest_ensemble.n_sims()
                               : static_cast<int>(opt.inputs.size());
     const bool ensemble_mode = n_members > 1;
-    const int total_ranks =
-        ensemble_mode ? opt.ranks_per_sim * n_members : opt.ranks;
+    const int ranks_per_sim = ensemble_mode ? opt.ranks_per_sim : opt.ranks;
+    const int total_ranks = ranks_per_sim * n_members;
     const int nodes = opt.nodes > 0 ? opt.nodes : (total_ranks + 7) / 8;
     const auto machine = net::frontier_like(nodes);
     XG_REQUIRE(machine.total_ranks() >= total_ranks,
@@ -359,143 +339,65 @@ int main(int argc, char** argv) {
           std::shared_ptr<void>(), mpi::CollSelector::named(opt.coll_select));
     }
 
-    mpi::RuntimeOptions ropts;
-    ropts.faults = opt.faults;
-    ropts.check_invariants = opt.check_invariants;
-    ropts.coll_selector = selector;
+    // A run without --checkpoint-dir is not elastic: its first rank kill or
+    // deadlock aborts the job.
+    const bool elastic = !opt.checkpoint_dir.empty();
+    xgyro::JobOptions jopts;
+    jopts.n_report_intervals = opt.intervals;
+    jopts.mode = opt.mode;
+    jopts.faults = opt.faults;
+    jopts.check_invariants = opt.check_invariants;
+    jopts.coll_selector = selector;
     // Telemetry artifacts need the trace stream; the report and metrics also
     // aggregate the traffic matrix. Both stay off unless requested. The
     // analysis engine works entirely from the trace, so --analyze implies it.
-    ropts.enable_trace = !opt.trace_out.empty() || !opt.report_out.empty() ||
+    jopts.enable_trace = !opt.trace_out.empty() || !opt.report_out.empty() ||
                          !opt.metrics_out.empty() || opt.analyze;
-    ropts.enable_traffic = !opt.report_out.empty() || !opt.metrics_out.empty();
+    jopts.enable_traffic = !opt.report_out.empty() || !opt.metrics_out.empty();
+    jopts.sharing = opt.grouped ? xgyro::SharingPolicy::kGroupByFingerprint
+                                : xgyro::SharingPolicy::kSingleGroup;
+    jopts.cgyro_layout = !ensemble_mode;
+    jopts.checkpoint_dir = opt.checkpoint_dir;
+    jopts.checkpoint_every = opt.checkpoint_every;
+    jopts.resume = opt.resume;
+    jopts.max_recoveries = elastic ? opt.max_recoveries : 0;
     if (opt.faults.active()) {
       std::printf("%s\n", opt.faults.describe().c_str());
     }
 
-    mpi::RunResult result;
-    struct MemberReport {
-      std::string tag;
-      gyro::Diagnostics diag;
-    };
-    std::vector<MemberReport> reports;
-    std::mutex mu;
-
-    const bool elastic = !opt.checkpoint_dir.empty();
-    std::vector<campaign::RecoveryEvent> recoveries;
-    std::uint64_t snapshots_committed = 0, snapshots_rejected = 0;
-    net::MachineSpec final_machine = machine;
-
+    xgyro::EnsembleInput batch;
+    if (!opt.manifest.empty()) {
+      batch = manifest_ensemble;
+    } else if (ensemble_mode) {
+      batch = xgyro::EnsembleInput::load(opt.inputs, !opt.grouped);
+    } else {
+      batch.members.push_back(gyro::Input::load(opt.inputs.front()));
+    }
+    const char* mode_name = opt.mode == gyro::Mode::kReal ? "real" : "model";
     if (elastic) {
-      // Elastic path: single simulations and ensembles both run through the
-      // campaign executor, which snapshots periodically and replans/resumes
-      // on RankFailure or DeadlockError.
-      xgyro::EnsembleInput batch;
-      if (!opt.manifest.empty()) {
-        batch = manifest_ensemble;
-      } else if (ensemble_mode) {
-        batch = xgyro::EnsembleInput::load(opt.inputs, !opt.grouped);
-      } else {
-        batch.members.push_back(gyro::Input::load(opt.inputs.front()));
-      }
       std::printf("%s: %d member(s) x %d ranks on %d node(s), %s mode "
                   "(elastic checkpoints in %s)\n",
                   ensemble_mode ? "XGYRO" : "CGYRO", batch.n_sims(),
-                  ensemble_mode ? opt.ranks_per_sim : opt.ranks, nodes,
-                  opt.mode == gyro::Mode::kReal ? "real" : "model",
-                  opt.checkpoint_dir.c_str());
-
-      campaign::RecoveryOptions ropts_elastic;
-      ropts_elastic.checkpoint_dir = opt.checkpoint_dir;
-      ropts_elastic.checkpoint_every = opt.checkpoint_every;
-      ropts_elastic.max_recoveries = opt.max_recoveries;
-      ropts_elastic.resume = opt.resume;
-      ropts_elastic.faults = opt.faults;
-      ropts_elastic.check_invariants = opt.check_invariants;
-      ropts_elastic.enable_trace = ropts.enable_trace;
-      ropts_elastic.enable_traffic = ropts.enable_traffic;
-      ropts_elastic.coll_selector = selector;
-      ropts_elastic.sharing = opt.grouped
-                                  ? xgyro::SharingPolicy::kGroupByFingerprint
-                                  : xgyro::SharingPolicy::kSingleGroup;
-      ropts_elastic.cgyro_layout = !ensemble_mode;
-
-      const auto r = campaign::run_job_elastic(
-          batch, machine, ensemble_mode ? opt.ranks_per_sim : opt.ranks,
-          opt.intervals, opt.mode, ropts_elastic);
-      result = r.run;
-      final_machine = r.machine;
-      recoveries = r.recoveries;
-      snapshots_committed = r.snapshots_committed;
-      snapshots_rejected = r.snapshots_rejected;
-      for (int m = 0; m < batch.n_sims(); ++m) {
-        reports.push_back({batch.members[m].tag, r.diagnostics[m]});
-      }
+                  ranks_per_sim, nodes, mode_name, opt.checkpoint_dir.c_str());
     } else if (ensemble_mode) {
-      const auto ensemble =
-          !opt.manifest.empty()
-              ? manifest_ensemble
-              : xgyro::EnsembleInput::load(opt.inputs, !opt.grouped);
       std::printf("XGYRO: %d members x %d ranks on %d node(s), %s mode\n",
-                  ensemble.n_sims(), opt.ranks_per_sim, nodes,
-                  opt.mode == gyro::Mode::kReal ? "real" : "model");
-      const auto decomp = gyro::Decomposition::choose(
-          ensemble.members.front(), opt.ranks_per_sim, ensemble.n_sims());
-      reports.resize(static_cast<size_t>(ensemble.n_sims()));
-      result = mpi::run_simulation(machine, total_ranks, [&](mpi::Proc& p) {
-        xgyro::EnsembleDriver driver(
-            ensemble, decomp, p, opt.mode,
-            opt.grouped ? xgyro::SharingPolicy::kGroupByFingerprint
-                        : xgyro::SharingPolicy::kSingleGroup);
-        driver.initialize();
-        if (!opt.restart_read.empty()) {
-          gyro::read_restart(opt.restart_read, driver.simulation());
-        }
-        gyro::Diagnostics d;
-        for (int i = 0; i < opt.intervals; ++i) {
-          d = driver.advance_report_interval();
-        }
-        if (!opt.restart_write.empty()) {
-          gyro::write_restart(opt.restart_write, driver.simulation());
-        }
-        if (p.world_rank() % decomp.nranks() == 0) {
-          const std::scoped_lock lock(mu);
-          reports[driver.sim_index()] = {
-              ensemble.members[driver.sim_index()].tag, d};
-        }
-      }, ropts);
+                  batch.n_sims(), opt.ranks_per_sim, nodes, mode_name);
     } else {
-      const auto input = !opt.manifest.empty()
-                             ? manifest_ensemble.members.front()
-                             : gyro::Input::load(opt.inputs.front());
       std::printf("CGYRO: '%s' on %d ranks / %d node(s), %s mode\n",
-                  input.tag.c_str(), total_ranks, nodes,
-                  opt.mode == gyro::Mode::kReal ? "real" : "model");
-      const auto decomp = gyro::Decomposition::choose(input, total_ranks);
-      reports.resize(1);
-      result = mpi::run_simulation(machine, total_ranks, [&](mpi::Proc& p) {
-        auto layout = gyro::make_cgyro_layout(p.world(), decomp);
-        gyro::Simulation sim(input, decomp, std::move(layout), p, opt.mode);
-        sim.initialize();
-        if (!opt.restart_read.empty()) gyro::read_restart(opt.restart_read, sim);
-        gyro::Diagnostics d;
-        for (int i = 0; i < opt.intervals; ++i) {
-          d = sim.advance_report_interval();
-        }
-        if (!opt.restart_write.empty()) gyro::write_restart(opt.restart_write, sim);
-        if (p.world_rank() == 0) {
-          const std::scoped_lock lock(mu);
-          reports[0] = {input.tag, d};
-        }
-      }, ropts);
+                  batch.members.front().tag.c_str(), total_ranks, nodes,
+                  mode_name);
     }
+
+    const auto job = xgyro::run_job(batch, machine, ranks_per_sim, jopts);
+    const mpi::RunResult& result = job.run;
 
     std::printf("\n%-16s %8s %10s %14s %14s\n", "member", "steps", "time",
                 "phi_rms", "flux_proxy");
-    for (const auto& r : reports) {
-      std::printf("%-16s %8d %10.3f %14.6e %14.6e\n", r.tag.c_str(),
-                  r.diag.steps, r.diag.time, r.diag.phi_rms,
-                  r.diag.flux_proxy);
+    for (int m = 0; m < batch.n_sims(); ++m) {
+      const gyro::Diagnostics& d = job.diagnostics[static_cast<size_t>(m)];
+      std::printf("%-16s %8d %10.3f %14.6e %14.6e\n",
+                  batch.members[static_cast<size_t>(m)].tag.c_str(), d.steps,
+                  d.time, d.phi_rms, d.flux_proxy);
     }
     std::printf("\n%s", gyro::format_timing(result, xgyro::solver_phases()).c_str());
 
@@ -503,11 +405,11 @@ int main(int argc, char** argv) {
       std::printf(
           "checkpointing: %llu snapshot(s) committed, %llu corrupt snapshot(s) "
           "skipped, %zu recovery event(s)\n",
-          static_cast<unsigned long long>(snapshots_committed),
-          static_cast<unsigned long long>(snapshots_rejected),
-          recoveries.size());
-      for (size_t i = 0; i < recoveries.size(); ++i) {
-        const auto& ev = recoveries[i];
+          static_cast<unsigned long long>(job.snapshots_committed),
+          static_cast<unsigned long long>(job.snapshots_rejected),
+          job.recoveries.size());
+      for (size_t i = 0; i < job.recoveries.size(); ++i) {
+        const auto& ev = job.recoveries[i];
         std::printf(
             "  recovery %zu: %s (rank %d at t=%.3e s, phase %s) -> resumed "
             "at interval %lld on %d node(s), %d ranks/sim\n",
@@ -547,17 +449,12 @@ int main(int argc, char** argv) {
       // Replay the closed-form prediction for the *initial* configuration;
       // an elastic run that replanned onto a different layout is expected
       // to diverge from it.
-      const gyro::Input analysis_input =
-          !opt.manifest.empty() ? manifest_ensemble.members.front()
-                                : gyro::Input::load(opt.inputs.front());
-      const int k = ensemble_mode ? n_members : 1;
-      const int ranks_per_sim = ensemble_mode ? opt.ranks_per_sim : opt.ranks;
+      const gyro::Input& analysis_input = batch.members.front();
       const auto analysis_decomp =
-          ensemble_mode
-              ? gyro::Decomposition::choose(analysis_input, ranks_per_sim, k)
-              : gyro::Decomposition::choose(analysis_input, ranks_per_sim);
+          gyro::Decomposition::choose(analysis_input, ranks_per_sim, n_members);
       const analysis::DivergenceReport div = analysis::check_divergence(
-          result, analysis_input, analysis_decomp, k, machine, opt.intervals,
+          result, analysis_input, analysis_decomp, n_members, machine,
+          opt.intervals,
           opt.perfmodel_tol, analysis::kDefaultSignificanceFrac,
           selector.get());
       std::printf("\n%s", analysis::format_divergence(div).c_str());
@@ -577,7 +474,7 @@ int main(int argc, char** argv) {
                   opt.trace_out.c_str());
     }
     if (!opt.report_out.empty() || !opt.metrics_out.empty()) {
-      const net::Placement placement(final_machine);
+      const net::Placement placement(job.machine);
       telemetry::MetricsRegistry registry =
           telemetry::collect_run_metrics(result, placement);
       if (opt.analyze) analysis::record_waitwork_metrics(waitwork, registry);
@@ -601,9 +498,9 @@ int main(int argc, char** argv) {
         }
         if (elastic) {
           report.have_recovery = true;
-          report.snapshots_committed = snapshots_committed;
-          report.snapshots_rejected = snapshots_rejected;
-          for (const auto& ev : recoveries) {
+          report.snapshots_committed = job.snapshots_committed;
+          report.snapshots_rejected = job.snapshots_rejected;
+          for (const auto& ev : job.recoveries) {
             telemetry::RunReport::RecoveryRecord rec;
             rec.kind = ev.kind;
             rec.world_rank = ev.world_rank;
@@ -634,25 +531,13 @@ int main(int argc, char** argv) {
           opt.perfmodel_tol));
     }
     return 0;
-  } catch (const campaign::JobAborted& e) {
-    std::fprintf(stderr, "xgyro_cli: elastic job aborted (%s)\n",
-                 e.kind().c_str());
+  } catch (const xgyro::JobAborted& e) {
+    std::fprintf(stderr, "xgyro_cli: job aborted (%s)\n", e.kind().c_str());
     std::fprintf(stderr, "  reason : %s\n", e.reason().c_str());
-    std::fprintf(stderr, "  rank   : %d\n", e.world_rank());
-    std::fprintf(stderr, "  vtime  : %.9e s\n", e.virtual_time_s());
-    std::fprintf(stderr, "  detail : %s\n", e.what());
-    return 2;
-  } catch (const mpi::RankFailure& e) {
-    std::fprintf(stderr, "xgyro_cli: structured rank failure\n");
     std::fprintf(stderr, "  rank   : %d\n", e.world_rank());
     std::fprintf(stderr, "  vtime  : %.9e s\n", e.virtual_time_s());
     std::fprintf(stderr, "  phase  : %s\n", e.phase().c_str());
     std::fprintf(stderr, "  detail : %s\n", e.what());
-    return 2;
-  } catch (const mpi::DeadlockError& e) {
-    std::fprintf(stderr, "xgyro_cli: deadlock report (%zu blocked rank(s))\n",
-                 e.blocked().size());
-    std::fprintf(stderr, "%s\n", e.what());
     return 2;
   } catch (const Error& e) {
     std::fprintf(stderr, "xgyro_cli: %s\n", e.what());

@@ -156,7 +156,6 @@ expect_error "malformed trailing"    --input x --ranks 4x
 expect_error "input+ensemble"        --input x --ensemble y
 expect_error "resume w/o ckpt dir"   --input x --resume
 expect_error "ckpt in model mode"    --input x --checkpoint-dir d --mode model
-expect_error "ckpt+legacy restart"   --input x --checkpoint-dir d --restart-read r
 expect_error "unknown flag"          --input x --bogus
 expect_error "bad intervals"         --input x --intervals 0
 expect_error "tol w/o perfmodel"     --input x --perfmodel-tol 3.0

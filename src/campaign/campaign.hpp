@@ -17,6 +17,7 @@
 #include "gyro/simulation.hpp"
 #include "simnet/machine.hpp"
 #include "util/error.hpp"
+#include "xgyro/driver.hpp"
 #include "xgyro/ensemble.hpp"
 
 namespace xg::campaign {
@@ -93,18 +94,8 @@ struct MemberResult {
   gyro::Diagnostics diagnostics;
 };
 
-/// One successful recovery of the elastic executor: what failed, where the
-/// run resumed from, and how the allocation/decomposition changed.
-struct RecoveryEvent {
-  std::string kind;             ///< "rank_failure" or "deadlock"
-  int job = -1;                 ///< campaign job index (-1 standalone)
-  int world_rank = -1;          ///< failed rank (rank_failure only)
-  double virtual_time_s = 0.0;  ///< virtual time of the failure
-  std::string phase;            ///< solver phase at failure
-  std::int64_t resumed_interval = 0;  ///< 0 = restarted from scratch
-  int nodes_before = 0, nodes_after = 0;
-  int ranks_per_sim_before = 0, ranks_per_sim_after = 0;
-};
+using xgyro::JobAborted;
+using xgyro::RecoveryEvent;
 
 /// One job the elastic executor gave up on: the terminal failure after the
 /// recovery budget ran out (or the surviving allocation could no longer
@@ -124,7 +115,7 @@ struct CampaignResult {
   std::vector<mpi::RunResult> job_runs;  ///< one DES result per completed job
   std::vector<MemberResult> members;     ///< diagnostics per completed member
 
-  // Elastic-executor accounting (empty/zero under plain run_campaign).
+  // Elastic-executor accounting (empty/zero for a fault-free campaign).
   std::vector<RecoveryEvent> recoveries;
   std::vector<JobFailure> failures;      ///< jobs the executor gave up on
   std::uint64_t snapshots_committed = 0;
@@ -138,106 +129,35 @@ struct CampaignResult {
   [[nodiscard]] double total_report_seconds() const;
 };
 
-/// Execute a plan job by job on the simulated machine.
-CampaignResult run_campaign(const CampaignSpec& spec, const CampaignPlan& plan,
-                            gyro::Mode mode);
-
-/// Knobs of the elastic executor (run_job_elastic / run_campaign_elastic).
-struct RecoveryOptions {
-  /// Snapshot directory; empty disables checkpointing (recovery then
-  /// restarts the job from scratch). run_campaign_elastic nests per-job
-  /// snapshots under <checkpoint_dir>/job-<j>.
-  std::string checkpoint_dir;
-  int checkpoint_every = 1;  ///< report intervals between snapshots
-  /// Recoveries allowed per job before the failure is rethrown. 0 makes
-  /// the elastic executor behave exactly like the plain one.
-  int max_recoveries = 3;
-  /// Restore from the newest valid snapshot before the first attempt (the
-  /// CLI --resume flag); recovery attempts always resume when they can.
-  bool resume = false;
-  mpi::FaultPlan faults;
-  bool check_invariants = true;
-  bool enable_trace = false;
-  bool enable_traffic = false;
-  /// Collective decision table for every attempt (nullptr = built-in tuned).
-  std::shared_ptr<const mpi::CollSelector> coll_selector;
-  xgyro::SharingPolicy sharing = xgyro::SharingPolicy::kSingleGroup;
-  /// Single-member jobs only: run the classic CGYRO layout instead of a
-  /// k = 1 ensemble layout (what xgyro_cli uses for --input runs).
-  bool cgyro_layout = false;
+/// Options of the elastic executor: the job runner's options with three
+/// recoveries allowed per job. n_report_intervals and mode are ignored —
+/// run_job_elastic takes them as arguments, run_campaign_elastic from the
+/// spec. run_campaign_elastic nests per-job snapshots under
+/// <checkpoint_dir>/job-<j>.
+struct RecoveryOptions : xgyro::JobOptions {
+  RecoveryOptions() { max_recoveries = 3; }
 };
 
-/// Structured terminal failure of the elastic executor: thrown when the
-/// recovery budget is exhausted or the surviving allocation cannot host the
-/// job. Carries the partial accounting (recoveries that DID succeed,
-/// snapshot counters) so callers can fold a failed job into a partial
-/// CampaignResult instead of losing the history with a bare rethrow.
-class JobAborted : public Error {
- public:
-  JobAborted(std::string kind, std::string reason, int world_rank,
-             double virtual_time_s, std::string phase,
-             std::vector<RecoveryEvent> recoveries,
-             std::uint64_t snapshots_committed,
-             std::uint64_t snapshots_rejected);
-
-  [[nodiscard]] const std::string& kind() const { return kind_; }
-  [[nodiscard]] const std::string& reason() const { return reason_; }
-  [[nodiscard]] int world_rank() const { return world_rank_; }
-  [[nodiscard]] double virtual_time_s() const { return virtual_time_s_; }
-  [[nodiscard]] const std::string& phase() const { return phase_; }
-  [[nodiscard]] const std::vector<RecoveryEvent>& recoveries() const {
-    return recoveries_;
-  }
-  [[nodiscard]] std::uint64_t snapshots_committed() const {
-    return snapshots_committed_;
-  }
-  [[nodiscard]] std::uint64_t snapshots_rejected() const {
-    return snapshots_rejected_;
-  }
-
- private:
-  std::string kind_;
-  std::string reason_;
-  int world_rank_;
-  double virtual_time_s_;
-  std::string phase_;
-  std::vector<RecoveryEvent> recoveries_;
-  std::uint64_t snapshots_committed_;
-  std::uint64_t snapshots_rejected_;
-};
-
-struct ElasticJobResult {
-  mpi::RunResult run;  ///< the final (successful) attempt
-  std::vector<gyro::Diagnostics> diagnostics;  ///< per batch member
-  std::vector<RecoveryEvent> recoveries;
-  std::uint64_t snapshots_committed = 0;
-  std::uint64_t snapshots_rejected = 0;
-  net::MachineSpec machine;  ///< surviving allocation of the final attempt
-  int ranks_per_sim = 0;     ///< decomposition of the final attempt
-};
-
-/// Run one job with elastic recovery: on RankFailure the failed rank's node
-/// is dropped from the allocation, the decomposition is replanned for the
-/// survivors (keeping the current ranks-per-sim when it still fits), the
-/// fired rank's kill clauses are stripped from the fault plan (kills armed
-/// for other ranks stay live and can fire in later attempts), and the job
-/// resumes from the newest valid snapshot (or from scratch without
-/// checkpointing). DeadlockError retries on the same allocation. After
-/// max_recoveries failures — or when the survivors cannot host the job —
-/// a JobAborted carrying the partial accounting is thrown.
-ElasticJobResult run_job_elastic(const xgyro::EnsembleInput& batch,
+/// xgyro::run_job with the interval count and mode given explicitly.
+xgyro::JobResult run_job_elastic(const xgyro::EnsembleInput& batch,
                                  const net::MachineSpec& machine,
                                  int ranks_per_sim, int n_report_intervals,
                                  gyro::Mode mode,
                                  const RecoveryOptions& opts = {});
 
-/// run_campaign with per-job elastic recovery; recovery events and snapshot
-/// counters are aggregated into the CampaignResult. A job the executor
+/// Execute a plan job by job on the simulated machine, each job through
+/// run_job_elastic; recovery events and snapshot counters are aggregated
+/// into the CampaignResult. A job the executor
 /// gives up on (JobAborted) is recorded as a JobFailure — its recovery
 /// history is kept and the remaining jobs still run, so the caller gets a
 /// partial CampaignResult (check complete()) instead of a bare throw.
 CampaignResult run_campaign_elastic(const CampaignSpec& spec,
                                     const CampaignPlan& plan, gyro::Mode mode,
                                     const RecoveryOptions& opts);
+
+/// run_campaign_elastic with default options: no faults, so no recovery is
+/// ever needed.
+CampaignResult run_campaign(const CampaignSpec& spec, const CampaignPlan& plan,
+                            gyro::Mode mode);
 
 }  // namespace xg::campaign

@@ -205,7 +205,7 @@ struct JobState {
   bool slice_ok = false;
   int slice_target = 0;
   int nodes_held = 0;
-  ElasticJobResult slice;
+  xgyro::JobResult slice;
   std::string slice_error;
   std::vector<RecoveryEvent> abort_recoveries;
   std::uint64_t abort_snapshots_committed = 0;
@@ -950,7 +950,7 @@ struct Engine {
       // integrates, and the sampled audits keep that claim honest.
       duration =
           js.rec.predicted_seconds * (js.slice_target - js.intervals_done);
-      ElasticJobResult r;
+      xgyro::JobResult r;
       r.machine = js.machine;
       r.ranks_per_sim = js.rec.ranks_per_sim;
       r.run.makespan_s = duration;
@@ -972,7 +972,7 @@ struct Engine {
       ro.sharing = xgyro::SharingPolicy::kSingleGroup;
 
       try {
-        ElasticJobResult r =
+        xgyro::JobResult r =
             run_job_elastic(js.batch, js.machine, js.rec.ranks_per_sim,
                             js.slice_target, cfg.mode, ro);
         duration = r.run.makespan_s;
@@ -1076,7 +1076,7 @@ struct Engine {
       return;
     }
 
-    ElasticJobResult& r = js.slice;
+    xgyro::JobResult& r = js.slice;
     const int lost = js.nodes_held - r.machine.n_nodes;
     cluster_nodes -= lost;
     js.machine = r.machine;

@@ -1,10 +1,10 @@
 // Elastic checkpoint/restart for solver state.
 //
-// The existing gyro/restart.hpp files are decomposition-SPECIFIC (one file
-// per sim rank, readable only by the identical (pv, pt) layout), which is
-// exactly what makes them useless for recovery: after a node failure the
-// surviving allocation usually cannot reproduce the original layout. The
-// snapshots written here are decomposition-INDEPENDENT — every shard
+// Recovery needs snapshots that do not depend on the decomposition: after a
+// node failure the surviving allocation usually cannot reproduce the
+// original (pv, pt) layout, so one file per sim rank readable only by the
+// identical layout would be useless. The snapshots written here are
+// decomposition-INDEPENDENT — every shard
 // carries the *global* index ranges it covers, and the reader assembles any
 // target rank's slice from whichever shards overlap it — so a job
 // checkpointed on k·pv·pt ranks can resume on a different rank count, a

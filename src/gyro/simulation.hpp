@@ -100,14 +100,13 @@ class Simulation {
   /// This rank's cmat slice (valid after initialize()).
   [[nodiscard]] const collision::CollisionTensor& cmat() const { return *cmat_; }
 
-  // --- restart support (see gyro/restart.hpp) -------------------------------
+  // --- checkpoint support (see checkpoint/checkpoint.hpp) -------------------
   /// Raw view of this rank's state slice in the streaming layout. Real mode
-  /// only (model mode carries no data). Used by the restart reader/writer.
+  /// only (model mode carries no data). Used by the snapshot reader/writer.
   [[nodiscard]] std::span<const cplx> state_data() const { return h_.data(); }
   [[nodiscard]] std::span<cplx> state_data_mutable() { return h_.data(); }
   /// Restore the step counter when resuming from a checkpoint.
   void set_steps_taken(int steps) { steps_ = steps; }
-  [[nodiscard]] int share_index() const { return comms_.share_index; }
   [[nodiscard]] int sim_rank() const { return comms_.sim.rank(); }
   /// Global index of this rank's first velocity row / toroidal column —
   /// the slice coordinates the elastic checkpoint layer records so state

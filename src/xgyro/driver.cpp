@@ -1,42 +1,70 @@
 #include "xgyro/driver.hpp"
 
+#include <algorithm>
 #include <memory>
+#include <mutex>
 #include <optional>
 
 #include "checkpoint/checkpoint.hpp"
+#include "cluster/memory.hpp"
 #include "util/error.hpp"
+#include "util/format.hpp"
 
 namespace xg::xgyro {
 
+std::optional<gyro::Decomposition> fit_decomposition(
+    const gyro::Input& input, const net::MachineSpec& machine, int k,
+    int ranks_per_sim) {
+  if (ranks_per_sim < 1 || k * ranks_per_sim > machine.total_ranks()) {
+    return std::nullopt;
+  }
+  gyro::Decomposition d;
+  try {
+    d = gyro::Decomposition::choose(input, ranks_per_sim, k);
+  } catch (const Error&) {
+    return std::nullopt;
+  }
+  const auto fit = cluster::check_fit(
+      gyro::Simulation::memory_inventory(input, d, k), machine);
+  if (!fit.fits) return std::nullopt;
+  return d;
+}
+
 namespace {
 
-/// Shared setup for the periodic-snapshot hooks of both job runners: open
-/// the writer, and when resuming locate + parse the newest valid snapshot.
-struct CheckpointHooks {
-  std::unique_ptr<ckpt::CheckpointWriter> writer;
-  std::optional<ckpt::SnapshotRef> snapshot;
-  ckpt::Manifest manifest;
-  std::int64_t start_interval = 0;
-
-  CheckpointHooks(const JobOptions& options, int nranks, int n_intervals) {
-    if (options.checkpoint_dir.empty()) return;
-    XG_REQUIRE(options.mode == gyro::Mode::kReal,
-               "checkpointing requires real mode");
-    XG_REQUIRE(options.checkpoint_every >= 1,
-               "checkpoint_every must be >= 1");
-    writer = std::make_unique<ckpt::CheckpointWriter>(options.checkpoint_dir,
-                                                      nranks);
-    if (!options.resume) return;
-    const auto scan = ckpt::find_latest_valid(options.checkpoint_dir);
-    if (!scan.latest_valid.has_value()) return;
-    snapshot = scan.latest_valid;
-    manifest = ckpt::load_manifest(snapshot->path);
-    start_interval = manifest.interval < n_intervals ? manifest.interval
-                                                     : n_intervals;
+/// Largest feasible ranks-per-sim on the (possibly shrunken) machine, never
+/// growing past `current` — keeping the decomposition unchanged when it
+/// still fits preserves bit-identical physics across the recovery.
+int replan_ranks_per_sim(const gyro::Input& input,
+                         const net::MachineSpec& machine, int k, int current) {
+  const int cap = std::min(current, machine.total_ranks() / k);
+  for (int rps = cap; rps >= 1; --rps) {
+    if (fit_decomposition(input, machine, k, rps)) return rps;
   }
-};
+  return 0;
+}
 
 }  // namespace
+
+JobAborted::JobAborted(std::string kind, std::string reason, int world_rank,
+                       double virtual_time_s, std::string phase,
+                       std::vector<RecoveryEvent> recoveries,
+                       std::uint64_t snapshots_committed,
+                       std::uint64_t snapshots_rejected)
+    : Error(strprintf(
+          "JobAborted: %s at virtual t=%.9e s in phase '%s' (rank %d) — %s "
+          "after %zu successful recover%s",
+          kind.c_str(), virtual_time_s, phase.c_str(), world_rank,
+          reason.c_str(), recoveries.size(),
+          recoveries.size() == 1 ? "y" : "ies")),
+      kind_(std::move(kind)),
+      reason_(std::move(reason)),
+      world_rank_(world_rank),
+      virtual_time_s_(virtual_time_s),
+      phase_(std::move(phase)),
+      recoveries_(std::move(recoveries)),
+      snapshots_committed_(snapshots_committed),
+      snapshots_rejected_(snapshots_rejected) {}
 
 const std::vector<std::string>& solver_phases() {
   static const std::vector<std::string> kPhases{
@@ -44,80 +72,185 @@ const std::vector<std::string>& solver_phases() {
   return kPhases;
 }
 
-mpi::RunResult run_cgyro_job(const gyro::Input& input,
-                             const net::MachineSpec& machine, int nranks,
-                             const JobOptions& options) {
-  const auto decomp = gyro::Decomposition::choose(input, nranks);
+JobResult run_job(const EnsembleInput& batch, const net::MachineSpec& machine,
+                  int ranks_per_sim, const JobOptions& options) {
+  const int k = batch.n_sims();
+  const int n_intervals = options.n_report_intervals;
+  XG_REQUIRE(k >= 1, "run_job: empty batch");
+  XG_REQUIRE(n_intervals >= 1, "run_job: need at least one report interval");
+  XG_REQUIRE(options.checkpoint_every >= 1,
+             "run_job: checkpoint_every must be >= 1");
+  XG_REQUIRE(!options.cgyro_layout || k == 1,
+             "run_job: cgyro_layout needs a single-member batch");
+  const bool ckpt_enabled = !options.checkpoint_dir.empty();
+  if (ckpt_enabled) {
+    XG_REQUIRE(options.mode == gyro::Mode::kReal,
+               "run_job: checkpointing requires real mode");
+  }
+
+  JobResult out;
+  out.machine = machine;
+  out.ranks_per_sim = ranks_per_sim;
   mpi::RuntimeOptions ropts;
   ropts.enable_trace = options.enable_trace;
   ropts.enable_traffic = options.enable_traffic;
   ropts.faults = options.faults;
   ropts.check_invariants = options.check_invariants;
   ropts.coll_selector = options.coll_selector;
-  CheckpointHooks hooks(options, nranks, options.n_report_intervals);
-  return mpi::run_simulation(
-      machine, nranks,
-      [&](mpi::Proc& proc) {
-        mpi::ScopedSpan job_span(proc, "cgyro.job");
-        auto layout = gyro::make_cgyro_layout(proc.world(), decomp);
-        gyro::Simulation sim(input, decomp, std::move(layout), proc,
-                             options.mode);
-        sim.initialize();
-        if (hooks.snapshot.has_value()) {
-          mpi::ScopedSpan span(proc, "checkpoint.restore");
-          ckpt::restore_rank(hooks.snapshot->path, hooks.manifest, sim, 0);
-        }
-        for (std::int64_t i = hooks.start_interval;
-             i < options.n_report_intervals; ++i) {
-          sim.advance_report_interval();
-          if (hooks.writer != nullptr &&
-              ((i + 1) % options.checkpoint_every == 0 ||
-               i + 1 == options.n_report_intervals)) {
-            mpi::ScopedSpan span(proc, "checkpoint.write");
-            ckpt::snapshot_rank(*hooks.writer, i + 1, sim, 0);
-          }
-        }
-      },
-      ropts);
+  bool resume = options.resume && ckpt_enabled;
+  int recoveries_left = options.max_recoveries;
+  bool just_recovered = false;
+
+  for (;;) {
+    // n_sims_sharing = k for the ensemble layout; the classic CGYRO layout
+    // has no ensemble-wide collision communicator.
+    const auto decomp = gyro::Decomposition::choose(
+        batch.members.front(), out.ranks_per_sim,
+        options.cgyro_layout ? 1 : k);
+    const int nranks = k * out.ranks_per_sim;
+
+    std::unique_ptr<ckpt::CheckpointWriter> writer;
+    if (ckpt_enabled) {
+      writer = std::make_unique<ckpt::CheckpointWriter>(options.checkpoint_dir,
+                                                        nranks);
+    }
+    std::optional<ckpt::SnapshotRef> snapshot;
+    ckpt::Manifest manifest;
+    std::int64_t start_interval = 0;
+    if (resume) {
+      auto scan = ckpt::find_latest_valid(options.checkpoint_dir);
+      out.snapshots_rejected += scan.rejected.size();
+      if (scan.latest_valid.has_value()) {
+        snapshot = scan.latest_valid;
+        manifest = ckpt::load_manifest(snapshot->path);
+        start_interval = std::min<std::int64_t>(manifest.interval, n_intervals);
+      }
+    }
+    if (just_recovered) {
+      out.recoveries.back().resumed_interval = start_interval;
+      just_recovered = false;
+    }
+
+    std::vector<gyro::Diagnostics> diags(static_cast<size_t>(k));
+    std::mutex mu;
+    RecoveryEvent ev;  // stays empty when the attempt completes
+    try {
+      out.run = mpi::run_simulation(
+          out.machine, nranks,
+          [&](mpi::Proc& proc) {
+            mpi::ScopedSpan job_span(
+                proc, options.cgyro_layout ? "cgyro.job" : "xgyro.job");
+            std::optional<gyro::Simulation> cg_sim;
+            std::optional<EnsembleDriver> driver;
+            gyro::Simulation* sim = nullptr;
+            int member = 0;
+            if (options.cgyro_layout) {
+              cg_sim.emplace(batch.members.front(), decomp,
+                             gyro::make_cgyro_layout(proc.world(), decomp),
+                             proc, options.mode);
+              cg_sim->initialize();
+              sim = &*cg_sim;
+            } else {
+              driver.emplace(batch, decomp, proc, options.mode,
+                             options.sharing);
+              driver->initialize();
+              sim = &driver->simulation();
+              member = driver->sim_index();
+            }
+            if (snapshot.has_value()) {
+              mpi::ScopedSpan span(proc, "checkpoint.restore");
+              ckpt::restore_rank(snapshot->path, manifest, *sim, member);
+            }
+            gyro::Diagnostics d;
+            if (start_interval >= n_intervals) {
+              // The snapshot already covers the whole run; recompute the
+              // reporting diagnostics from the restored state.
+              d = sim->diagnostics();
+            }
+            for (std::int64_t i = start_interval; i < n_intervals; ++i) {
+              d = driver ? driver->advance_report_interval()
+                         : sim->advance_report_interval();
+              if (writer != nullptr &&
+                  ((i + 1) % options.checkpoint_every == 0 ||
+                   i + 1 == n_intervals)) {
+                mpi::ScopedSpan span(proc, "checkpoint.write");
+                ckpt::snapshot_rank(*writer, i + 1, *sim, member);
+              }
+            }
+            if (proc.world_rank() % decomp.nranks() == 0) {
+              const std::scoped_lock lock(mu);
+              diags[static_cast<size_t>(member)] = d;
+            }
+          },
+          ropts);
+    } catch (const mpi::RankFailure& e) {
+      ev.kind = "rank_failure";
+      ev.world_rank = e.world_rank();
+      ev.virtual_time_s = e.virtual_time_s();
+      ev.phase = e.phase();
+    } catch (const mpi::DeadlockError& e) {
+      ev.kind = "deadlock";
+      if (!e.blocked().empty()) {
+        const mpi::BlockedRankInfo& first = e.blocked().front();
+        ev.world_rank = first.world_rank;
+        ev.virtual_time_s = first.virtual_time_s;
+        ev.phase = first.phase;
+      }
+    }
+    if (writer != nullptr) {
+      out.snapshots_committed += writer->snapshots_committed();
+    }
+    if (ev.kind.empty()) {
+      out.diagnostics = std::move(diags);
+      return out;
+    }
+
+    const auto abort = [&](const char* reason) {
+      return JobAborted(ev.kind, reason, ev.world_rank, ev.virtual_time_s,
+                        ev.phase, std::move(out.recoveries),
+                        out.snapshots_committed, out.snapshots_rejected);
+    };
+    if (recoveries_left-- <= 0) throw abort("recovery budget exhausted");
+    ev.nodes_before = ev.nodes_after = out.machine.n_nodes;
+    ev.ranks_per_sim_before = ev.ranks_per_sim_after = out.ranks_per_sim;
+    if (ev.kind == "rank_failure") {
+      // The failed rank takes its node down with it; the simulated machine
+      // is homogeneous, so the surviving allocation is one node smaller.
+      if (out.machine.n_nodes <= 1) throw abort("no surviving nodes");
+      out.machine.n_nodes -= 1;
+      const int new_rps = replan_ranks_per_sim(
+          batch.members.front(), out.machine, k, out.ranks_per_sim);
+      if (new_rps == 0) {
+        throw abort("survivors cannot host the decomposition");
+      }
+      out.ranks_per_sim = new_rps;
+      ev.nodes_after = out.machine.n_nodes;
+      ev.ranks_per_sim_after = out.ranks_per_sim;
+      // Strip only the fired rank's kill clauses: kills armed for other
+      // ranks stay live, so multi-kill plans keep firing across attempts.
+      // Clauses aimed at ranks beyond the shrunken job are dropped.
+      ropts.faults = ropts.faults.without_kill(ev.world_rank)
+                         .pruned_to(k * out.ranks_per_sim);
+    }
+    // A deadlock retries on the same allocation.
+    out.recoveries.push_back(std::move(ev));
+    resume = ckpt_enabled;
+    just_recovered = true;
+  }
+}
+
+mpi::RunResult run_cgyro_job(const gyro::Input& input,
+                             const net::MachineSpec& machine, int nranks,
+                             const JobOptions& options) {
+  JobOptions cgyro = options;
+  cgyro.cgyro_layout = true;
+  return run_job(EnsembleInput{{input}}, machine, nranks, cgyro).run;
 }
 
 mpi::RunResult run_xgyro_job(const EnsembleInput& ensemble,
                              const net::MachineSpec& machine,
                              int ranks_per_sim, const JobOptions& options) {
-  const auto decomp = gyro::Decomposition::choose(
-      ensemble.members.front(), ranks_per_sim, ensemble.n_sims());
-  mpi::RuntimeOptions ropts;
-  ropts.enable_trace = options.enable_trace;
-  ropts.enable_traffic = options.enable_traffic;
-  ropts.faults = options.faults;
-  ropts.check_invariants = options.check_invariants;
-  ropts.coll_selector = options.coll_selector;
-  const int nranks = ensemble.n_sims() * ranks_per_sim;
-  CheckpointHooks hooks(options, nranks, options.n_report_intervals);
-  return mpi::run_simulation(
-      machine, nranks,
-      [&](mpi::Proc& proc) {
-        mpi::ScopedSpan job_span(proc, "xgyro.job");
-        EnsembleDriver driver(ensemble, decomp, proc, options.mode);
-        driver.initialize();
-        if (hooks.snapshot.has_value()) {
-          mpi::ScopedSpan span(proc, "checkpoint.restore");
-          ckpt::restore_rank(hooks.snapshot->path, hooks.manifest,
-                             driver.simulation(), driver.sim_index());
-        }
-        for (std::int64_t i = hooks.start_interval;
-             i < options.n_report_intervals; ++i) {
-          driver.advance_report_interval();
-          if (hooks.writer != nullptr &&
-              ((i + 1) % options.checkpoint_every == 0 ||
-               i + 1 == options.n_report_intervals)) {
-            mpi::ScopedSpan span(proc, "checkpoint.write");
-            ckpt::snapshot_rank(*hooks.writer, i + 1, driver.simulation(),
-                                driver.sim_index());
-          }
-        }
-      },
-      ropts);
+  return run_job(ensemble, machine, ranks_per_sim, options).run;
 }
 
 double report_step_seconds(const mpi::RunResult& result) {

@@ -1,12 +1,22 @@
-// Job-level drivers: run a CGYRO simulation or an XGYRO ensemble as one
-// simulated HPC job and return the timing/traffic result. These are the
-// entry points the benchmarks and examples use to reproduce the paper's
-// measurements.
+// The job runner: run a CGYRO simulation or an XGYRO ensemble as one
+// simulated HPC job and return the timing/traffic result. Every job in the
+// library — the CGYRO/XGYRO drivers, the campaign executor, the campaign
+// service and the CLI — goes through run_job, which owns the one rank body:
+// layout choice, snapshot restore, the report-interval loop, periodic
+// snapshots, per-member diagnostics, and elastic recovery from rank failures
+// and deadlocks.
 #pragma once
+
+#include <cstdint>
+#include <memory>
+#include <optional>
+#include <string>
+#include <vector>
 
 #include "gyro/simulation.hpp"
 #include "simmpi/runtime.hpp"
 #include "simnet/machine.hpp"
+#include "util/error.hpp"
 #include "xgyro/ensemble.hpp"
 
 namespace xg::xgyro {
@@ -21,21 +31,113 @@ struct JobOptions {
   mpi::FaultPlan faults;
   /// Per-collective invariant checking (member agreement); on by default.
   bool check_invariants = true;
-  /// Periodic elastic snapshots (see src/checkpoint): empty disables. Real
-  /// mode only — model mode carries no restorable state.
-  std::string checkpoint_dir;
-  /// Report intervals between snapshots (the final interval is always
-  /// snapshotted so a completed job leaves a resumable image).
-  int checkpoint_every = 1;
-  /// Restore from the latest valid snapshot in checkpoint_dir before
-  /// stepping; already-completed intervals are skipped.
-  bool resume = false;
   /// Collective algorithm decision table consulted by every collective
   /// entered with CollAlg::kAuto (nullptr = built-in tuned table). Use
   /// mpi::CollSelector::legacy() for the pre-selector ablation baseline, or
   /// a table loaded via telemetry::load_coll_table.
   std::shared_ptr<const mpi::CollSelector> coll_selector;
+  /// How ensemble members map onto shared tensors.
+  SharingPolicy sharing = SharingPolicy::kSingleGroup;
+  /// Single-member jobs only: run the classic CGYRO layout instead of a
+  /// k = 1 ensemble layout.
+  bool cgyro_layout = false;
+  /// Periodic elastic snapshots (see src/checkpoint): empty disables. Real
+  /// mode only — model mode carries no restorable state. Without snapshots
+  /// a recovery restarts the job from scratch.
+  std::string checkpoint_dir;
+  /// Report intervals between snapshots (the final interval is always
+  /// snapshotted so a completed job leaves a resumable image).
+  int checkpoint_every = 1;
+  /// Restore from the latest valid snapshot in checkpoint_dir before the
+  /// first attempt; already-completed intervals are skipped. Recovery
+  /// attempts always resume when they can.
+  bool resume = false;
+  /// Recoveries allowed before a RankFailure or DeadlockError ends the job
+  /// as a JobAborted. 0 = the first failure aborts.
+  int max_recoveries = 0;
 };
+
+/// One successful recovery of the runner: what failed, where the run
+/// resumed from, and how the allocation/decomposition changed.
+struct RecoveryEvent {
+  std::string kind;             ///< "rank_failure" or "deadlock"
+  int job = -1;                 ///< campaign job index (-1 standalone)
+  int world_rank = -1;          ///< failed rank (rank_failure only)
+  double virtual_time_s = 0.0;  ///< virtual time of the failure
+  std::string phase;            ///< solver phase at failure
+  std::int64_t resumed_interval = 0;  ///< 0 = restarted from scratch
+  int nodes_before = 0, nodes_after = 0;
+  int ranks_per_sim_before = 0, ranks_per_sim_after = 0;
+};
+
+/// Structured terminal failure of a job: thrown when the recovery budget is
+/// exhausted or the surviving allocation cannot host the job. Carries the
+/// partial accounting (recoveries that DID succeed, snapshot counters) so
+/// callers can fold a failed job into a partial result instead of losing
+/// the history with a bare rethrow.
+class JobAborted : public Error {
+ public:
+  JobAborted(std::string kind, std::string reason, int world_rank,
+             double virtual_time_s, std::string phase,
+             std::vector<RecoveryEvent> recoveries,
+             std::uint64_t snapshots_committed,
+             std::uint64_t snapshots_rejected);
+
+  [[nodiscard]] const std::string& kind() const { return kind_; }
+  [[nodiscard]] const std::string& reason() const { return reason_; }
+  [[nodiscard]] int world_rank() const { return world_rank_; }
+  [[nodiscard]] double virtual_time_s() const { return virtual_time_s_; }
+  [[nodiscard]] const std::string& phase() const { return phase_; }
+  [[nodiscard]] const std::vector<RecoveryEvent>& recoveries() const {
+    return recoveries_;
+  }
+  [[nodiscard]] std::uint64_t snapshots_committed() const {
+    return snapshots_committed_;
+  }
+  [[nodiscard]] std::uint64_t snapshots_rejected() const {
+    return snapshots_rejected_;
+  }
+
+ private:
+  std::string kind_;
+  std::string reason_;
+  int world_rank_;
+  double virtual_time_s_;
+  std::string phase_;
+  std::vector<RecoveryEvent> recoveries_;
+  std::uint64_t snapshots_committed_;
+  std::uint64_t snapshots_rejected_;
+};
+
+struct JobResult {
+  mpi::RunResult run;  ///< the final (successful) attempt
+  std::vector<gyro::Diagnostics> diagnostics;  ///< per batch member
+  std::vector<RecoveryEvent> recoveries;
+  std::uint64_t snapshots_committed = 0;
+  std::uint64_t snapshots_rejected = 0;
+  net::MachineSpec machine;  ///< surviving allocation of the final attempt
+  int ranks_per_sim = 0;     ///< decomposition of the final attempt
+};
+
+/// Run `batch` as one job of k·ranks_per_sim ranks on `machine`.
+///
+/// On RankFailure the failed rank's node is dropped from the allocation,
+/// the decomposition is replanned for the survivors (keeping the current
+/// ranks-per-sim when it still fits), the fired rank's kill clauses are
+/// stripped from the fault plan (kills armed for other ranks stay live and
+/// can fire in later attempts), and the job resumes from the newest valid
+/// snapshot (or from scratch without checkpointing). DeadlockError retries
+/// on the same allocation. After max_recoveries failures — or when the
+/// survivors cannot host the job — a JobAborted is thrown.
+JobResult run_job(const EnsembleInput& batch, const net::MachineSpec& machine,
+                  int ranks_per_sim, const JobOptions& options = {});
+
+/// The decomposition of `k` members sharing cmat at `ranks_per_sim` ranks
+/// each on `machine`; nothing when the ranks do not fit, no (pv, pt) suits
+/// the grid, or the per-rank memory overflows.
+std::optional<gyro::Decomposition> fit_decomposition(
+    const gyro::Input& input, const net::MachineSpec& machine, int k,
+    int ranks_per_sim);
 
 /// One CGYRO job: a single simulation on `nranks` ranks of `machine`
 /// (paper baseline: each nl03c variant runs alone on all 32 nodes).

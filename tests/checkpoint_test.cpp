@@ -21,6 +21,7 @@
 #include "simmpi/runtime.hpp"
 #include "simnet/machine.hpp"
 #include "util/error.hpp"
+#include "xgyro/driver.hpp"
 #include "xgyro/ensemble.hpp"
 
 namespace xg::ckpt {
@@ -444,6 +445,34 @@ TEST(ElasticRecovery, ExhaustedRecoveriesRaiseStructuredAbort) {
     EXPECT_EQ(e.reason(), "recovery budget exhausted");
     EXPECT_EQ(e.world_rank(), 0);
     EXPECT_TRUE(e.recoveries().empty());  // budget was zero: nothing recovered
+  }
+}
+
+TEST(ElasticRecovery, CheckpointingRequiresRealMode) {
+  // Model mode carries no solver state, so there is nothing to snapshot.
+  const TempDir dir("elastic_model");
+  campaign::RecoveryOptions opts;
+  opts.checkpoint_dir = dir.path;
+  const xgyro::EnsembleInput batch{{Input::small_test(1)}};
+  EXPECT_THROW(campaign::run_job_elastic(batch, net::testbox(1, 2), 2, 1,
+                                         Mode::kModel, opts),
+               Error);
+}
+
+TEST(ElasticRecovery, PlainJobAbortsOnFirstKill) {
+  // The CGYRO/XGYRO job drivers allow no recovery: a kill ends the job as a
+  // JobAborted naming the rank, its virtual time and the solver phase.
+  xgyro::JobOptions opts;
+  opts.mode = Mode::kReal;
+  opts.faults.add_kill(1, 1e-9);
+  try {
+    xgyro::run_cgyro_job(Input::small_test(1), net::testbox(1, 2), 2, opts);
+    FAIL() << "expected JobAborted";
+  } catch (const xgyro::JobAborted& e) {
+    EXPECT_EQ(e.kind(), "rank_failure");
+    EXPECT_EQ(e.world_rank(), 1);
+    EXPECT_GT(e.virtual_time_s(), 0.0);
+    EXPECT_FALSE(e.phase().empty());
   }
 }
 

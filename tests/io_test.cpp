@@ -1,12 +1,11 @@
-// Restart (checkpoint) files and timing logs: round trips, continuation
-// equivalence, and corruption/compatibility rejection.
+// Timing logs, run metadata and input.xgyro manifests: round trips and
+// rejection of malformed files. Solver-state snapshots are covered by
+// checkpoint_test.
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <filesystem>
 #include <fstream>
 
-#include "gyro/restart.hpp"
 #include "gyro/run_info.hpp"
 #include "gyro/simulation.hpp"
 #include "gyro/timing_log.hpp"
@@ -20,168 +19,6 @@ Input test_input() {
   Input in = Input::small_test(2);
   in.n_steps_per_report = 5;
   return in;
-}
-
-/// Run `pre` steps, checkpoint, and return the state hash after `pre+post`.
-std::uint64_t run_with_checkpoint(const Input& in, int nranks,
-                                  const std::string& dir, int pre_intervals,
-                                  int post_intervals) {
-  const auto d = Decomposition::choose(in, nranks);
-  std::uint64_t hash = 0;
-  mpi::run_simulation(net::testbox(1, nranks), nranks, [&](mpi::Proc& p) {
-    auto layout = make_cgyro_layout(p.world(), d);
-    Simulation sim(in, d, std::move(layout), p, Mode::kReal);
-    sim.initialize();
-    for (int i = 0; i < pre_intervals; ++i) sim.advance_report_interval();
-    write_restart(dir, sim);
-    for (int i = 0; i < post_intervals; ++i) sim.advance_report_interval();
-    const auto h = sim.state_hash();
-    if (p.world_rank() == 0) hash = h;
-  });
-  return hash;
-}
-
-/// Resume from the checkpoint in `dir` and run `post` intervals.
-std::uint64_t run_resumed(const Input& in, int nranks, const std::string& dir,
-                          int post_intervals, int expect_steps) {
-  const auto d = Decomposition::choose(in, nranks);
-  std::uint64_t hash = 0;
-  mpi::run_simulation(net::testbox(1, nranks), nranks, [&](mpi::Proc& p) {
-    auto layout = make_cgyro_layout(p.world(), d);
-    Simulation sim(in, d, std::move(layout), p, Mode::kReal);
-    sim.initialize();
-    read_restart(dir, sim);
-    EXPECT_EQ(sim.steps_taken(), expect_steps);
-    for (int i = 0; i < post_intervals; ++i) sim.advance_report_interval();
-    const auto h = sim.state_hash();
-    if (p.world_rank() == 0) hash = h;
-  });
-  return hash;
-}
-
-class RestartRanks : public ::testing::TestWithParam<int> {};
-
-TEST_P(RestartRanks, ResumedRunIsBitIdenticalToUninterrupted) {
-  const int nranks = GetParam();
-  const Input in = test_input();
-  const std::string dir = ::testing::TempDir() + "xg_restart_" +
-                          std::to_string(nranks);
-  std::filesystem::create_directories(dir);
-  const auto direct = run_with_checkpoint(in, nranks, dir, 1, 1);
-  const auto resumed = run_resumed(in, nranks, dir, 1, in.n_steps_per_report);
-  EXPECT_EQ(resumed, direct);
-}
-
-INSTANTIATE_TEST_SUITE_P(Ranks, RestartRanks, ::testing::Values(1, 2, 4));
-
-TEST(Restart, LayoutMismatchRejected) {
-  const Input in = test_input();
-  const std::string dir = ::testing::TempDir() + "xg_restart_layout";
-  std::filesystem::create_directories(dir);
-  run_with_checkpoint(in, 1, dir, 0, 0);
-  // Same input, different decomposition: restart files are per-layout.
-  const auto d = Decomposition::choose(in, 2);
-  EXPECT_THROW(
-      mpi::run_simulation(net::testbox(1, 2), 2,
-                          [&](mpi::Proc& p) {
-                            auto layout = make_cgyro_layout(p.world(), d);
-                            Simulation sim(in, d, std::move(layout), p,
-                                           Mode::kReal);
-                            sim.initialize();
-                            read_restart(dir, sim);
-                          }),
-      Error);
-}
-
-TEST(Restart, PhysicsMismatchRejected) {
-  const Input in = test_input();
-  const std::string dir = ::testing::TempDir() + "xg_restart_phys";
-  std::filesystem::create_directories(dir);
-  run_with_checkpoint(in, 1, dir, 0, 0);
-  Input other = in;
-  other.collision.nu_ee *= 2.0;  // cmat-relevant change
-  const auto d = Decomposition::choose(other, 1);
-  EXPECT_THROW(
-      mpi::run_simulation(net::testbox(1, 1), 1,
-                          [&](mpi::Proc& p) {
-                            auto layout = make_cgyro_layout(p.world(), d);
-                            Simulation sim(other, d, std::move(layout), p,
-                                           Mode::kReal);
-                            sim.initialize();
-                            read_restart(dir, sim);
-                          }),
-      Error);
-}
-
-TEST(Restart, TruncatedFileRejected) {
-  const Input in = test_input();
-  const std::string dir = ::testing::TempDir() + "xg_restart_trunc";
-  std::filesystem::create_directories(dir);
-  run_with_checkpoint(in, 1, dir, 0, 0);
-  const std::string path = dir + "/" + restart_filename(0, 0);
-  std::filesystem::resize_file(path, std::filesystem::file_size(path) - 8);
-  const auto d = Decomposition::choose(in, 1);
-  EXPECT_THROW(
-      mpi::run_simulation(net::testbox(1, 1), 1,
-                          [&](mpi::Proc& p) {
-                            auto layout = make_cgyro_layout(p.world(), d);
-                            Simulation sim(in, d, std::move(layout), p,
-                                           Mode::kReal);
-                            sim.initialize();
-                            read_restart(dir, sim);
-                          }),
-      Error);
-}
-
-TEST(Restart, CorruptPayloadRejectedByHash) {
-  const Input in = test_input();
-  const std::string dir = ::testing::TempDir() + "xg_restart_corrupt";
-  std::filesystem::create_directories(dir);
-  run_with_checkpoint(in, 1, dir, 0, 0);
-  const std::string path = dir + "/" + restart_filename(0, 0);
-  {
-    std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
-    f.seekp(sizeof(RestartHeader) + 24);
-    const char junk = 0x5a;
-    f.write(&junk, 1);
-  }
-  const auto d = Decomposition::choose(in, 1);
-  EXPECT_THROW(
-      mpi::run_simulation(net::testbox(1, 1), 1,
-                          [&](mpi::Proc& p) {
-                            auto layout = make_cgyro_layout(p.world(), d);
-                            Simulation sim(in, d, std::move(layout), p,
-                                           Mode::kReal);
-                            sim.initialize();
-                            read_restart(dir, sim);
-                          }),
-      Error);
-}
-
-TEST(Restart, MissingFileRejected) {
-  const Input in = test_input();
-  const auto d = Decomposition::choose(in, 1);
-  EXPECT_THROW(
-      mpi::run_simulation(net::testbox(1, 1), 1,
-                          [&](mpi::Proc& p) {
-                            auto layout = make_cgyro_layout(p.world(), d);
-                            Simulation sim(in, d, std::move(layout), p,
-                                           Mode::kReal);
-                            sim.initialize();
-                            read_restart("/nonexistent-dir", sim);
-                          }),
-      Error);
-}
-
-TEST(Restart, ModelModeRejected) {
-  const Input in = test_input();
-  const auto d = Decomposition::choose(in, 1);
-  mpi::run_simulation(net::testbox(1, 1), 1, [&](mpi::Proc& p) {
-    auto layout = make_cgyro_layout(p.world(), d);
-    Simulation sim(in, d, std::move(layout), p, Mode::kModel);
-    sim.initialize();
-    EXPECT_THROW(write_restart("/tmp", sim), Error);
-  });
 }
 
 TEST(TimingLog, RenderParseRoundTripIsExact) {

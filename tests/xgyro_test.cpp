@@ -10,9 +10,11 @@
 #include <mutex>
 #include <ostream>
 
+#include "campaign/campaign.hpp"
 #include "gyro/simulation.hpp"
 #include "simmpi/traffic.hpp"
 #include "simnet/machine.hpp"
+#include "util/format.hpp"
 #include "xgyro/driver.hpp"
 #include "xgyro/ensemble.hpp"
 
@@ -558,6 +560,121 @@ TEST(Golden, OneMemberToroidalSplitLongLines) {
   const std::vector<GoldenMember> want{
       {0xc7dae61328523194, 0x3f000c45618468b5}};
   EXPECT_EQ(run_golden(1, Decomposition{1, 2}, 16), want);
+}
+
+// --- Golden signatures of every job entry point ------------------------------
+//
+// Each entry point that runs a whole job (the CGYRO/XGYRO job drivers, the
+// campaign executor, the elastic executor in both layouts) is pinned to the
+// bits it produced before they were folded into one runner: the makespan,
+// the max-over-ranks time of every solver phase and of init, the message,
+// byte and checked-collective counts, and every member's diagnostics.
+
+std::string hex_bits(double v) {
+  return strprintf("%016llx", static_cast<unsigned long long>(
+                                  std::bit_cast<std::uint64_t>(v)));
+}
+
+std::string run_signature(const mpi::RunResult& r) {
+  std::string s = hex_bits(r.makespan_s);
+  auto phases = solver_phases();
+  phases.push_back("init");
+  for (const auto& ph : phases) s += ":" + hex_bits(r.phase_max_time(ph));
+  mpi::PhaseStats t;
+  for (const auto& rank : r.ranks) t += rank.total();
+  return s + strprintf(":%llu:%llu:%llu",
+                       static_cast<unsigned long long>(t.msgs_sent),
+                       static_cast<unsigned long long>(t.bytes_sent),
+                       static_cast<unsigned long long>(r.collectives_checked));
+}
+
+std::string diag_signature(const gyro::Diagnostics& d) {
+  return strprintf("|%d:", d.steps) + hex_bits(d.time) + ":" +
+         hex_bits(d.phi_rms) + ":" + hex_bits(d.flux_proxy) + ":" +
+         hex_bits(d.free_energy);
+}
+
+TEST(Golden, JobRunnerSignatures) {
+  const Input cg = Input::small_test(2);
+  const auto ens = make_sweep(2);
+  const auto box = net::testbox(1, 4);
+
+  JobOptions real;
+  real.mode = Mode::kReal;
+  real.n_report_intervals = 2;
+  JobOptions model;
+  model.n_report_intervals = 2;
+  EXPECT_EQ(run_signature(run_cgyro_job(cg, box, 4, real)),
+            "3f71d2b4dd05c3db:3f62ecb91dbac864:0000000000000000:"
+            "0000000000000000:0000000000000000:3f45798ee2308c3b:"
+            "0000000000000000:3f093755f9ff01f1:3f55213e2cfb2493:40:672:421");
+  EXPECT_EQ(run_signature(run_xgyro_job(ens, box, 2, real)),
+            "3f809822f140efb5:3f72ecb91dbac864:0000000000000000:"
+            "0000000000000000:0000000000000000:3f55798ee2308c3b:"
+            "3f3a774f97c2d482:3ef93755f9ff01b2:3f5b638e757ee2e4:124:656000:"
+            "388");
+  EXPECT_EQ(run_signature(run_cgyro_job(cg, box, 4, model)),
+            "3f71d2b4dd05c3db:3f62ecb91dbac864:0000000000000000:"
+            "0000000000000000:0000000000000000:3f45798ee2308c3b:"
+            "0000000000000000:3f093755f9ff01f1:3f55213e2cfb2493:40:672:421");
+  EXPECT_EQ(run_signature(run_xgyro_job(ens, box, 2, model)),
+            "3f809822f140efb5:3f72ecb91dbac864:0000000000000000:"
+            "0000000000000000:0000000000000000:3f55798ee2308c3b:"
+            "3f3a774f97c2d482:3ef93755f9ff01b2:3f5b638e757ee2e4:124:656000:"
+            "388");
+
+  // Two cmat-sharing groups -> a two-job plan.
+  campaign::CampaignSpec spec;
+  Input other = cg;
+  other.collision.nu_ee *= 2.0;
+  other.tag = "other";
+  spec.members.members = {ens.members[0], other};
+  spec.machine = box;
+  spec.n_report_intervals = 2;
+  const auto plan = campaign::plan_campaign(spec);
+  ASSERT_EQ(plan.jobs.size(), 2u);
+  const auto camp = campaign::run_campaign(spec, plan, Mode::kReal);
+  std::string camp_sig;
+  for (const auto& run : camp.job_runs) camp_sig += run_signature(run) + "/";
+  for (const auto& m : camp.members) {
+    camp_sig += strprintf("|m%d.j%d", m.member, m.job) +
+                diag_signature(m.diagnostics);
+  }
+  EXPECT_EQ(camp_sig,
+            "3f72051d17b54acf:3f62ecb91dbac864:0000000000000000:"
+            "0000000000000000:0000000000000000:3f45798ee2308c3b:"
+            "0000000000000000:3f093755f9ff01f1:3f55213e2cfb2493:56:960:427/"
+            "3f72051d17b54acf:3f62ecb91dbac864:0000000000000000:"
+            "0000000000000000:0000000000000000:3f45798ee2308c3b:"
+            "0000000000000000:3f093755f9ff01f1:3f55213e2cfb2493:56:960:427/"
+            "|m0.j0|10:3fc999999999999a:3f5b5bb814ee642d:3ef260875abebb46:"
+            "3f0ac57f4ea02344|m1.j1|10:3fc999999999999a:3f5b2325e20a9f3b:"
+            "3ef192d75fd710d2:3f08f7cf736a1fdc");
+
+  campaign::RecoveryOptions layout_cgyro;
+  layout_cgyro.cgyro_layout = true;
+  const auto single = campaign::run_job_elastic(
+      EnsembleInput{{cg}}, box, 4, 2, Mode::kReal, layout_cgyro);
+  std::string single_sig = run_signature(single.run);
+  for (const auto& d : single.diagnostics) single_sig += diag_signature(d);
+  EXPECT_EQ(single_sig,
+            "3f71d2b4dd05c3db:3f62ecb91dbac864:0000000000000000:"
+            "0000000000000000:0000000000000000:3f45798ee2308c3b:"
+            "0000000000000000:3f093755f9ff01f1:3f55213e2cfb2493:40:672:421|"
+            "10:3fc999999999999a:3f5b57bef1ea27c0:3ef24f76e57768ca:"
+            "3f0b9686e1410982");
+
+  const auto pair =
+      campaign::run_job_elastic(ens, box, 2, 2, Mode::kReal, {});
+  std::string pair_sig = run_signature(pair.run);
+  for (const auto& d : pair.diagnostics) pair_sig += diag_signature(d);
+  EXPECT_EQ(pair_sig,
+            "3f809822f140efb5:3f72ecb91dbac864:0000000000000000:"
+            "0000000000000000:0000000000000000:3f55798ee2308c3b:"
+            "3f3a774f97c2d482:3ef93755f9ff01b2:3f5b638e757ee2e4:124:656000:"
+            "388|10:3fc999999999999a:3f5b5bb814ee642e:3ef260875abebb46:"
+            "3f0ac57f4ea02341|10:3fc999999999999a:3f5b59abcc2b9393:"
+            "3ef2578f290a35ba:3f0b248f5f26c720");
 }
 
 }  // namespace
