@@ -310,6 +310,9 @@ Options parse_args(int argc, char** argv) {
 
 int main(int argc, char** argv) {
   using namespace xg;
+  // A run without --checkpoint-dir is not elastic: its first rank kill or
+  // deadlock aborts the job.
+  bool elastic = false;
   try {
     const Options opt = parse_args(argc, argv);
     xgyro::EnsembleInput manifest_ensemble;
@@ -339,9 +342,7 @@ int main(int argc, char** argv) {
           std::shared_ptr<void>(), mpi::CollSelector::named(opt.coll_select));
     }
 
-    // A run without --checkpoint-dir is not elastic: its first rank kill or
-    // deadlock aborts the job.
-    const bool elastic = !opt.checkpoint_dir.empty();
+    elastic = !opt.checkpoint_dir.empty();
     xgyro::JobOptions jopts;
     jopts.n_report_intervals = opt.intervals;
     jopts.mode = opt.mode;
@@ -533,7 +534,11 @@ int main(int argc, char** argv) {
     return 0;
   } catch (const xgyro::JobAborted& e) {
     std::fprintf(stderr, "xgyro_cli: job aborted (%s)\n", e.kind().c_str());
-    std::fprintf(stderr, "  reason : %s\n", e.reason().c_str());
+    // A run that is not elastic passes max_recoveries = 0 because recovery
+    // is off, not because a budget was spent.
+    std::fprintf(stderr, "  reason : %s\n",
+                 elastic ? e.reason().c_str()
+                         : "recovery not enabled (no --checkpoint-dir)");
     std::fprintf(stderr, "  rank   : %d\n", e.world_rank());
     std::fprintf(stderr, "  vtime  : %.9e s\n", e.virtual_time_s());
     std::fprintf(stderr, "  phase  : %s\n", e.phase().c_str());

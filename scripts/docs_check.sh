@@ -14,6 +14,8 @@
 #      built binaries on PATH and examples/inputs copied in.
 #   3. CLI error paths: duplicate flags, malformed numbers, and conflicting
 #      combinations exit 1 with a single-line diagnostic; --help exits 0;
+#      an unrecovered rank kill without --checkpoint-dir exits 2 with an
+#      abort report whose reason says recovery was not enabled;
 #      xgyro_serve additionally exits 2 (not 1) when admitted requests
 #      fail, per its documented 0/1/2 convention, and xgyro_servemon
 #      exits 1 on missing/corrupt logs and bad SLO grammar.
@@ -165,6 +167,18 @@ expect_error "unknown selector"      --input x --coll-select quantum
 expect_error "select+table"          --input x --coll-select legacy --coll-table t.json
 
 "$CLI" --help > /dev/null || fail "--help must exit 0"
+
+# Exit 2 is an unrecovered fault: without --checkpoint-dir recovery is off,
+# so the first kill aborts the job and the report says why.
+rc=0
+"$CLI" --input examples/inputs/small.cgyro --ranks 4 \
+  --faults "seed=1;kill=1@0.0001" > /dev/null 2> "$WORK/kill.err" || rc=$?
+[[ "$rc" -eq 2 ]] || fail "unrecovered kill: expected exit 2, got $rc"
+grep -q "^xgyro_cli: job aborted (rank_failure)$" "$WORK/kill.err" \
+  || { cat "$WORK/kill.err" >&2; fail "unrecovered kill: no abort report"; }
+grep -q "^  reason : recovery not enabled (no --checkpoint-dir)$" \
+  "$WORK/kill.err" \
+  || { cat "$WORK/kill.err" >&2; fail "unrecovered kill: wrong reason"; }
 
 expect_serve_error() {  # $1 = description, rest = args; wants exit 1 + one line
   local desc=$1; shift

@@ -66,16 +66,22 @@ int classify_kperp2(const Geometry& geometry, int ic0, int n_ic, int it0,
   XG_ASSERT(first.empty() || first.size() == n);
   // Open addressing with linear probing at load factor ≤ 1/4 (at 1/2 the
   // longer, mispredicted probe chains cost more than the larger table),
-  // Fibonacci hashing of the bit pattern. A slot holds the first cell of its
-  // class (−1 when empty), and keys[cell] holds that cell's pattern: written
-  // when the cell claims a slot and only read through a slot, so it needs no
-  // initialization. Cells are visited in index order, so the cell that
-  // claims a slot is its class's lowest.
+  // Fibonacci hashing of the bit pattern. The table holds the keys
+  // themselves, 0 marking an empty slot; the one key equal to the marker,
+  // +0.0 (the kx = ky = 0 cell), keeps its class beside the table, so every
+  // 64-bit pattern, NaNs included, classifies exactly. reps[slot] holds its
+  // key's first cell; it exists only when `first` is wanted and is written
+  // only on insert. Cells are visited in index order, so the cell that
+  // inserts a key is its class's lowest.
+  constexpr std::uint64_t kEmpty = 0;
   int log2_cap = 2;
   while ((size_t{1} << log2_cap) < 4 * n) ++log2_cap;
   const size_t mask = (size_t{1} << log2_cap) - 1;
-  std::vector<int> slots(mask + 1, -1);
-  const auto keys = std::make_unique_for_overwrite<std::uint64_t[]>(n);
+  std::vector<std::uint64_t> keys(mask + 1, kEmpty);
+  const bool want_first = !first.empty();
+  std::unique_ptr<int[]> reps;
+  if (want_first) reps = std::make_unique_for_overwrite<int[]>(mask + 1);
+  int zero_rep = -1;
   int n_unique = 0;
   for (int a = 0; a < n_ic; ++a) {
     const Geometry::KxRow row = geometry.kx_row(ic0 + a);
@@ -83,17 +89,27 @@ int classify_kperp2(const Geometry& geometry, int ic0, int n_ic, int it0,
       const int cell = a * n_it + itl;
       const auto bits =
           std::bit_cast<std::uint64_t>(row.kperp2(geometry.ky(it0 + itl)));
-      size_t slot = (bits * 0x9E3779B97F4A7C15ull) >> (64 - log2_cap);
-      while (slots[slot] >= 0 && keys[slots[slot]] != bits) {
-        slot = (slot + 1) & mask;
+      int rep = -1;
+      if (bits == kEmpty) [[unlikely]] {
+        rep = zero_rep;
+        if (rep < 0) {
+          zero_rep = cell;
+          ++n_unique;
+        }
+      } else {
+        size_t slot = (bits * 0x9E3779B97F4A7C15ull) >> (64 - log2_cap);
+        while (keys[slot] != bits && keys[slot] != kEmpty) {
+          slot = (slot + 1) & mask;
+        }
+        if (keys[slot] == kEmpty) {
+          keys[slot] = bits;
+          ++n_unique;
+          if (want_first) reps[slot] = cell;
+        } else if (want_first) {
+          rep = reps[slot];
+        }
       }
-      const int rep = slots[slot];
-      if (rep < 0) {
-        slots[slot] = cell;
-        keys[cell] = bits;
-        ++n_unique;
-      }
-      if (!first.empty()) first[cell] = rep;
+      if (want_first) first[cell] = rep;
     }
   }
   return n_unique;

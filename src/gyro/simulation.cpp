@@ -53,7 +53,12 @@ Simulation::Simulation(Input input, Decomposition decomp, CommLayout comms,
              "Simulation: t communicator size != pt");
   XG_REQUIRE(comms_.coll.size() == decomp_.pv * comms_.n_sims_sharing,
              "Simulation: coll communicator size != k*pv");
-  vgrid_ = std::make_unique<vgrid::VelocityGrid>(input_.make_velocity_grid());
+  // Only real-mode tables, cmat and diagnostics read the grid; model mode
+  // charges their cost without building it (validate() already rejected
+  // every input the grid constructor would).
+  if (mode_ == Mode::kReal) {
+    vgrid_ = std::make_unique<vgrid::VelocityGrid>(input_.make_velocity_grid());
+  }
 
   coll_transpose_ = std::make_unique<tensor::EnsembleTransposer<cplx>>(
       comms_.n_sims_sharing, decomp_.pv, input_.nc(), input_.nv(), nt_loc());

@@ -20,7 +20,9 @@
 //   kReal  — real data on small grids (tests, examples);
 //   kModel — virtual payloads + calibrated compute charges at paper scale
 //            (benchmarks). Every collective call matches the real path
-//            message-for-message.
+//            message-for-message. A model-mode rank builds no velocity
+//            grid, no rhs/field tables and no cmat cells: it only counts
+//            its k⊥² classes to charge the cmat build.
 #pragma once
 
 #include <complex>
@@ -174,7 +176,7 @@ class Simulation {
   ComputeModel compute_model_;
 
   Geometry geometry_;
-  std::unique_ptr<vgrid::VelocityGrid> vgrid_;
+  std::unique_ptr<vgrid::VelocityGrid> vgrid_;  ///< real mode only
 
   int steps_ = 0;
 

@@ -1,5 +1,10 @@
-// Deterministic 64-bit hashing (FNV-1a) used for cmat fingerprints and
-// cross-run state comparisons. Header-only; bit-stable across platforms.
+// Deterministic 64-bit hashing (FNV-1a) used for cmat fingerprints,
+// state_hash, communicator context ids and checkpoint hashes. Those values
+// are pinned by tests and stored in snapshots, so the byte-wise digest must
+// never change. Header-only; bit-stable across platforms. The invariant
+// monitor's per-collective result comparison does not use it: it uses the
+// word-wise mpi::detail::result_digest (simmpi/comm.hpp), which is not
+// persisted anywhere.
 #pragma once
 
 #include <complex>

@@ -597,6 +597,36 @@ TEST(InvariantMonitorText, ResultHashMismatch) {
             "0123456789abcdef, rank 2 has fedcba9876543210");
 }
 
+/// Three members report one AllGather whose result is three 12-byte
+/// entries (36 bytes: four words and a zero-padded tail). Member 1's copy
+/// has byte `flip` flipped (none when flip ≥ 36); each report carries the
+/// digest the typed allgather feeds the monitor.
+void observe_allgather_results(size_t flip) {
+  struct Entry {
+    std::uint32_t rank, node, slot;
+  };
+  static_assert(sizeof(Entry) == 12);
+  std::vector<Entry> all{{0, 0, 7}, {1, 0, 8}, {2, 1, 9}};
+  InvariantMonitor m;
+  for (int rank = 0; rank < 3; ++rank) {
+    std::vector<unsigned char> bytes(sizeof(Entry) * all.size());
+    std::memcpy(bytes.data(), all.data(), bytes.size());
+    if (rank == 1 && flip < bytes.size()) bytes[flip] ^= 0x01;
+    auto r = allreduce_report(kCtx, 41, rank);
+    r.kind = TraceEvent::Kind::kAllGather;
+    r.payload_bytes = sizeof(Entry);
+    r.result_hash = detail::result_digest(bytes.data(), bytes.size());
+    m.observe(r);
+  }
+  m.final_check();
+}
+
+TEST(InvariantMonitorText, AllGatherResultsDifferingInOneByteTrip) {
+  EXPECT_NO_THROW(observe_allgather_results(36));
+  EXPECT_THROW(observe_allgather_results(35), InvariantViolation);  // tail
+  EXPECT_THROW(observe_allgather_results(0), InvariantViolation);
+}
+
 TEST(InvariantMonitorText, AgreeingMembersCompleteSilently) {
   InvariantMonitor m;
   for (int rank = 0; rank < 3; ++rank) m.observe(allreduce_report(kCtx, 41, rank));

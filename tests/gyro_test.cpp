@@ -6,6 +6,7 @@
 #include <bit>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <map>
 #include <numbers>
 #include <set>
@@ -257,11 +258,13 @@ void expect_classes_match_oracle(const Input& in, int n_coll, int pt) {
           want[cell] = inserted ? -1 : pos->second;
         }
       }
-      const int count = classify_kperp2(g, ic0, n_ic, it0, n_it, got);
-      ASSERT_EQ(count, static_cast<int>(seen.size()))
+      // Model mode calls the count-only form, real mode the other.
+      const int n_classes = static_cast<int>(seen.size());
+      ASSERT_EQ(classify_kperp2(g, ic0, n_ic, it0, n_it), n_classes)
+          << "count-only form, coll rank " << cr << ", t rank " << tr;
+      ASSERT_EQ(classify_kperp2(g, ic0, n_ic, it0, n_it, got), n_classes)
           << "coll rank " << cr << ", t rank " << tr;
       ASSERT_EQ(got, want) << "coll rank " << cr << ", t rank " << tr;
-      ASSERT_EQ(classify_kperp2(g, ic0, n_ic, it0, n_it), count);
       degenerate = degenerate || seen.size() < n;
     }
   }
@@ -303,6 +306,18 @@ TEST(Geometry, Kperp2ClassesMatchOracleWithoutShear) {
   const Input in = shearless_test();
   expect_classes_match_oracle(in, 1, 1);
   expect_classes_match_oracle(in, 2, 2);
+}
+
+TEST(Geometry, Kperp2ClassesMatchOracleNonFinite) {
+  // validate() accepts a non-finite shear: k⊥² then takes NaN (0·∞, ∞−∞)
+  // and ±∞ patterns, which must classify by their bits like any other.
+  for (const double shear : {std::numeric_limits<double>::quiet_NaN(),
+                             std::numeric_limits<double>::infinity()}) {
+    Input in = Input::small_test(2);
+    in.shear = shear;
+    expect_classes_match_oracle(in, 1, 1);
+    expect_classes_match_oracle(in, 2, 2);
+  }
 }
 
 TEST(Geometry, GyroaverageBounded) {

@@ -9,6 +9,7 @@
 #include <cfenv>
 #include <cmath>
 #include <cstdlib>
+#include <cstring>
 #include <functional>
 #include <map>
 #include <new>
@@ -125,6 +126,39 @@ std::vector<double> rank_values(int rank, int n, std::uint64_t salt = 0) {
   std::vector<double> v(static_cast<size_t>(n));
   for (auto& x : v) x = rng.uniform(-1, 1);
   return v;
+}
+
+// The typed collectives' result digest: every fold is a bijection of the
+// state, so changing any one 8-byte word (the zero-padded tail included)
+// of a buffer must change the digest; the length tells apart buffers that
+// differ only in trailing zero bytes.
+TEST(ResultDigest, AnySingleWordChangeChangesDigest) {
+  Rng rng(2025);
+  for (const size_t n : {size_t{8}, size_t{36}, size_t{203}, size_t{1024}}) {
+    std::vector<unsigned char> buf(n);
+    for (auto& b : buf) b = static_cast<unsigned char>(rng.next_u64());
+    const std::uint64_t base = detail::result_digest(buf.data(), n);
+    for (size_t w = 0; w < n; w += 8) {
+      const size_t len = std::min<size_t>(8, n - w);
+      for (int trial = 0; trial < 16; ++trial) {
+        std::vector<unsigned char> other = buf;
+        do {
+          const std::uint64_t v = rng.next_u64();
+          std::memcpy(other.data() + w, &v, len);
+        } while (std::equal(other.begin() + static_cast<std::ptrdiff_t>(w),
+                            other.begin() + static_cast<std::ptrdiff_t>(w + len),
+                            buf.begin() + static_cast<std::ptrdiff_t>(w)));
+        EXPECT_NE(detail::result_digest(other.data(), n), base)
+            << "n=" << n << " word " << w / 8 << " trial " << trial;
+      }
+    }
+  }
+  const std::vector<unsigned char> zeros(16, 0);
+  std::set<std::uint64_t> by_length;
+  for (size_t n = 0; n <= zeros.size(); ++n) {
+    by_length.insert(detail::result_digest(zeros.data(), n));
+  }
+  EXPECT_EQ(by_length.size(), zeros.size() + 1);
 }
 
 TEST(P2p, SendRecvDeliversPayload) {

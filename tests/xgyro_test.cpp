@@ -12,6 +12,7 @@
 
 #include "campaign/campaign.hpp"
 #include "gyro/simulation.hpp"
+#include "perfmodel/perfmodel.hpp"
 #include "simmpi/traffic.hpp"
 #include "simnet/machine.hpp"
 #include "util/format.hpp"
@@ -675,6 +676,36 @@ TEST(Golden, JobRunnerSignatures) {
             "388|10:3fc999999999999a:3f5b5bb814ee642e:3ef260875abebb46:"
             "3f0ac57f4ea02341|10:3fc999999999999a:3f5b59abcc2b9393:"
             "3ef2578f290a35ba:3f0b248f5f26c720");
+}
+
+// The paper-scale Fig. 2 pair in model mode: one nl03c-like CGYRO run on
+// all 256 ranks of the 32-node nl03c machine, then the 8-member sweep at 32
+// ranks each, sharing cmat. Pins both jobs' makespan, per-phase and traffic
+// bits, so a change to rank start-up (grid, classification, communicator
+// splits, the invariant monitor) cannot move a paper-scale virtual result.
+TEST(Golden, Fig2ModelSignature) {
+  constexpr int kVariants = 8;
+  Input base = Input::nl03c_like();
+  base.n_steps_per_report = 1;
+  const auto ensemble = EnsembleInput::sweep(base, kVariants, [](Input& m, int i) {
+    m.species[0].a_ln_t = 1.5 + 0.3 * i;
+    m.tag = strprintf("nl03c_v%d", i);
+  });
+  const auto machine = perfmodel::nl03c_machine(32);
+  const int nranks = machine.total_ranks();
+  ASSERT_EQ(nranks, 256);
+  // Traffic sums to the traced fig2_model op: 128,512 messages,
+  // 431,320,477,696 bytes, 1,974 checked collectives.
+  EXPECT_EQ(run_signature(run_cgyro_job(base, machine, nranks)),
+            "3fe3d0436421cc06:3f3b8745c4c2e82d:3f56a15aefc1ecb0:"
+            "3f27be68d60a3cb5:3f8d3b44e7a02b1b:3f664c41c34e7735:"
+            "3f5f4c2866127e72:3f168c1a6a63fdb1:3fe323b45b3a7472:72192:"
+            "58260498432:404");
+  EXPECT_EQ(run_signature(run_xgyro_job(ensemble, machine, nranks / kVariants)),
+            "3fe6e44ba428dd9a:3f688be8c1b29278:3f30017d751fe55a:"
+            "3f55e8a5c07656ba:3fb4730420777756:3f8645f7267232fc:"
+            "3f961a0eeca65fa8:3f11af55f4a3b68e:3fe324b1c7917ea6:56320:"
+            "373059979264:1570");
 }
 
 }  // namespace
