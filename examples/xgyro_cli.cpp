@@ -536,13 +536,15 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "xgyro_cli: job aborted (%s)\n", e.kind().c_str());
     // A run that is not elastic passes max_recoveries = 0 because recovery
     // is off, not because a budget was spent.
-    std::fprintf(stderr, "  reason : %s\n",
-                 elastic ? e.reason().c_str()
-                         : "recovery not enabled (no --checkpoint-dir)");
+    const std::string reason =
+        elastic ? e.reason() : "recovery not enabled (no --checkpoint-dir)";
+    std::fprintf(stderr, "  reason : %s\n", reason.c_str());
     std::fprintf(stderr, "  rank   : %d\n", e.world_rank());
     std::fprintf(stderr, "  vtime  : %.9e s\n", e.virtual_time_s());
     std::fprintf(stderr, "  phase  : %s\n", e.phase().c_str());
-    std::fprintf(stderr, "  detail : %s\n", e.what());
+    std::fprintf(stderr, "  detail : %s\n", e.summary(reason).c_str());
+    // A deadlock's report: every blocked rank and the receive it waits in.
+    if (!e.report().empty()) std::fprintf(stderr, "%s\n", e.report().c_str());
     return 2;
   } catch (const Error& e) {
     std::fprintf(stderr, "xgyro_cli: %s\n", e.what());

@@ -15,7 +15,9 @@
 #   3. CLI error paths: duplicate flags, malformed numbers, and conflicting
 #      combinations exit 1 with a single-line diagnostic; --help exits 0;
 #      an unrecovered rank kill without --checkpoint-dir exits 2 with an
-#      abort report whose reason says recovery was not enabled;
+#      abort report whose reason and detail line both say recovery was not
+#      enabled; an unrecovered hang exits 2 with the deadlock report of
+#      every blocked rank;
 #      xgyro_serve additionally exits 2 (not 1) when admitted requests
 #      fail, per its documented 0/1/2 convention, and xgyro_servemon
 #      exits 1 on missing/corrupt logs and bad SLO grammar.
@@ -179,6 +181,25 @@ grep -q "^xgyro_cli: job aborted (rank_failure)$" "$WORK/kill.err" \
 grep -q "^  reason : recovery not enabled (no --checkpoint-dir)$" \
   "$WORK/kill.err" \
   || { cat "$WORK/kill.err" >&2; fail "unrecovered kill: wrong reason"; }
+grep -q "^  detail : .* — recovery not enabled (no --checkpoint-dir) after 0 successful recoveries$" \
+  "$WORK/kill.err" \
+  || { cat "$WORK/kill.err" >&2; fail "unrecovered kill: detail contradicts reason"; }
+! grep -q "budget exhausted" "$WORK/kill.err" \
+  || { cat "$WORK/kill.err" >&2; fail "unrecovered kill: no budget was spent"; }
+
+# A hung rank stalls the schedule: the abort ends with the runtime's
+# report, one line per blocked rank.
+rc=0
+"$CLI" --input examples/inputs/small.cgyro --ranks 4 \
+  --faults "seed=1;hang=1@0.0001" > /dev/null 2> "$WORK/hang.err" || rc=$?
+[[ "$rc" -eq 2 ]] || fail "unrecovered hang: expected exit 2, got $rc"
+grep -q "^xgyro_cli: job aborted (deadlock)$" "$WORK/hang.err" \
+  || { cat "$WORK/hang.err" >&2; fail "unrecovered hang: no abort report"; }
+grep -q "^simmpi: virtual schedule is stuck — 4 rank(s) blocked" \
+  "$WORK/hang.err" \
+  || { cat "$WORK/hang.err" >&2; fail "unrecovered hang: no deadlock report"; }
+[[ "$(grep -c "^  rank [0-9]*: phase" "$WORK/hang.err")" -eq 4 ]] \
+  || { cat "$WORK/hang.err" >&2; fail "unrecovered hang: not every blocked rank reported"; }
 
 expect_serve_error() {  # $1 = description, rest = args; wants exit 1 + one line
   local desc=$1; shift

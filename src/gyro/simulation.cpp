@@ -92,11 +92,12 @@ void Simulation::initialize() {
     h_ = tensor::Tensor3Z(nv_loc(), input_.nc(), nt_loc());
     acc_ = h_;
     stage_ = h_;
-    k_ = h_;
     if (input_.nonlinear) {
       nl_ = h_;
-      nl_str_perm_ = tensor::Tensor3Z(nt_loc(), input_.nc(), nv_loc());
-      nl_layout_ = nl_transpose_->make_coll_tensors();
+      if (decomp_.pt > 1) {
+        nl_str_perm_ = tensor::Tensor3Z(nt_loc(), input_.nc(), nv_loc());
+        nl_layout_ = nl_transpose_->make_coll_tensors();
+      }
       phi_full_t_.resize(static_cast<size_t>(input_.nc()) * input_.nt());
       const size_t nt = static_cast<size_t>(input_.nt());
       nl_plan_ = std::make_unique<fft::Plan>(nt);
@@ -280,24 +281,31 @@ void Simulation::apply_initial_condition() {
   }
 }
 
-void Simulation::field_solve(const tensor::Tensor3Z& h) {
+void Simulation::field_solve(const tensor::Tensor3Z& h, bool upwind) {
   proc_->set_phase("str");
   const int nf = input_.n_field;
   proc_->kernel(static_cast<double>(state_elems()) * nf *
                 compute_model_.field_partial_flops_per_elem);
   const size_t cells = static_cast<size_t>(input_.nc()) * nt_loc();
   if (mode_ == Mode::kReal) {
-    for (int f = 0; f < nf; ++f) {
-      cplx* slot = field_stack_.data() + static_cast<size_t>(f) * cells;
-      const double* fw = field_w_.data() + static_cast<size_t>(f) * nv_loc();
-      for (int ic = 0; ic < input_.nc(); ++ic) {
-        for (int itl = 0; itl < nt_loc(); ++itl) {
-          cplx acc{};
-          for (int ivl = 0; ivl < nv_loc(); ++ivl) {
-            acc += fw[ivl] * gyro_j_(ivl, ic, itl) * h(ivl, ic, itl);
-          }
-          slot[static_cast<size_t>(ic) * nt_loc() + itl] = acc;
-        }
+    // One sweep over h, velocity outer and cell inner: each (ivl) row of h
+    // and gyro_j_ is read from memory once and feeds every accumulator.
+    // Accumulators start at +0 and sum in ascending ivl, with the per-term
+    // expression w·j·h of a per-cell loop, so the partials are bit-identical
+    // to it.
+    std::fill(field_stack_.begin(), field_stack_.end(), cplx{});
+    if (upwind) std::fill(u_.begin(), u_.end(), cplx{});
+    for (int ivl = 0; ivl < nv_loc(); ++ivl) {
+      const cplx* hv = &h(ivl, 0, 0);
+      const double* jv = &gyro_j_(ivl, 0, 0);
+      for (int f = 0; f < nf; ++f) {
+        cplx* slot = field_stack_.data() + static_cast<size_t>(f) * cells;
+        const double w = field_w_[static_cast<size_t>(f) * nv_loc() + ivl];
+        for (size_t i = 0; i < cells; ++i) slot[i] += w * jv[i] * hv[i];
+      }
+      if (upwind) {
+        const double w = upwind_w_[ivl];
+        for (size_t i = 0; i < cells; ++i) u_[i] += w * jv[i] * hv[i];
       }
     }
   }
@@ -317,21 +325,12 @@ void Simulation::field_solve(const tensor::Tensor3Z& h) {
   }
 }
 
-void Simulation::upwind_solve(const tensor::Tensor3Z& h) {
+void Simulation::upwind_solve() {
+  // The partial was summed by field_solve's sweep; this charges its kernel
+  // and completes it across the velocity communicator.
   proc_->set_phase("str");
   proc_->kernel(static_cast<double>(state_elems()) *
                 compute_model_.field_partial_flops_per_elem);
-  if (mode_ == Mode::kReal) {
-    for (int ic = 0; ic < input_.nc(); ++ic) {
-      for (int itl = 0; itl < nt_loc(); ++itl) {
-        cplx acc{};
-        for (int ivl = 0; ivl < nv_loc(); ++ivl) {
-          acc += upwind_w_[ivl] * gyro_j_(ivl, ic, itl) * h(ivl, ic, itl);
-        }
-        u_[static_cast<size_t>(ic) * nt_loc() + itl] = acc;
-      }
-    }
-  }
   proc_->set_phase("str_comm");
   {
     mpi::ScopedSpan span(*proc_, "upwind.allreduce");
@@ -380,13 +379,15 @@ void Simulation::nonlinear_term(const tensor::Tensor3Z& h) {
     }
   }
 
-  // Permute h(ivl, ic, itl) → (itl, ic, ivl) and transpose to the nl layout
-  // (full toroidal dimension per rank).
+  // To the nl layout (full toroidal dimension per rank). At pt = 1 the
+  // transpose is the identity: the bracket reads h where it lies, and only
+  // the collective is issued, with the bytes and schedule of the real one.
+  const bool permute = mode_ == Mode::kReal && decomp_.pt > 1;
   {
     mpi::ScopedSpan span(*proc_, "nl.transpose_to_nl");
-    if (mode_ == Mode::kReal) {
-      // Cell-major: each ic moves one nv_loc × nt_loc block that stays in
-      // cache, instead of striding the whole tensor per velocity point.
+    if (permute) {
+      // Permute h(ivl, ic, itl) → (itl, ic, ivl), cell-major: each ic moves
+      // one nv_loc × nt_loc block that stays in cache.
       for (int ic = 0; ic < input_.nc(); ++ic) {
         for (int ivl = 0; ivl < nv_loc(); ++ivl) {
           for (int itl = 0; itl < nt_loc(); ++itl) {
@@ -403,8 +404,7 @@ void Simulation::nonlinear_term(const tensor::Tensor3Z& h) {
   }
 
   // Pseudo-spectral toroidal bracket, one circular convolution pair per
-  // (configuration cell, velocity point), batched per cell: the two φ lines
-  // are transformed once, the h lines of all nv_loc velocities together.
+  // (configuration cell, velocity point), batched per cell.
   proc_->set_phase("nl");
   {
     mpi::ScopedSpan span(*proc_, "nl.fft_bracket");
@@ -413,67 +413,17 @@ void Simulation::nonlinear_term(const tensor::Tensor3Z& h) {
                    compute_model_.nl_fft_flops_per_log *
                        std::log2(static_cast<double>(std::max(2, nt)))));
     if (mode_ == Mode::kReal) {
-      // Split-layout lines (element (t, line) at t·lines + line): p = iky·φ
-      // and q = ikx·φ as 2 lines, b = ikx·h and d = iky·h as nv_loc lines
-      // each. Every complex product is expanded as (ac − bd, ad + bc), the
-      // 0·x terms of the (0, k) multipliers included, so each line sees
-      // the floating-point operations of the single-line std::complex
-      // bracket and the result is bit-identical to it.
-      const size_t n = static_cast<size_t>(nt);
+      // pt = 1: h(ivl, ic, t) → nl_(ivl, ic, t), t contiguous. pt > 1: the
+      // cell's (t, ivl) block of nl_layout_, in place, ivl contiguous.
       const size_t nv = static_cast<size_t>(nv_loc());
-      const size_t len = n * nv;
-      double* br = nl_lines_.data();
-      double* bi = br + len;
-      double* dr = bi + len;
-      double* di = dr + len;
-      double* pqr = nl_phi_lines_.data();
-      double* pqi = pqr + 2 * n;
-      auto& hn = nl_layout_[0];
+      const size_t cell_stride = static_cast<size_t>(input_.nc()) * nt;
       for (int aa = 0; aa < nc_pt; ++aa) {
         const int ic = comms_.t.rank() * nc_pt + aa;
-        const double* kx = nl_kx_.data() + static_cast<size_t>(aa) * n;
-        const cplx* phi = phi_full_t_.data() + static_cast<size_t>(ic) * n;
-        for (size_t t = 0; t < n; ++t) {
-          const double ky = ky_[t];
-          const double fr = phi[t].real();
-          const double fi = phi[t].imag();
-          pqr[2 * t] = 0.0 * fr - ky * fi;
-          pqi[2 * t] = 0.0 * fi + ky * fr;
-          pqr[2 * t + 1] = 0.0 * fr - kx[t] * fi;
-          pqi[2 * t + 1] = 0.0 * fi + kx[t] * fr;
-          const cplx* hrow = &hn(aa, static_cast<int>(t), 0);
-          for (size_t v = 0; v < nv; ++v) {
-            const double hr = hrow[v].real();
-            const double hi = hrow[v].imag();
-            br[t * nv + v] = 0.0 * hr - kx[t] * hi;
-            bi[t * nv + v] = 0.0 * hi + kx[t] * hr;
-            dr[t * nv + v] = 0.0 * hr - ky * hi;
-            di[t * nv + v] = 0.0 * hi + ky * hr;
-          }
-        }
-        nl_plan_->forward_lines({pqr, 2 * n}, {pqi, 2 * n}, 2);
-        nl_plan_->forward_lines({br, len}, {bi, len}, nv);
-        nl_plan_->forward_lines({dr, len}, {di, len}, nv);
-        // b ← p·b − q·d, two products then one subtraction.
-        for (size_t t = 0; t < n; ++t) {
-          const double p_r = pqr[2 * t], p_i = pqi[2 * t];
-          const double q_r = pqr[2 * t + 1], q_i = pqi[2 * t + 1];
-          for (size_t v = 0; v < nv; ++v) {
-            const size_t i = t * nv + v;
-            const double xr = p_r * br[i] - p_i * bi[i];
-            const double xi = p_r * bi[i] + p_i * br[i];
-            const double yr = q_r * dr[i] - q_i * di[i];
-            const double yi = q_r * di[i] + q_i * dr[i];
-            br[i] = xr - yr;
-            bi[i] = xi - yi;
-          }
-        }
-        nl_plan_->inverse_lines({br, len}, {bi, len}, nv);
-        for (size_t t = 0; t < n; ++t) {
-          cplx* hrow = &hn(aa, static_cast<int>(t), 0);
-          for (size_t v = 0; v < nv; ++v) {
-            hrow[v] = cplx(br[t * nv + v], bi[t * nv + v]);
-          }
+        if (permute) {
+          cplx* block = &nl_layout_[0](aa, 0, 0);
+          bracket_cell(aa, ic, block, block, nv, 1);
+        } else {
+          bracket_cell(aa, ic, &h(0, ic, 0), &nl_(0, ic, 0), 1, cell_stride);
         }
       }
     }
@@ -484,7 +434,7 @@ void Simulation::nonlinear_term(const tensor::Tensor3Z& h) {
   {
     mpi::ScopedSpan span(*proc_, "nl.transpose_to_str");
     proc_->stage_for_comm(state_bytes);
-    if (mode_ == Mode::kReal) {
+    if (permute) {
       nl_transpose_->to_str(comms_.t, nl_layout_, nl_str_perm_);
       for (int ic = 0; ic < input_.nc(); ++ic) {
         for (int ivl = 0; ivl < nv_loc(); ++ivl) {
@@ -500,25 +450,104 @@ void Simulation::nonlinear_term(const tensor::Tensor3Z& h) {
   proc_->set_phase("str");
 }
 
-void Simulation::compute_rhs(const tensor::Tensor3Z& h, tensor::Tensor3Z& rhs) {
+void Simulation::bracket_cell(int aa, int ic, const cplx* src, cplx* dst,
+                              size_t st, size_t sv) {
+  // Split-layout lines (element (t, line) at t·lines + line): p = iky·φ and
+  // q = ikx·φ as 2 lines, b = ikx·h and d = iky·h as nv_loc lines each: the
+  // two φ lines are transformed once, the h lines of all velocities
+  // together. Every complex product is expanded as (ac − bd, ad + bc), the
+  // 0·x terms of the (0, k) multipliers included, so each line sees the
+  // floating-point operations of the single-line std::complex bracket and
+  // the result is bit-identical to it.
+  const size_t n = static_cast<size_t>(input_.nt());
+  const size_t nv = static_cast<size_t>(nv_loc());
+  const size_t len = n * nv;
+  double* br = nl_lines_.data();
+  double* bi = br + len;
+  double* dr = bi + len;
+  double* di = dr + len;
+  double* pqr = nl_phi_lines_.data();
+  double* pqi = pqr + 2 * n;
+  const double* kx = nl_kx_.data() + static_cast<size_t>(aa) * n;
+  const cplx* phi = phi_full_t_.data() + static_cast<size_t>(ic) * n;
+  for (size_t t = 0; t < n; ++t) {
+    const double ky = ky_[t];
+    const double fr = phi[t].real();
+    const double fi = phi[t].imag();
+    pqr[2 * t] = 0.0 * fr - ky * fi;
+    pqi[2 * t] = 0.0 * fi + ky * fr;
+    pqr[2 * t + 1] = 0.0 * fr - kx[t] * fi;
+    pqi[2 * t + 1] = 0.0 * fi + kx[t] * fr;
+  }
+  // Velocity outer: at pt = 1 each source line is nt contiguous elements.
+  for (size_t v = 0; v < nv; ++v) {
+    const cplx* line = src + v * sv;
+    for (size_t t = 0; t < n; ++t) {
+      const double hr = line[t * st].real();
+      const double hi = line[t * st].imag();
+      br[t * nv + v] = 0.0 * hr - kx[t] * hi;
+      bi[t * nv + v] = 0.0 * hi + kx[t] * hr;
+      dr[t * nv + v] = 0.0 * hr - ky_[t] * hi;
+      di[t * nv + v] = 0.0 * hi + ky_[t] * hr;
+    }
+  }
+  nl_plan_->forward_lines({pqr, 2 * n}, {pqi, 2 * n}, 2);
+  nl_plan_->forward_lines({br, len}, {bi, len}, nv);
+  nl_plan_->forward_lines({dr, len}, {di, len}, nv);
+  // b ← p·b − q·d, two products then one subtraction.
+  for (size_t t = 0; t < n; ++t) {
+    const double p_r = pqr[2 * t], p_i = pqi[2 * t];
+    const double q_r = pqr[2 * t + 1], q_i = pqi[2 * t + 1];
+    for (size_t v = 0; v < nv; ++v) {
+      const size_t i = t * nv + v;
+      const double xr = p_r * br[i] - p_i * bi[i];
+      const double xi = p_r * bi[i] + p_i * br[i];
+      const double yr = q_r * dr[i] - q_i * di[i];
+      const double yi = q_r * di[i] + q_i * dr[i];
+      br[i] = xr - yr;
+      bi[i] = xi - yi;
+    }
+  }
+  nl_plan_->inverse_lines({br, len}, {bi, len}, nv);
+  for (size_t v = 0; v < nv; ++v) {
+    cplx* line = dst + v * sv;
+    for (size_t t = 0; t < n; ++t) {
+      line[t * st] = cplx(br[t * nv + v], bi[t * nv + v]);
+    }
+  }
+}
+
+void Simulation::compute_rhs(const tensor::Tensor3Z& x, int stage, double b,
+                             double a) {
   proc_->set_phase("str");
   proc_->kernel(static_cast<double>(state_elems()) *
                 compute_model_.rhs_flops_per_elem);
   if (mode_ != Mode::kReal) return;
   const bool nonlinear = input_.nonlinear;
   const double* ky_loc = ky_.data() + it_global(0);
+  // acc_ starts from h_ on the first stage and accumulates after it
+  // (acc + b·r rounds as acc += b·r); the last stage feeds no further one.
+  // x is h_ or stage_; each element of x is read before stage_'s is written.
+  const cplx* xp = x.data().data();
+  const cplx* hp = h_.data().data();
+  const cplx* nlp = nonlinear ? nl_.data().data() : nullptr;
+  cplx* accp = acc_.data().data();
+  cplx* stp = stage_.data().data();
+  const cplx* acc_base = stage == 0 ? hp : accp;
+  const bool next = stage < 3;
+  size_t idx = 0;
   for (int ivl = 0; ivl < nv_loc(); ++ivl) {
     const RhsVelocity& v = rhs_v_[ivl];
     for (int ic = 0; ic < input_.nc(); ++ic) {
       const double kpar = rhs_kpar_[ic];
       const double damp = rhs_damp_[ic];
-      for (int itl = 0; itl < nt_loc(); ++itl) {
+      for (int itl = 0; itl < nt_loc(); ++itl, ++idx) {
         const double ky = ky_loc[itl];
         const size_t fidx = static_cast<size_t>(ic) * nt_loc() + itl;
         const double omega = kpar * v.vpar + 0.4 * ky * v.e * v.pitch;
         const double j = gyro_j_(ivl, ic, itl);
-        const double hr = h(ivl, ic, itl).real();
-        const double hi = h(ivl, ic, itl).imag();
+        const double hr = xp[idx].real();
+        const double hi = xp[idx].imag();
         const double fr = field_stack_[fidx].real();
         const double fi = field_stack_[fidx].imag();
         const double ur = u_[fidx].real();
@@ -534,10 +563,15 @@ void Simulation::compute_rhs(const tensor::Tensor3Z& h, tensor::Tensor3Z& rhs) {
         double ri = ((0.0 * hi + w * hr) + (0.0 * fi + g * fr)) -
                     damp * (v.abs_vpar * hi - j * ui);
         if (nonlinear) {
-          rr += nl_(ivl, ic, itl).real();
-          ri += nl_(ivl, ic, itl).imag();
+          rr += nlp[idx].real();
+          ri += nlp[idx].imag();
         }
-        rhs(ivl, ic, itl) = cplx(rr, ri);
+        // The RK4 update, with the complex operations of an axpy over a
+        // stored r.
+        const cplx r(rr, ri);
+        const cplx h0 = hp[idx];
+        accp[idx] = acc_base[idx] + b * r;
+        if (next) stp[idx] = h0 + a * r;
       }
     }
   }
@@ -545,40 +579,18 @@ void Simulation::compute_rhs(const tensor::Tensor3Z& h, tensor::Tensor3Z& rhs) {
 
 void Simulation::rk4_step() {
   const double dt = input_.dt;
-  auto stage_rhs = [&](const tensor::Tensor3Z& x, tensor::Tensor3Z& out) {
-    field_solve(x);
-    upwind_solve(x);
+  // Classic RK4: acc_ = h + Σ b_s·k_s, and stage s+1 runs at h + a_s·k_s.
+  // a[3] is unused: no stage follows the last.
+  const double b[4] = {dt / 6.0, dt / 3.0, dt / 3.0, dt / 6.0};
+  const double a[4] = {dt / 2.0, dt / 2.0, dt, 0.0};
+  for (int s = 0; s < 4; ++s) {
+    const tensor::Tensor3Z& x = s == 0 ? h_ : stage_;
+    field_solve(x, /*upwind=*/true);
+    upwind_solve();
     if (input_.nonlinear) nonlinear_term(x);
-    compute_rhs(x, out);
-  };
-  const bool real = (mode_ == Mode::kReal);
-  auto axpy_into = [&](tensor::Tensor3Z& dst, const tensor::Tensor3Z& base,
-                       const tensor::Tensor3Z& v, double coef) {
-    if (!real) return;
-    const auto b = base.data();
-    const auto vv = v.data();
-    auto dd = dst.data();
-    for (size_t i = 0; i < dd.size(); ++i) dd[i] = b[i] + coef * vv[i];
-  };
-  auto accum = [&](tensor::Tensor3Z& dst, const tensor::Tensor3Z& v, double coef) {
-    if (!real) return;
-    const auto vv = v.data();
-    auto dd = dst.data();
-    for (size_t i = 0; i < dd.size(); ++i) dd[i] += coef * vv[i];
-  };
-
-  stage_rhs(h_, k_);                      // k1
-  axpy_into(acc_, h_, k_, dt / 6.0);
-  axpy_into(stage_, h_, k_, dt / 2.0);
-  stage_rhs(stage_, k_);                  // k2
-  accum(acc_, k_, dt / 3.0);
-  axpy_into(stage_, h_, k_, dt / 2.0);
-  stage_rhs(stage_, k_);                  // k3
-  accum(acc_, k_, dt / 3.0);
-  axpy_into(stage_, h_, k_, dt);
-  stage_rhs(stage_, k_);                  // k4
-  accum(acc_, k_, dt / 6.0);
-  if (real) std::swap(h_, acc_);
+    compute_rhs(x, s, b[s], a[s]);
+  }
+  if (mode_ == Mode::kReal) std::swap(h_, acc_);
 }
 
 void Simulation::apply_collisions_range(int a_lo, int a_hi) {
@@ -692,7 +704,7 @@ Diagnostics Simulation::diagnostics() {
   Diagnostics d;
   d.steps = steps_;
   d.time = steps_ * input_.dt;
-  field_solve(h_);
+  field_solve(h_, /*upwind=*/false);
   proc_->set_phase("report");
   if (mode_ == Mode::kReal) {
     // Count each (ic, it) cell once: φ is replicated across the nv comm.
@@ -729,7 +741,7 @@ Diagnostics Simulation::diagnostics() {
 
 std::vector<double> Simulation::phi_spectrum() {
   XG_REQUIRE(mode_ == Mode::kReal, "phi_spectrum requires real mode");
-  field_solve(h_);
+  field_solve(h_, /*upwind=*/false);
   proc_->set_phase("report");
   std::vector<double> spectrum(static_cast<size_t>(input_.nt()), 0.0);
   // φ is replicated across the nv communicator; count each cell once.

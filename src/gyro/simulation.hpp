@@ -146,10 +146,21 @@ class Simulation {
   void build_tables();
   void build_cmat();
   void apply_initial_condition();
-  void field_solve(const tensor::Tensor3Z& h);
-  void upwind_solve(const tensor::Tensor3Z& h);
-  void compute_rhs(const tensor::Tensor3Z& h, tensor::Tensor3Z& rhs);
+  /// Field moments of `h` (and, with `upwind`, the upwind partial into u_,
+  /// for the upwind_solve that follows) in one sweep, then the field
+  /// AllReduce and normalisation.
+  void field_solve(const tensor::Tensor3Z& h, bool upwind);
+  void upwind_solve();
+  /// RHS r of RK4 stage `stage` (0..3) at stage input `x`, fused with the
+  /// update: acc_ = h_ + b·r on stage 0 and acc_ += b·r after it; on stages
+  /// 0..2 also stage_ = h_ + a·r. `x` may be stage_.
+  void compute_rhs(const tensor::Tensor3Z& x, int stage, double b, double a);
   void nonlinear_term(const tensor::Tensor3Z& h);
+  /// Toroidal bracket of configuration cell `ic` (nl-local index `aa`) over
+  /// nv_loc lines of nt: element (t, v) is read at src[t·st + v·sv] and the
+  /// result written at dst[t·st + v·sv]; src may equal dst.
+  void bracket_cell(int aa, int ic, const cplx* src, cplx* dst, size_t st,
+                    size_t sv);
   void collision_step();
   void apply_collisions_range(int a_lo, int a_hi);
   void rk4_step();
@@ -181,7 +192,9 @@ class Simulation {
   int steps_ = 0;
 
   // streaming-phase state (real mode)
-  tensor::Tensor3Z h_, acc_, stage_, k_;
+  /// RK4 buffers: acc_ gathers h_ + Σ b·k and stage_ holds the next
+  /// stage's input; compute_rhs writes both from each element's k.
+  tensor::Tensor3Z h_, acc_, stage_;
   tensor::Tensor3Z nl_;                  // nonlinear term at current stage
   tensor::Tensor3<double> gyro_j_;       // gyroaverage table (nv_loc, nc, nt_loc)
   /// Stacked field moments, slot-major: [field][ic][it_loc]. Slot 0 is φ;
@@ -217,10 +230,13 @@ class Simulation {
   /// panels (input and output), k = n_sims_sharing.
   std::vector<cplx> coll_scratch_;
 
-  // nonlinear-phase objects
+  // nonlinear-phase objects. At pt = 1 the nl transpose is the identity:
+  // the bracket reads h in place and writes nl_, the transposer only issues
+  // its (virtual) collectives, and the two permute/layout tensors below are
+  // never allocated.
   std::unique_ptr<tensor::EnsembleTransposer<cplx>> nl_transpose_;
-  tensor::Tensor3Z nl_str_perm_;          // (nt_loc, nc, nv_loc)
-  std::vector<tensor::Tensor3Z> nl_layout_;
+  tensor::Tensor3Z nl_str_perm_;          // (nt_loc, nc, nv_loc), pt > 1
+  std::vector<tensor::Tensor3Z> nl_layout_;  // pt > 1
   std::vector<cplx> phi_full_t_;          // φ gathered over t (nc × nt)
   /// FFT plan and bracket scratch, built once in initialize(). The bracket
   /// runs one configuration cell at a time on split-layout lines (see

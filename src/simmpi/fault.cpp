@@ -97,15 +97,15 @@ FaultPlan FaultPlan::parse(const std::string& spec) {
       if (plan.delay_s < 0.0) {
         throw InputError("faults: delay seconds must be >= 0");
       }
-    } else if (key == "kill") {
-      const auto [r, t] = split_pair(value, '@', "kill");
+    } else if (key == "kill" || key == "hang") {
+      const auto [r, t] = split_pair(value, '@', key);
       FaultPlan::Kill k;
-      k.rank = parse_rank(r, "faults:kill rank");
-      k.time_s = parse_double(t, "faults:kill time");
+      k.rank = parse_rank(r, "faults:" + key + " rank");
+      k.time_s = parse_double(t, "faults:" + key + " time");
       if (k.time_s < 0.0) {
-        throw InputError("faults: kill time must be >= 0");
+        throw InputError("faults: " + key + " time must be >= 0");
       }
-      plan.kills.push_back(k);
+      (key == "kill" ? plan.kills : plan.hangs).push_back(k);
     } else {
       throw InputError(strprintf("faults: unknown component '%s'", key.c_str()));
     }
@@ -128,6 +128,9 @@ std::string FaultPlan::describe() const {
   }
   for (const auto& k : kills) {
     out += strprintf(" kill=%d@%.9g", k.rank, k.time_s);
+  }
+  for (const auto& k : hangs) {
+    out += strprintf(" hang=%d@%.9g", k.rank, k.time_s);
   }
   return out;
 }

@@ -4,7 +4,8 @@
 // run: eager messages get extra latency (but stay within the legal MPI
 // matching order), chosen ranks run slow or jittery (stragglers), and a
 // rank can be killed at a virtual time — surfacing a structured
-// RankFailure instead of deadlocking the schedule. The same seed always
+// RankFailure instead of deadlocking the schedule — or hung, which stalls
+// the schedule into a DeadlockError report. The same seed always
 // reproduces the same injected schedule, so fault runs are replayable and
 // usable as regression tests for the runtime itself.
 #pragma once
@@ -32,6 +33,11 @@ namespace xg::mpi {
 ///                       observation point at or after time T (repeatable:
 ///                       each clause arms an independent kill, so a recovered
 ///                       job can be killed again in a later attempt)
+///   hang=R@T            rank R stops answering at the first observation
+///                       point at or after time T: it parks in a receive
+///                       nothing satisfies, so the run ends in a
+///                       DeadlockError once every other rank waits on it or
+///                       has finished (repeatable)
 ///
 /// Example: "seed=42;straggler=2x3.0;jitter=2x0.5;delay=0.3x5e-6;kill=1@0.02"
 struct FaultPlan {
@@ -51,20 +57,22 @@ struct FaultPlan {
   double delay_probability = 0.0;     ///< per-message delay probability
   double delay_s = 0.0;               ///< extra virtual latency per delayed msg
   std::vector<Kill> kills;            ///< armed kills; empty = nobody dies
+  std::vector<Kill> hangs;            ///< armed hangs, {rank, time} as kills
 
   /// True if any fault mechanism is configured.
   [[nodiscard]] bool active() const {
     return !stragglers.empty() || !jitters.empty() ||
-           (delay_probability > 0.0 && delay_s > 0.0) || !kills.empty();
+           (delay_probability > 0.0 && delay_s > 0.0) || !kills.empty() ||
+           !hangs.empty();
   }
 
   /// Earliest kill time armed for `rank`, or a negative value if immortal.
   [[nodiscard]] double kill_time_for(int rank) const {
-    double t = -1.0;
-    for (const auto& k : kills) {
-      if (k.rank == rank && (t < 0.0 || k.time_s < t)) t = k.time_s;
-    }
-    return t;
+    return earliest_for(kills, rank);
+  }
+  /// Earliest hang time armed for `rank`, or a negative value if none.
+  [[nodiscard]] double hang_time_for(int rank) const {
+    return earliest_for(hangs, rank);
   }
 
   /// Convenience: arm one more kill clause.
@@ -113,6 +121,8 @@ struct FaultPlan {
                   [nranks](const RankScale& s) { return s.rank >= nranks; });
     std::erase_if(plan.kills,
                   [nranks](const Kill& k) { return k.rank >= nranks; });
+    std::erase_if(plan.hangs,
+                  [nranks](const Kill& k) { return k.rank >= nranks; });
     return plan;
   }
 
@@ -122,6 +132,15 @@ struct FaultPlan {
 
   /// Human-readable one-line summary (deterministic, for logs and reports).
   [[nodiscard]] std::string describe() const;
+
+ private:
+  static double earliest_for(const std::vector<Kill>& clauses, int rank) {
+    double t = -1.0;
+    for (const auto& k : clauses) {
+      if (k.rank == rank && (t < 0.0 || k.time_s < t)) t = k.time_s;
+    }
+    return t;
+  }
 };
 
 /// Per-rank accounting of what the fault layer actually injected. Returned

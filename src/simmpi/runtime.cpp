@@ -10,6 +10,7 @@
 #include "simmpi/invariant.hpp"
 #include "util/error.hpp"
 #include "util/format.hpp"
+#include "util/hash.hpp"
 
 namespace xg::mpi {
 
@@ -32,6 +33,15 @@ void Proc::fault_check() {
     // Disarm before throwing so error reporting can't re-trigger the kill.
     kill_at_ = -1.0;
     throw RankFailure(rank_, clock_, phase_);
+  }
+  if (hang_at_ >= 0.0 && clock_ >= hang_at_) {
+    hang_at_ = -1.0;
+    // Wait on a context no communicator uses: nothing ever matches, so the
+    // rank parks until the runtime reports the stalled schedule as a
+    // deadlock and aborts the run.
+    static const std::uint64_t kHangContext =
+        Hasher().str("xgyro.hang").digest();
+    (void)rt_->mailboxes_[rank_]->take(kHangContext, rank_, 0);
   }
 }
 
@@ -242,6 +252,10 @@ Runtime::Runtime(net::MachineSpec spec, int nranks, RuntimeOptions opts)
     XG_REQUIRE(k.rank < nranks_,
                strprintf("faults: kill rank %d >= nranks %d", k.rank, nranks_));
   }
+  for (const auto& h : opts_.faults.hangs) {
+    XG_REQUIRE(h.rank < nranks_,
+               strprintf("faults: hang rank %d >= nranks %d", h.rank, nranks_));
+  }
   mailboxes_.reserve(nranks_);
   for (int r = 0; r < nranks_; ++r) {
     mailboxes_.push_back(std::make_unique<Mailbox>());
@@ -317,6 +331,7 @@ RunResult Runtime::run(const std::function<void(Proc&)>& body) {
       procs[r].straggle_factor_ = placement_.rank_compute_scale(r);
       procs[r].jitter_frac_ = opts_.faults.jitter_frac(r);
       procs[r].kill_at_ = opts_.faults.kill_time_for(r);
+      procs[r].hang_at_ = opts_.faults.hang_time_for(r);
     }
   }
 

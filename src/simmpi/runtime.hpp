@@ -160,7 +160,8 @@ class Proc {
   /// the (possibly stretched) duration and accounts the injected excess.
   double charge_faulted(double dt);
 
-  /// Throw RankFailure if this rank's fault-plan kill time has been reached.
+  /// Throw RankFailure if this rank's fault-plan kill time has been reached;
+  /// park for good if its hang time has.
   void fault_check();
 
   Runtime* rt_ = nullptr;
@@ -183,6 +184,7 @@ class Proc {
   double straggle_factor_ = 1.0;
   double jitter_frac_ = 0.0;
   double kill_at_ = -1.0;  ///< virtual kill time; < 0 = immortal
+  double hang_at_ = -1.0;  ///< virtual hang time; < 0 = never hangs
   FaultStats fstats_;
 };
 

@@ -44,19 +44,26 @@ int replan_ranks_per_sim(const gyro::Input& input,
   return 0;
 }
 
+std::string abort_summary(const std::string& kind, const std::string& reason,
+                          int world_rank, double virtual_time_s,
+                          const std::string& phase, size_t recoveries) {
+  return strprintf(
+      "JobAborted: %s at virtual t=%.9e s in phase '%s' (rank %d) — %s "
+      "after %zu successful recover%s",
+      kind.c_str(), virtual_time_s, phase.c_str(), world_rank, reason.c_str(),
+      recoveries, recoveries == 1 ? "y" : "ies");
+}
+
 }  // namespace
 
 JobAborted::JobAborted(std::string kind, std::string reason, int world_rank,
                        double virtual_time_s, std::string phase,
                        std::vector<RecoveryEvent> recoveries,
                        std::uint64_t snapshots_committed,
-                       std::uint64_t snapshots_rejected)
-    : Error(strprintf(
-          "JobAborted: %s at virtual t=%.9e s in phase '%s' (rank %d) — %s "
-          "after %zu successful recover%s",
-          kind.c_str(), virtual_time_s, phase.c_str(), world_rank,
-          reason.c_str(), recoveries.size(),
-          recoveries.size() == 1 ? "y" : "ies")),
+                       std::uint64_t snapshots_rejected, std::string report)
+    : Error(abort_summary(kind, reason, world_rank, virtual_time_s, phase,
+                          recoveries.size()) +
+            (report.empty() ? "" : "\n" + report)),
       kind_(std::move(kind)),
       reason_(std::move(reason)),
       world_rank_(world_rank),
@@ -64,7 +71,13 @@ JobAborted::JobAborted(std::string kind, std::string reason, int world_rank,
       phase_(std::move(phase)),
       recoveries_(std::move(recoveries)),
       snapshots_committed_(snapshots_committed),
-      snapshots_rejected_(snapshots_rejected) {}
+      snapshots_rejected_(snapshots_rejected),
+      report_(std::move(report)) {}
+
+std::string JobAborted::summary(const std::string& reason) const {
+  return abort_summary(kind_, reason, world_rank_, virtual_time_s_, phase_,
+                       recoveries_.size());
+}
 
 const std::vector<std::string>& solver_phases() {
   static const std::vector<std::string> kPhases{
@@ -134,6 +147,7 @@ JobResult run_job(const EnsembleInput& batch, const net::MachineSpec& machine,
     std::vector<gyro::Diagnostics> diags(static_cast<size_t>(k));
     std::mutex mu;
     RecoveryEvent ev;  // stays empty when the attempt completes
+    std::string report;  // a deadlock's blocked-rank report
     try {
       out.run = mpi::run_simulation(
           out.machine, nranks,
@@ -190,6 +204,7 @@ JobResult run_job(const EnsembleInput& batch, const net::MachineSpec& machine,
       ev.phase = e.phase();
     } catch (const mpi::DeadlockError& e) {
       ev.kind = "deadlock";
+      report = e.what();
       if (!e.blocked().empty()) {
         const mpi::BlockedRankInfo& first = e.blocked().front();
         ev.world_rank = first.world_rank;
@@ -208,7 +223,8 @@ JobResult run_job(const EnsembleInput& batch, const net::MachineSpec& machine,
     const auto abort = [&](const char* reason) {
       return JobAborted(ev.kind, reason, ev.world_rank, ev.virtual_time_s,
                         ev.phase, std::move(out.recoveries),
-                        out.snapshots_committed, out.snapshots_rejected);
+                        out.snapshots_committed, out.snapshots_rejected,
+                        std::move(report));
     };
     if (recoveries_left-- <= 0) throw abort("recovery budget exhausted");
     ev.nodes_before = ev.nodes_after = out.machine.n_nodes;
@@ -231,8 +247,11 @@ JobResult run_job(const EnsembleInput& batch, const net::MachineSpec& machine,
       // Clauses aimed at ranks beyond the shrunken job are dropped.
       ropts.faults = ropts.faults.without_kill(ev.world_rank)
                          .pruned_to(k * out.ranks_per_sim);
+    } else {
+      // A deadlock retries on the same allocation. Hangs are transient like
+      // kills: the retry runs without them.
+      ropts.faults.hangs.clear();
     }
-    // A deadlock retries on the same allocation.
     out.recoveries.push_back(std::move(ev));
     resume = ckpt_enabled;
     just_recovered = true;

@@ -74,14 +74,21 @@ struct RecoveryEvent {
 /// exhausted or the surviving allocation cannot host the job. Carries the
 /// partial accounting (recoveries that DID succeed, snapshot counters) so
 /// callers can fold a failed job into a partial result instead of losing
-/// the history with a bare rethrow.
+/// the history with a bare rethrow. what() is summary(reason()), followed
+/// on the next lines by report() when there is one.
 class JobAborted : public Error {
  public:
   JobAborted(std::string kind, std::string reason, int world_rank,
              double virtual_time_s, std::string phase,
              std::vector<RecoveryEvent> recoveries,
              std::uint64_t snapshots_committed,
-             std::uint64_t snapshots_rejected);
+             std::uint64_t snapshots_rejected, std::string report = {});
+
+  /// One line naming the failure, where and when it happened, `reason` as
+  /// the cause, and the recoveries that succeeded before it. A caller that
+  /// knows the cause better than the runner (a CLI run with recovery off)
+  /// passes its own reason.
+  [[nodiscard]] std::string summary(const std::string& reason) const;
 
   [[nodiscard]] const std::string& kind() const { return kind_; }
   [[nodiscard]] const std::string& reason() const { return reason_; }
@@ -97,6 +104,10 @@ class JobAborted : public Error {
   [[nodiscard]] std::uint64_t snapshots_rejected() const {
     return snapshots_rejected_;
   }
+  /// The last failure's full runtime report: for a deadlock, every blocked
+  /// rank and the receive it waits in (mpi::DeadlockError::what()). Empty
+  /// for a rank failure, whose fields above say it all.
+  [[nodiscard]] const std::string& report() const { return report_; }
 
  private:
   std::string kind_;
@@ -107,6 +118,7 @@ class JobAborted : public Error {
   std::vector<RecoveryEvent> recoveries_;
   std::uint64_t snapshots_committed_;
   std::uint64_t snapshots_rejected_;
+  std::string report_;
 };
 
 struct JobResult {
@@ -127,7 +139,7 @@ struct JobResult {
 /// stripped from the fault plan (kills armed for other ranks stay live and
 /// can fire in later attempts), and the job resumes from the newest valid
 /// snapshot (or from scratch without checkpointing). DeadlockError retries
-/// on the same allocation. After max_recoveries failures — or when the
+/// on the same allocation, with the fault plan's hang clauses removed. After max_recoveries failures — or when the
 /// survivors cannot host the job — a JobAborted is thrown.
 JobResult run_job(const EnsembleInput& batch, const net::MachineSpec& machine,
                   int ranks_per_sim, const JobOptions& options = {});

@@ -21,6 +21,7 @@
 #include "simmpi/runtime.hpp"
 #include "simnet/machine.hpp"
 #include "util/error.hpp"
+#include "util/format.hpp"
 #include "xgyro/driver.hpp"
 #include "xgyro/ensemble.hpp"
 
@@ -457,6 +458,75 @@ TEST(ElasticRecovery, CheckpointingRequiresRealMode) {
   EXPECT_THROW(campaign::run_job_elastic(batch, net::testbox(1, 2), 2, 1,
                                          Mode::kModel, opts),
                Error);
+}
+
+size_t count_of(const std::string& text, const std::string& needle) {
+  size_t n = 0;
+  for (size_t at = text.find(needle); at != std::string::npos;
+       at = text.find(needle, at + 1)) {
+    ++n;
+  }
+  return n;
+}
+
+TEST(ElasticRecovery, DeadlockAbortCarriesEveryBlockedRank) {
+  // A hung rank stalls its peers: the JobAborted keeps the runtime's whole
+  // report (every blocked rank, not only the first) and appends it to
+  // what(), after the one-line summary.
+  xgyro::JobOptions opts;
+  opts.mode = Mode::kReal;
+  opts.faults = mpi::FaultPlan::parse("seed=1;hang=1@1e-9");
+  try {
+    xgyro::run_cgyro_job(Input::small_test(1), net::testbox(1, 4), 4, opts);
+    FAIL() << "expected JobAborted";
+  } catch (const xgyro::JobAborted& e) {
+    EXPECT_EQ(e.kind(), "deadlock");
+    EXPECT_EQ(e.report().rfind("simmpi: virtual schedule is stuck", 0), 0u);
+    EXPECT_EQ(count_of(e.report(), "\n  rank "), 4u);
+    EXPECT_NE(e.report().find("\n  rank 1: "), std::string::npos);
+    EXPECT_EQ(std::string(e.what()), e.summary(e.reason()) + "\n" + e.report());
+    EXPECT_NE(e.summary("recovery not enabled").find("recovery not enabled"),
+              std::string::npos);
+  }
+}
+
+TEST(ElasticRecovery, CampaignFailureMessageCarriesTheDeadlockReport) {
+  campaign::CampaignSpec spec;
+  spec.members.members = {Input::small_test(1)};
+  spec.machine = net::testbox(1, 4);
+  const auto plan = campaign::plan_campaign(spec);
+  ASSERT_EQ(plan.jobs.size(), 1u);
+  campaign::RecoveryOptions opts;
+  opts.max_recoveries = 0;
+  opts.faults = mpi::FaultPlan::parse("seed=1;hang=0@1e-9");
+  const auto res = campaign::run_campaign_elastic(spec, plan, Mode::kReal, opts);
+  ASSERT_EQ(res.failures.size(), 1u);
+  const auto& f = res.failures[0];
+  EXPECT_EQ(f.kind, "deadlock");
+  const size_t blocked = count_of(f.message, "\n  rank ");
+  EXPECT_GE(blocked, 1u);
+  EXPECT_NE(f.message.find(strprintf("%zu rank(s) blocked", blocked)),
+            std::string::npos);
+  EXPECT_NE(f.message.find("\n  rank 0: "), std::string::npos);
+}
+
+TEST(ElasticRecovery, HangIsTransientLikeAKill) {
+  // The retry after a deadlock runs without the hang clauses, so one
+  // recovery brings the job to the clean run's result.
+  const xgyro::EnsembleInput batch{{Input::small_test(1)}};
+  campaign::RecoveryOptions opts;
+  opts.cgyro_layout = true;
+  const auto clean = campaign::run_job_elastic(batch, net::testbox(1, 2), 2, 1,
+                                               Mode::kReal, opts);
+  opts.max_recoveries = 1;
+  opts.faults = mpi::FaultPlan::parse("seed=1;hang=1@1e-9");
+  const auto recovered = campaign::run_job_elastic(
+      batch, net::testbox(1, 2), 2, 1, Mode::kReal, opts);
+  ASSERT_EQ(recovered.recoveries.size(), 1u);
+  EXPECT_EQ(recovered.recoveries[0].kind, "deadlock");
+  EXPECT_EQ(recovered.diagnostics[0].flux_proxy, clean.diagnostics[0].flux_proxy);
+  EXPECT_EQ(recovered.diagnostics[0].free_energy,
+            clean.diagnostics[0].free_energy);
 }
 
 TEST(ElasticRecovery, PlainJobAbortsOnFirstKill) {

@@ -74,6 +74,8 @@ TEST(FaultPlan, RejectsMalformedSpecs) {
   EXPECT_THROW(FaultPlan::parse("delay=0.5"), InputError);       // missing 'x'
   EXPECT_THROW(FaultPlan::parse("kill=1"), InputError);          // missing '@'
   EXPECT_THROW(FaultPlan::parse("kill=1@-0.5"), InputError);
+  EXPECT_THROW(FaultPlan::parse("hang=1"), InputError);          // missing '@'
+  EXPECT_THROW(FaultPlan::parse("hang=-1@0.5"), InputError);     // bad rank
   EXPECT_THROW(FaultPlan::parse("seed=notanumber"), InputError);
   EXPECT_THROW(FaultPlan::parse("straggler"), InputError);  // missing '='
 }
@@ -87,9 +89,22 @@ TEST(FaultPlan, RankSeedsAreStableAndDecorrelated) {
   EXPECT_NE(a.rank_seed(0), c.rank_seed(0));
 }
 
+TEST(FaultPlan, ParsesHangClauses) {
+  const auto plan = FaultPlan::parse("hang=3@0.25;hang=3@0.125");
+  EXPECT_TRUE(plan.active());
+  ASSERT_EQ(plan.hangs.size(), 2u);
+  EXPECT_DOUBLE_EQ(plan.hang_time_for(3), 0.125);
+  EXPECT_LT(plan.hang_time_for(0), 0.0);
+  EXPECT_LT(plan.kill_time_for(3), 0.0);
+  EXPECT_NE(plan.describe().find("hang=3@0.25"), std::string::npos);
+  EXPECT_TRUE(plan.pruned_to(3).hangs.empty());
+}
+
 TEST(FaultPlan, RuntimeRejectsOutOfRangeRanks) {
   RuntimeOptions opts;
   opts.faults = FaultPlan::parse("straggler=9x2.0");
+  EXPECT_THROW(Runtime(net::testbox(1, 2), 2, opts), Error);
+  opts.faults = FaultPlan::parse("hang=2@0.1");
   EXPECT_THROW(Runtime(net::testbox(1, 2), 2, opts), Error);
 }
 
@@ -421,6 +436,32 @@ TEST(Deadlock, NamesTheOneStuckRankAmongManyFibersPerWorker) {
     EXPECT_EQ(b.waiting_src_world, 5);
     EXPECT_EQ(b.waiting_tag, 77);
     EXPECT_EQ(b.phase, "orphan_recv");
+  }
+}
+
+TEST(Deadlock, HungRankStallsItsPeersIntoOneReport) {
+  // Rank 2 hangs at its first observation point after t = 0.5; the others
+  // then wait on it in the next allreduce. Every rank is in the report, the
+  // hung one parked on its own channel.
+  RuntimeOptions opts;
+  opts.faults = FaultPlan::parse("seed=3;hang=2@0.5");
+  try {
+    Runtime(net::testbox(1, 4), 4, opts).run([](Proc& p) {
+      p.set_phase("work");
+      for (int i = 0; i < 4; ++i) {
+        p.advance(0.2);
+        std::vector<double> v(4, 1.0);
+        p.world().allreduce_sum(std::span<double>(v));
+      }
+    });
+    ADD_FAILURE() << "hung rank did not raise DeadlockError";
+  } catch (const DeadlockError& d) {
+    ASSERT_EQ(d.blocked().size(), 4u);
+    const auto& hung = d.blocked()[2];
+    EXPECT_EQ(hung.world_rank, 2);
+    EXPECT_EQ(hung.waiting_src_world, 2);
+    EXPECT_GE(hung.virtual_time_s, 0.5);
+    EXPECT_EQ(hung.phase, "work");
   }
 }
 

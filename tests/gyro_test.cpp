@@ -614,6 +614,9 @@ TEST(Simulation, RealAndModelModesAgreeOnVirtualTime) {
 }
 
 TEST(Simulation, NonlinearRealModelTimingAgree) {
+  // Real and model mode run one schedule, so their virtual results agree to
+  // the bit — also at pt = 1, where the real path issues the nl transposes
+  // as virtual collectives and brackets the state in place.
   Input in = Input::small_test(1);
   in.nonlinear = true;
   xgyro::JobOptions real_opts;
@@ -621,9 +624,19 @@ TEST(Simulation, NonlinearRealModelTimingAgree) {
   xgyro::JobOptions model_opts;
   model_opts.mode = Mode::kModel;
   const auto machine = net::testbox(1, 4);
-  const auto real = xgyro::run_cgyro_job(in, machine, 4, real_opts);
-  const auto model = xgyro::run_cgyro_job(in, machine, 4, model_opts);
-  EXPECT_NEAR(real.makespan_s, model.makespan_s, 1e-12);
+  for (const int nranks : {1, 2, 4}) {
+    SCOPED_TRACE(nranks);
+    const auto real = xgyro::run_cgyro_job(in, machine, nranks, real_opts);
+    const auto model = xgyro::run_cgyro_job(in, machine, nranks, model_opts);
+    EXPECT_EQ(real.makespan_s, model.makespan_s);
+    auto phases = xgyro::solver_phases();
+    phases.push_back("init");
+    for (const auto& ph : phases) {
+      EXPECT_EQ(real.phase_max_time(ph), model.phase_max_time(ph)) << ph;
+    }
+    EXPECT_GT(real.collectives_checked, 0u);
+    EXPECT_EQ(real.collectives_checked, model.collectives_checked);
+  }
 }
 
 TEST(Simulation, PhaseBreakdownCoversAllSolverPhases) {

@@ -541,6 +541,15 @@ TEST(Golden, TwoMembersSplitOverVelocityAndToroidal) {
   EXPECT_EQ(run_golden(2, Decomposition{2, 2}, 8), want);
 }
 
+TEST(Golden, TwoMembersVelocitySplitIdentityBracket) {
+  // pv = 2, pt = 1: the nl transpose is the identity and each cell's
+  // bracket lines are half of the velocity extent of the state.
+  const std::vector<GoldenMember> want{
+      {0xfb76d083d871e334, 0x3ef4dbd55c6e6978},
+      {0x271193ad415b302b, 0x3ef6a08d003c1c5c}};
+  EXPECT_EQ(run_golden(2, Decomposition{2, 1}, 8), want);
+}
+
 TEST(Golden, TwoMembersBluesteinLength) {
   // nt = 6 takes the Bluestein path of the bracket FFT.
   const std::vector<GoldenMember> want{
