@@ -14,7 +14,10 @@
 #      vector ownership between nodes; the checkpoint and campaign tests
 #      drive the job runner's recovery loop, which catches RankFailure and
 #      DeadlockError thrown out of the fiber runtime and writes and
-#      restores snapshots; UBSan findings abort instead of only printing)
+#      restores snapshots; UBSan findings abort instead of only printing),
+#      then the service_test subset that drives the request lifecycle
+#      table and the service engine's emission and preemption paths:
+#      Golden.*, Lifecycle.*, ServicePreemption.* and Seeds/ServiceStress.*
 #   3. Release (-O3) build of xgyro_test and its Golden.* cases: the
 #      benchmark builds the solver at -O3, the ctest suite at
 #      RelWithDebInfo, and the pinned state_hash/flux bits must hold at both
@@ -51,7 +54,7 @@ cmake --preset default
 cmake --build --preset default -j "$JOBS"
 ctest --preset default
 
-echo "=== [2/10] sanitized build + kernel, fiber runtime, telemetry and job-runner tests ==="
+echo "=== [2/10] sanitized build + kernel, fiber runtime, telemetry, job-runner and service-lifecycle tests ==="
 cmake --preset sanitize
 cmake --build --preset sanitize -j "$JOBS"
 for t in fft_test gyro_test xgyro_test simmpi_test fault_test coll_test \
@@ -59,6 +62,9 @@ for t in fft_test gyro_test xgyro_test simmpi_test fault_test coll_test \
   UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \
     "./build-sanitize/tests/$t" --gtest_brief=1
 done
+UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \
+  ./build-sanitize/tests/service_test --gtest_brief=1 \
+  --gtest_filter='Golden.*:Lifecycle.*:ServicePreemption.*:Seeds/ServiceStress.*'
 
 echo "=== [3/10] Release (-O3) build + solver goldens ==="
 cmake --preset release

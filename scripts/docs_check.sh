@@ -16,8 +16,8 @@
 #      combinations exit 1 with a single-line diagnostic; --help exits 0;
 #      an unrecovered rank kill without --checkpoint-dir exits 2 with an
 #      abort report whose reason and detail line both say recovery was not
-#      enabled; an unrecovered hang exits 2 with the deadlock report of
-#      every blocked rank;
+#      enabled; an unrecovered hang exits 2 naming the hung rank, with
+#      the deadlock report of every blocked rank;
 #      xgyro_serve additionally exits 2 (not 1) when admitted requests
 #      fail, per its documented 0/1/2 convention, and xgyro_servemon
 #      exits 1 on missing/corrupt logs and bad SLO grammar.
@@ -195,6 +195,8 @@ rc=0
 [[ "$rc" -eq 2 ]] || fail "unrecovered hang: expected exit 2, got $rc"
 grep -q "^xgyro_cli: job aborted (deadlock)$" "$WORK/hang.err" \
   || { cat "$WORK/hang.err" >&2; fail "unrecovered hang: no abort report"; }
+grep -q "^  rank   : 1$" "$WORK/hang.err" \
+  || { cat "$WORK/hang.err" >&2; fail "unrecovered hang: abort does not name the hung rank 1"; }
 grep -q "^simmpi: virtual schedule is stuck — 4 rank(s) blocked" \
   "$WORK/hang.err" \
   || { cat "$WORK/hang.err" >&2; fail "unrecovered hang: no deadlock report"; }

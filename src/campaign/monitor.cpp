@@ -16,16 +16,7 @@ using telemetry::Json;
 
 SloSpec SloSpec::parse(const std::string& spec) {
   SloSpec out;
-  for (const auto& raw : split(spec, ';')) {
-    const std::string_view item = trim(raw);
-    if (item.empty()) continue;
-    const size_t eq = item.find('=');
-    if (eq == std::string_view::npos) {
-      throw InputError(strprintf("slo: expected key=value, got '%.*s'",
-                                 int(item.size()), item.data()));
-    }
-    const std::string key = to_lower(trim(item.substr(0, eq)));
-    const std::string_view value = trim(item.substr(eq + 1));
+  for (const auto& [key, value] : spec_items(spec, "slo")) {
     if (key == "wait") {
       out.wait_s = parse_double(value, "slo:wait");
       if (out.wait_s <= 0.0) throw InputError("slo: wait must be > 0");
@@ -85,6 +76,24 @@ Json wait_calibration_json(const perfmodel::WaitCalibration& c) {
       .set("pass", c.pass);
 }
 
+Json fast_path_json(int modeled, int audited, int forced) {
+  return Json::object()
+      .set("modeled", modeled)
+      .set("audited", audited)
+      .set("forced", forced);
+}
+
+double jain_index(const std::map<std::string, int>& counts) {
+  double sum = 0.0, sum_sq = 0.0;
+  for (const auto& [name, c] : counts) {
+    const double x = c;
+    sum += x;
+    sum_sq += x * x;
+  }
+  if (counts.empty() || sum <= 0.0) return 1.0;
+  return sum * sum / (double(counts.size()) * sum_sq);
+}
+
 // ---------------------------------------------------------------------------
 // ServiceMonitor
 
@@ -127,6 +136,13 @@ void ServiceMonitor::trim(double t) {
   }
 }
 
+void ServiceMonitor::dequeue(int id) {
+  if (const auto qit = queued_.find(id); qit != queued_.end()) {
+    queued_age_.erase({qit->second.second, id});
+    queued_.erase(qit);
+  }
+}
+
 double ServiceMonitor::slo_compliance() const {
   if (slo_.window_s <= 0.0) {
     return placed_ > 0 ? static_cast<double>(slo_met_) / placed_ : 1.0;
@@ -141,18 +157,19 @@ double ServiceMonitor::slo_compliance() const {
 }
 
 std::vector<Json> ServiceMonitor::consume(const Json& record) {
+  using telemetry::EventKind;
   std::vector<Json> alerts;
   const Json* type_field = record.find("type");
   if (type_field == nullptr) return alerts;
-  const std::string& type = type_field->as_string();
+  const EventKind kind = telemetry::event_kind(type_field->as_string());
   if (const Json* t = record.find("t"); t != nullptr) {
     now_ = std::max(now_, t->as_double());
   }
-  if (type == "job.modeled") {
+  if (kind == EventKind::kJobModeled) {
     ++jobs_modeled_;
     return alerts;
   }
-  if (type == "job.audited") {
+  if (kind == EventKind::kJobAudited) {
     ++jobs_audited_;
     const Json* forced = record.find("forced");
     if (forced != nullptr && forced->as_bool()) {
@@ -163,48 +180,47 @@ std::vector<Json> ServiceMonitor::consume(const Json& record) {
     }
     return alerts;
   }
-  if (type.rfind("request.", 0) != 0) return alerts;
+  if (!telemetry::is_request_kind(kind)) return alerts;
 
   const int id = static_cast<int>(record.at("request").as_int());
-  if (type == "request.submitted") {
-    const std::string& tenant = record.at("tenant").as_string();
-    auto [it, fresh] =
-        tenants_.try_emplace(tenant,
-                             Tenant{telemetry::QuantileSketch(compression_)});
-    (void)fresh;
-    ++it->second.submitted;
-    tenant_of_[id] = tenant;
-  } else if (type == "request.admitted") {
-    const auto tit = tenant_of_.find(id);
-    if (tit != tenant_of_.end()) {
-      ++tenants_[tit->second].admitted;
-      queued_[id] = {tit->second, now_};
-      queued_age_.insert({now_, id});
+  switch (kind) {
+    case EventKind::kRequestSubmitted: {
+      const std::string& tenant = record.at("tenant").as_string();
+      auto [it, fresh] = tenants_.try_emplace(
+          tenant, Tenant{telemetry::QuantileSketch(compression_)});
+      (void)fresh;
+      ++it->second.submitted;
+      tenant_of_[id] = tenant;
+      break;
     }
-  } else if (type == "request.rejected") {
-    const auto tit = tenant_of_.find(id);
-    if (tit != tenant_of_.end()) ++tenants_[tit->second].rejected;
-  } else if (type == "request.placed") {
-    const double wait = record.at("wait_s").as_double();
-    double pred = 0.0;
-    if (const Json* p = record.find("predicted_wait_s"); p != nullptr) {
-      pred = p->as_double();
-    }
-    const auto tit = tenant_of_.find(id);
-    if (tit != tenant_of_.end()) tenants_[tit->second].waits.observe(wait);
-    if (const auto qit = queued_.find(id); qit != queued_.end()) {
-      queued_age_.erase({qit->second.second, id});
-      queued_.erase(qit);
-    }
-    ++placed_;
-    if (slo_.enabled() && wait <= slo_.wait_s) ++slo_met_;
-    med_waits_.observe(wait);
-    window_.push_back({now_, wait, pred});
-    trim(now_);
-    pred_.push_back(pred);
-    real_.push_back(wait);
-
-    if (slo_.enabled()) {
+    case EventKind::kRequestAdmitted:
+      if (const auto tit = tenant_of_.find(id); tit != tenant_of_.end()) {
+        queued_[id] = {tit->second, now_};
+        queued_age_.insert({now_, id});
+      }
+      break;
+    case EventKind::kRequestRejected:
+      if (const auto tit = tenant_of_.find(id); tit != tenant_of_.end()) {
+        ++tenants_[tit->second].rejected;
+      }
+      break;
+    case EventKind::kRequestPlaced: {
+      const double wait = record.at("wait_s").as_double();
+      double pred = 0.0;
+      if (const Json* p = record.find("predicted_wait_s"); p != nullptr) {
+        pred = p->as_double();
+      }
+      const auto tit = tenant_of_.find(id);
+      if (tit != tenant_of_.end()) tenants_[tit->second].waits.observe(wait);
+      dequeue(id);
+      ++placed_;
+      if (slo_.enabled() && wait <= slo_.wait_s) ++slo_met_;
+      med_waits_.observe(wait);
+      window_.push_back({now_, wait, pred});
+      trim(now_);
+      pred_.push_back(pred);
+      real_.push_back(wait);
+      if (!slo_.enabled()) break;
       const double compliance = slo_compliance();
       const double burn = (1.0 - compliance) / (1.0 - slo_.target);
       // Edge-triggered with a small warm-up so the first late placement
@@ -221,26 +237,24 @@ std::vector<Json> ServiceMonitor::consume(const Json& record) {
       } else {
         alerting_ = false;
       }
+      break;
     }
-  } else if (type == "request.preempted") {
-    ++preemptions_;
-  } else if (type == "request.resumed") {
-    ++resumes_;
-  } else if (type == "request.completed" || type == "request.failed") {
-    // Failed-before-placement requests leave the queue here.
-    if (const auto qit = queued_.find(id); qit != queued_.end()) {
-      queued_age_.erase({qit->second.second, id});
-      queued_.erase(qit);
-    }
-    const auto tit = tenant_of_.find(id);
-    if (tit != tenant_of_.end()) {
-      Tenant& tn = tenants_[tit->second];
-      if (type == "request.completed") {
-        ++tn.completed;
-      } else {
-        ++tn.failed;
+    case EventKind::kRequestPreempted:
+      ++preemptions_;
+      break;
+    case EventKind::kRequestResumed:
+      ++resumes_;
+      break;
+    case EventKind::kRequestCompleted:
+    case EventKind::kRequestFailed:
+      dequeue(id);  // failed-before-placement requests leave the queue here
+      if (const auto tit = tenant_of_.find(id); tit != tenant_of_.end()) {
+        Tenant& tn = tenants_[tit->second];
+        ++(kind == EventKind::kRequestCompleted ? tn.completed : tn.failed);
       }
-    }
+      break;
+    default:
+      break;  // batched: nothing to track
   }
 
   // Starvation tracking: age of the oldest still-queued request against
@@ -258,17 +272,9 @@ std::vector<Json> ServiceMonitor::consume(const Json& record) {
 }
 
 double ServiceMonitor::jain_fairness() const {
-  double sum = 0.0, sum_sq = 0.0;
-  int n = 0;
-  for (const auto& [name, tn] : tenants_) {
-    (void)name;
-    const double x = tn.completed;
-    sum += x;
-    sum_sq += x * x;
-    ++n;
-  }
-  if (n == 0 || sum <= 0.0) return 1.0;
-  return sum * sum / (n * sum_sq);
+  std::map<std::string, int> completed;
+  for (const auto& [name, tn] : tenants_) completed[name] = tn.completed;
+  return jain_index(completed);
 }
 
 perfmodel::WaitCalibration ServiceMonitor::calibration() const {
@@ -277,12 +283,6 @@ perfmodel::WaitCalibration ServiceMonitor::calibration() const {
 
 perfmodel::AuditGate ServiceMonitor::audit_gate() const {
   return perfmodel::audit_fast_path(audit_price_, audit_measured_);
-}
-
-const telemetry::QuantileSketch* ServiceMonitor::tenant_sketch(
-    const std::string& tenant) const {
-  const auto it = tenants_.find(tenant);
-  return it != tenants_.end() ? &it->second.waits : nullptr;
 }
 
 telemetry::QuantileSketch ServiceMonitor::overall_sketch() const {
@@ -308,6 +308,14 @@ Json sketch_stats(const telemetry::QuantileSketch& s) {
 
 }  // namespace
 
+Json ServiceMonitor::tenant_json(const Tenant& tn) {
+  return sketch_stats(tn.waits)
+      .set("submitted", tn.submitted)
+      .set("completed", tn.completed)
+      .set("failed", tn.failed)
+      .set("rejected", tn.rejected);
+}
+
 Json ServiceMonitor::snapshot() {
   trim(now_);
   const double oldest =
@@ -326,13 +334,7 @@ Json ServiceMonitor::snapshot() {
       .set("resumes", resumes_);
 
   Json tenants = Json::object();
-  for (const auto& [name, tn] : tenants_) {
-    tenants.set(name, sketch_stats(tn.waits)
-                          .set("submitted", tn.submitted)
-                          .set("completed", tn.completed)
-                          .set("failed", tn.failed)
-                          .set("rejected", tn.rejected));
-  }
+  for (const auto& [name, tn] : tenants_) tenants.set(name, tenant_json(tn));
   snap.set("tenants", std::move(tenants));
 
   // Windowed view: placements inside the rolling horizon only.
@@ -354,10 +356,8 @@ Json ServiceMonitor::snapshot() {
   snap.set("calibration", wait_calibration_json(
                               perfmodel::calibrate_queue_wait(wpred, wreal)));
   if (jobs_modeled_ + jobs_audited_ > 0) {
-    snap.set("fast_path", Json::object()
-                              .set("modeled", jobs_modeled_)
-                              .set("audited", jobs_audited_)
-                              .set("forced", audits_forced_));
+    snap.set("fast_path",
+             fast_path_json(jobs_modeled_, jobs_audited_, audits_forced_));
   }
 
   if (slo_.enabled()) {
@@ -384,22 +384,16 @@ Json ServiceMonitor::report() const {
                .set("peak_age_s", oldest_age_peak_s_));
   Json tenants = Json::object();
   for (const auto& [name, tn] : tenants_) {
-    tenants.set(name, sketch_stats(tn.waits)
-                          .set("submitted", tn.submitted)
-                          .set("completed", tn.completed)
-                          .set("failed", tn.failed)
-                          .set("rejected", tn.rejected)
-                          .set("sketch_centroids", tn.waits.centroids()));
+    tenants.set(name, tenant_json(tn).set("sketch_centroids",
+                                          tn.waits.centroids()));
   }
   doc.set("tenants", std::move(tenants));
   doc.set("overall", sketch_stats(overall_sketch()));
   doc.set("calibration", wait_calibration_json(calibration()));
   if (jobs_modeled_ + jobs_audited_ > 0) {
-    doc.set("fast_path", Json::object()
-                             .set("modeled", jobs_modeled_)
-                             .set("audited", jobs_audited_)
-                             .set("forced", audits_forced_)
-                             .set("audit", audit_gate_json(audit_gate())));
+    doc.set("fast_path",
+            fast_path_json(jobs_modeled_, jobs_audited_, audits_forced_)
+                .set("audit", audit_gate_json(audit_gate())));
   }
   if (slo_.enabled()) {
     const double compliance =

@@ -94,10 +94,6 @@ class ServiceMonitor {
   /// (forced audits are excluded — a fault-carrying job's DES cost
   /// includes recoveries the price never models).
   [[nodiscard]] perfmodel::AuditGate audit_gate() const;
-  [[nodiscard]] int jobs_modeled() const { return jobs_modeled_; }
-  [[nodiscard]] int jobs_audited() const { return jobs_audited_; }
-  [[nodiscard]] const telemetry::QuantileSketch* tenant_sketch(
-      const std::string& tenant) const;
   /// All per-tenant sketches merged (demonstrates mergeability; equals the
   /// sketch of the full placement stream up to compression).
   [[nodiscard]] telemetry::QuantileSketch overall_sketch() const;
@@ -109,7 +105,6 @@ class ServiceMonitor {
   struct Tenant {
     telemetry::QuantileSketch waits;
     int submitted = 0;
-    int admitted = 0;
     int rejected = 0;
     int completed = 0;
     int failed = 0;
@@ -129,7 +124,6 @@ class ServiceMonitor {
    public:
     void observe(double x);
     [[nodiscard]] double median() const;  ///< 0.0 when empty
-    [[nodiscard]] size_t count() const { return lo_.size() + hi_.size(); }
 
    private:
     std::priority_queue<double> lo_;  ///< lower half (top = its max)
@@ -137,6 +131,8 @@ class ServiceMonitor {
   };
 
   void trim(double t);
+  static telemetry::Json tenant_json(const Tenant& tn);
+  void dequeue(int id);  ///< drop `id` from the queued set, if there
   [[nodiscard]] double slo_compliance() const;
 
   double window_s_;
@@ -173,6 +169,14 @@ class ServiceMonitor {
 /// monitor snapshots).
 [[nodiscard]] telemetry::Json wait_calibration_json(
     const perfmodel::WaitCalibration& c);
+
+/// Fast-path job counts (shared by ServiceResult, snapshots and the report).
+[[nodiscard]] telemetry::Json fast_path_json(int modeled, int audited,
+                                             int forced);
+
+/// Jain's fairness index (Σx)² / (n·Σx²) over per-tenant completed counts,
+/// 1 when nothing completed (shared by ServiceResult and the monitor).
+[[nodiscard]] double jain_index(const std::map<std::string, int>& counts);
 
 /// JSON rendering of a fast-path audit verdict (shared by ServiceResult
 /// and the monitor report).

@@ -45,16 +45,7 @@ const char* placement_name(PlacementPolicy p) {
 
 StreamSpec StreamSpec::parse(const std::string& spec) {
   StreamSpec out;
-  for (const auto& raw : split(spec, ';')) {
-    const std::string_view item = trim(raw);
-    if (item.empty()) continue;
-    const size_t eq = item.find('=');
-    if (eq == std::string_view::npos) {
-      throw InputError(strprintf("stream: expected key=value, got '%.*s'",
-                                 int(item.size()), item.data()));
-    }
-    const std::string key = to_lower(trim(item.substr(0, eq)));
-    const std::string_view value = trim(item.substr(eq + 1));
+  for (const auto& [key, value] : spec_items(spec, "stream")) {
     if (key == "seed") {
       out.seed = static_cast<std::uint64_t>(parse_long(value, "stream:seed"));
     } else if (key == "n") {
@@ -138,10 +129,41 @@ std::vector<Request> StreamSpec::generate() const {
 
 namespace {
 
+using telemetry::EventKind;
+using telemetry::Json;
+
 const std::vector<double>& wait_bounds() {
   static const std::vector<double> b{1e-3, 1e-2, 0.1, 1.0, 10.0,
                                      100.0, 1e3,  1e4, 1e5};
   return b;
+}
+
+Json queue_wait_json(const QueueWaitStats& st) {
+  return Json::object()
+      .set("p50", st.p50)
+      .set("p95", st.p95)
+      .set("p99", st.p99)
+      .set("mean", st.mean)
+      .set("max", st.max)
+      .set("n", st.n);
+}
+
+Json queue_wait_by_tenant_json(const ServiceResult& r) {
+  Json by_tenant = Json::object();
+  for (const auto& [tenant, st] : r.tenant_queue_wait) {
+    by_tenant.set(tenant, queue_wait_json(st));
+  }
+  return by_tenant;
+}
+
+/// The run's request and job counts (service.end record and report).
+Json totals_json(const ServiceResult& r) {
+  return Json::object()
+      .set("admitted", r.admitted)
+      .set("rejected", r.rejected)
+      .set("completed", r.completed)
+      .set("failed", r.failed)
+      .set("jobs", static_cast<std::int64_t>(r.jobs.size()));
 }
 
 /// Exact quantile of an already-sorted sample: the ceil(q·n)-th value.
@@ -196,8 +218,6 @@ struct JobState {
   int recoveries_left = 0;
   double queue_since = 0.0;  ///< last time the job (re)entered the ready set
   bool done = false;
-  bool was_preempted = false;  ///< next start_slice is a resume
-  bool mode_emitted = false;   ///< job.modeled already written
   double backlog_contrib = 0.0;  ///< this job's share of the backlog total
   double slice_end_s = 0.0;      ///< when the slice in flight ends
 
@@ -217,6 +237,7 @@ struct Engine {
   const std::vector<Request>& reqs;
 
   std::vector<RequestOutcome> outcomes;
+  std::vector<EventKind> req_state;  ///< kind of each request's last record
   std::vector<OpenBatch> batches;
   std::vector<JobState> jobs;
   std::vector<int> ready;  ///< job ids waiting for nodes
@@ -265,8 +286,26 @@ struct Engine {
 
   [[nodiscard]] bool observing() const { return sink != nullptr; }
 
-  [[nodiscard]] telemetry::Json new_event(const char* type) {
-    return telemetry::make_event(ev_seq++, now, type);
+  [[nodiscard]] Json new_event(EventKind kind) {
+    return telemetry::make_event(ev_seq++, now, telemetry::event_name(kind));
+  }
+
+  /// A record of `kind` carrying the fields of a monitor payload.
+  [[nodiscard]] Json new_event(EventKind kind, const Json& payload) {
+    Json rec = new_event(kind);
+    for (const auto& [key, value] : payload.items()) rec.set(key, value);
+    return rec;
+  }
+
+  /// Move request `id` along the edge to `next` (an illegal edge throws,
+  /// sink or not) and emit its record with the fields `fill` sets.
+  template <class Fill>
+  void advance(int id, EventKind next, Fill&& fill) {
+    telemetry::advance_request(req_state[static_cast<size_t>(id)], id, next);
+    if (!observing()) return;
+    Json rec = new_event(next);
+    fill(rec.set("request", id));
+    emit(std::move(rec));
   }
 
   /// Write one record and run it through the monitor; any SLO alerts the
@@ -274,9 +313,8 @@ struct Engine {
   /// monitor, which ignores them — no recursion).
   void emit(telemetry::Json rec) {
     sink->write(rec);
-    for (auto& alert : monitor->consume(rec)) {
-      telemetry::Json al = new_event("slo.alert");
-      for (const auto& [key, value] : alert.items()) al.set(key, value);
+    for (const Json& alert : monitor->consume(rec)) {
+      const Json al = new_event(EventKind::kSloAlert, alert);
       sink->write(al);
       monitor->consume(al);
     }
@@ -335,14 +373,12 @@ struct Engine {
 
   void emit_batched(int id, int bi) {
     const OpenBatch& ob = batches[static_cast<size_t>(bi)];
-    emit(new_event("request.batched")
-             .set("request", id)
-             .set("batch", bi)
-             .set("signature", strprintf("%016llx",
-                                         static_cast<unsigned long long>(
-                                             ob.fp)))
-             .set("window_close_s", ob.close_s)
-             .set("peers", static_cast<std::int64_t>(ob.request_ids.size())));
+    advance(id, EventKind::kRequestBatched, [&](Json& rec) {
+      rec.set("batch", bi)
+          .set("signature", hex64(ob.fp))
+          .set("window_close_s", ob.close_s)
+          .set("peers", static_cast<std::int64_t>(ob.request_ids.size()));
+    });
   }
 
   void on_arrival(int id) {
@@ -360,25 +396,18 @@ struct Engine {
       }
       sr.last_s = now;
     }
-    if (observing()) {
-      emit(new_event("request.submitted")
-               .set("request", id)
-               .set("tenant", rq.tenant)
-               .set("priority", rq.priority)
-               .set("signature",
-                    strprintf("%016llx", static_cast<unsigned long long>(
-                                             oc.cmat_fingerprint))));
-    }
+    advance(id, EventKind::kRequestSubmitted, [&](Json& rec) {
+      rec.set("tenant", rq.tenant)
+          .set("priority", rq.priority)
+          .set("signature", hex64(oc.cmat_fingerprint));
+    });
     const Admission a = admit(rq, oc.cmat_fingerprint);
     oc.admission = a;
     metrics.add_counter(std::string("service.requests.") + admission_name(a));
     if (a != Admission::kAccepted) {
       metrics.add_counter("tenant." + rq.tenant + ".rejected");
-      if (observing()) {
-        emit(new_event("request.rejected")
-                 .set("request", id)
-                 .set("reason", admission_name(a)));
-      }
+      advance(id, EventKind::kRequestRejected,
+              [&](Json& rec) { rec.set("reason", admission_name(a)); });
       return;
     }
     metrics.add_counter("tenant." + rq.tenant + ".admitted");
@@ -386,12 +415,10 @@ struct Engine {
     ++tenant_inflight[rq.tenant];
     oc.predicted_wait_s = perfmodel::estimate_queue_wait(
         backlog_node_seconds(), cfg.cluster.n_nodes);
-    if (observing()) {
-      emit(new_event("request.admitted")
-               .set("request", id)
-               .set("queue_depth", pending_requests)
-               .set("predicted_wait_s", oc.predicted_wait_s));
-    }
+    advance(id, EventKind::kRequestAdmitted, [&](Json& rec) {
+      rec.set("queue_depth", pending_requests)
+          .set("predicted_wait_s", oc.predicted_wait_s);
+    });
 
     const bool windowed =
         cfg.batching && cfg.batching_window_s > 0.0 && cfg.max_batch > 1;
@@ -404,7 +431,7 @@ struct Engine {
         const int b = it->second;
         auto& ob = batches[static_cast<size_t>(b)];
         ob.request_ids.push_back(id);
-        if (observing()) emit_batched(id, b);
+        emit_batched(id, b);
         if (static_cast<int>(ob.request_ids.size()) >= cfg.max_batch) {
           close_batch(b);
         }
@@ -423,7 +450,7 @@ struct Engine {
     ob.close_s = now + window;
     batches.push_back(std::move(ob));
     const int bi = static_cast<int>(batches.size()) - 1;
-    if (observing()) emit_batched(id, bi);
+    emit_batched(id, bi);
     if (window > 0.0) {
       open_by_fp[fp] = bi;
       schedule(now + window, EvKind::kWindowClose, bi);
@@ -679,11 +706,9 @@ struct Engine {
         --pending_requests;
         --tenant_inflight[oc.tenant];
         metrics.add_counter("tenant." + oc.tenant + ".failed");
-        if (observing()) {
-          emit(new_event("request.failed")
-                   .set("request", id)
-                   .set("reason", "batch unplaceable on surviving nodes"));
-        }
+        advance(id, EventKind::kRequestFailed, [](Json& rec) {
+          rec.set("reason", "batch unplaceable on surviving nodes");
+        });
       }
       metrics.add_counter("service.batches_unplaceable");
       return;
@@ -898,26 +923,21 @@ struct Engine {
         tenant_waits[oc.tenant].push_back(wait);
         pred_waits.push_back(oc.predicted_wait_s);
         real_waits.push_back(wait);
-        if (observing()) {
-          emit(new_event("request.placed")
-                   .set("request", id)
-                   .set("job", js.rec.id)
-                   .set("nodes", js.machine.n_nodes)
-                   .set("k", js.rec.k)
-                   .set("ranks_per_sim", js.rec.ranks_per_sim)
-                   .set("ready_s", js.rec.ready_s)
-                   .set("wait_s", wait)
-                   .set("predicted_wait_s", oc.predicted_wait_s));
-        }
+        advance(id, EventKind::kRequestPlaced, [&](Json& rec) {
+          rec.set("job", js.rec.id)
+              .set("nodes", js.machine.n_nodes)
+              .set("k", js.rec.k)
+              .set("ranks_per_sim", js.rec.ranks_per_sim)
+              .set("ready_s", js.rec.ready_s)
+              .set("wait_s", wait)
+              .set("predicted_wait_s", oc.predicted_wait_s);
+        });
       }
-    } else if (js.was_preempted) {
-      js.was_preempted = false;
-      if (observing()) {
-        for (const int id : js.rec.request_ids) {
-          emit(new_event("request.resumed")
-                   .set("request", id)
-                   .set("job", js.rec.id));
-        }
+    } else if (req_state[static_cast<size_t>(js.rec.request_ids.front())] ==
+               EventKind::kRequestPreempted) {
+      for (const int id : js.rec.request_ids) {
+        advance(id, EventKind::kRequestResumed,
+                [&](Json& rec) { rec.set("job", js.rec.id); });
       }
     }
     js.slice_target = sliced()
@@ -932,9 +952,8 @@ struct Engine {
       js.rec.price_s +=
           js.rec.predicted_seconds * (js.slice_target - js.intervals_done);
     }
-    if (observing() && js.rec.modeled && !js.mode_emitted) {
-      js.mode_emitted = true;
-      emit(new_event("job.modeled")
+    if (observing() && js.rec.modeled && js.rec.slices == 0) {
+      emit(new_event(EventKind::kJobModeled)
                .set("job", js.rec.id)
                .set("k", js.rec.k)
                .set("nodes", js.machine.n_nodes)
@@ -1000,6 +1019,7 @@ struct Engine {
       RequestOutcome& oc = outcomes[static_cast<size_t>(id)];
       oc.finish_s = now;
       oc.completed = completed;
+      --tenant_inflight[oc.tenant];
       if (completed) {
         if (js.rec.modeled) {
           oc.modeled = true;  // fast-path priced: no per-member diagnostics
@@ -1007,22 +1027,14 @@ struct Engine {
           oc.diagnostics = js.slice.diagnostics[i];
         }
         metrics.add_counter("tenant." + oc.tenant + ".completed");
+        advance(id, EventKind::kRequestCompleted, [&](Json& rec) {
+          rec.set("job", js.rec.id).set("turnaround_s", now - oc.arrival_s);
+        });
       } else {
         metrics.add_counter("tenant." + oc.tenant + ".failed");
-      }
-      --tenant_inflight[oc.tenant];
-      if (observing()) {
-        if (completed) {
-          emit(new_event("request.completed")
-                   .set("request", id)
-                   .set("job", js.rec.id)
-                   .set("turnaround_s", now - oc.arrival_s));
-        } else {
-          emit(new_event("request.failed")
-                   .set("request", id)
-                   .set("job", js.rec.id)
-                   .set("reason", js.rec.failure));
-        }
+        advance(id, EventKind::kRequestFailed, [&](Json& rec) {
+          rec.set("job", js.rec.id).set("reason", js.rec.failure);
+        });
       }
     }
   }
@@ -1056,9 +1068,8 @@ struct Engine {
       // ones are gone, the member requests fail.
       int surviving = js.nodes_held;
       for (const auto& ev : js.abort_recoveries) {
-        RecoveryEvent e = ev;
-        e.job = js.rec.id;
-        js.rec.recoveries.push_back(std::move(e));
+        js.rec.recoveries.push_back(ev);
+        js.rec.recoveries.back().job = js.rec.id;
         surviving -= ev.nodes_before - ev.nodes_after;
       }
       surviving -= 1;  // the final, unrecovered failure takes its node too
@@ -1086,9 +1097,8 @@ struct Engine {
     js.recoveries_left -= static_cast<int>(r.recoveries.size());
     metrics.add_counter("service.recoveries", r.recoveries.size());
     for (const auto& ev : r.recoveries) {
-      RecoveryEvent e = ev;
-      e.job = js.rec.id;
-      js.rec.recoveries.push_back(std::move(e));
+      js.rec.recoveries.push_back(ev);
+      js.rec.recoveries.back().job = js.rec.id;
       if (ev.kind == "rank_failure") {
         js.faults = js.faults.without_kill(ev.world_rank);
       }
@@ -1114,7 +1124,7 @@ struct Engine {
           audit_measured.push_back(js.rec.busy_s);
         }
         if (observing()) {
-          emit(new_event("job.audited")
+          emit(new_event(EventKind::kJobAudited)
                    .set("job", js.rec.id)
                    .set("price_s", js.rec.price_s)
                    .set("measured_s", js.rec.busy_s)
@@ -1146,14 +1156,10 @@ struct Engine {
       metrics.add_counter("service.preemptions");
       free_nodes += js.machine.n_nodes;
       js.queue_since = now;
-      js.was_preempted = true;
-      if (observing()) {
-        for (const int id : js.rec.request_ids) {
-          emit(new_event("request.preempted")
-                   .set("request", id)
-                   .set("job", js.rec.id)
-                   .set("intervals_done", js.intervals_done));
-        }
+      for (const int id : js.rec.request_ids) {
+        advance(id, EventKind::kRequestPreempted, [&](Json& rec) {
+          rec.set("job", js.rec.id).set("intervals_done", js.intervals_done);
+        });
       }
       ready.push_back(j);
       try_schedule();
@@ -1203,6 +1209,7 @@ struct Engine {
 
     free_nodes = cluster_nodes = cfg.cluster.n_nodes;
     outcomes.resize(reqs.size());
+    req_state.assign(reqs.size(), EventKind::kNone);
     for (size_t i = 0; i < reqs.size(); ++i) {
       const Request& rq = reqs[i];
       XG_REQUIRE(rq.arrival_s >= 0.0, "service: arrival times must be >= 0");
@@ -1226,8 +1233,7 @@ struct Engine {
       schedule(reqs[static_cast<size_t>(id)].arrival_s, EvKind::kArrival, id);
     }
     if (observing()) {
-      using telemetry::Json;
-      emit(new_event("service.start")
+      emit(new_event(EventKind::kServiceStart)
                .set("schema", telemetry::kEventSchema)
                .set("schema_version", telemetry::kEventSchemaVersion)
                .set("cluster", Json::object()
@@ -1268,12 +1274,7 @@ struct Engine {
         // off.
         if (!events.empty()) {
           now = ev.t;
-          telemetry::Json snap = new_event("monitor.snapshot");
-          const telemetry::Json payload = monitor->snapshot();
-          for (const auto& [key, value] : payload.items()) {
-            snap.set(key, value);
-          }
-          emit(std::move(snap));
+          emit(new_event(EventKind::kMonitorSnapshot, monitor->snapshot()));
           schedule(now + cfg.metrics_every_s, EvKind::kMetricsTick, -1);
         }
         continue;
@@ -1310,18 +1311,12 @@ struct Engine {
 
   ServiceResult finalize() {
     ServiceResult res;
-    for (auto& oc : outcomes) {
-      if (oc.admission != Admission::kAccepted) {
-        ++res.rejected;
-      } else {
-        ++res.admitted;
-        if (oc.completed) {
-          ++res.completed;
-        } else {
-          ++res.failed;
-        }
-      }
+    for (const EventKind state : req_state) {  // every request is terminal
+      res.rejected += state == EventKind::kRequestRejected;
+      res.completed += state == EventKind::kRequestCompleted;
+      res.failed += state == EventKind::kRequestFailed;
     }
+    res.admitted = res.completed + res.failed;
     // One sort per tenant at the end of the run; the global view is then
     // a merge of sorted runs.
     std::vector<double> waits;
@@ -1352,21 +1347,11 @@ struct Engine {
     metrics.set_gauge("service.node_busy_frac", res.node_busy_frac);
     metrics.set_gauge("service.queue_wait_mae_s",
                       wait_err_n > 0 ? wait_abs_err_sum / wait_err_n : 0.0);
-    {
-      std::map<std::string, int> completed_by_tenant;
-      for (const auto& oc : outcomes) {
-        completed_by_tenant[oc.tenant] += oc.completed ? 1 : 0;
-      }
-      double sum = 0.0, sum_sq = 0.0;
-      for (const auto& [tenant, n] : completed_by_tenant) {
-        sum += n;
-        sum_sq += double(n) * n;
-      }
-      res.fairness_jain =
-          completed_by_tenant.empty() || sum <= 0.0
-              ? 1.0
-              : sum * sum / (double(completed_by_tenant.size()) * sum_sq);
+    std::map<std::string, int> completed_by_tenant;
+    for (const auto& oc : outcomes) {
+      completed_by_tenant[oc.tenant] += oc.completed ? 1 : 0;
     }
+    res.fairness_jain = jain_index(completed_by_tenant);
     res.wait_calibration = wait_calibration_json(
         perfmodel::calibrate_queue_wait(pred_waits, real_waits));
     if (cfg.fast_path) {
@@ -1379,11 +1364,9 @@ struct Engine {
           audit_price, audit_measured,
           cfg.audit_tolerance > 0.0 ? cfg.audit_tolerance
                                     : perfmodel::kDefaultAuditTolerance);
-      res.fast_path = telemetry::Json::object()
-                          .set("modeled", res.jobs_modeled)
-                          .set("audited", res.jobs_audited)
-                          .set("forced", res.audits_forced)
-                          .set("audit", audit_gate_json(gate));
+      res.fast_path =
+          fast_path_json(res.jobs_modeled, res.jobs_audited, res.audits_forced)
+              .set("audit", audit_gate_json(gate));
       metrics.set_gauge("service.jobs_modeled", res.jobs_modeled);
       metrics.set_gauge("service.jobs_audited", res.jobs_audited);
     }
@@ -1393,32 +1376,11 @@ struct Engine {
     for (auto& js : jobs) res.jobs.push_back(std::move(js.rec));
 
     if (observing()) {
-      using telemetry::Json;
-      auto wait_json = [](const QueueWaitStats& st) {
-        return Json::object()
-            .set("p50", st.p50)
-            .set("p95", st.p95)
-            .set("p99", st.p99)
-            .set("mean", st.mean)
-            .set("max", st.max)
-            .set("n", st.n);
-      };
-      Json by_tenant = Json::object();
-      for (const auto& [tenant, st] : res.tenant_queue_wait) {
-        by_tenant.set(tenant, wait_json(st));
-      }
-      emit(new_event("service.end")
-               .set("totals",
-                    Json::object()
-                        .set("admitted", res.admitted)
-                        .set("rejected", res.rejected)
-                        .set("completed", res.completed)
-                        .set("failed", res.failed)
-                        .set("jobs",
-                             static_cast<std::int64_t>(res.jobs.size())))
+      emit(new_event(EventKind::kServiceEnd)
+               .set("totals", totals_json(res))
                .set("makespan_s", res.makespan_s)
-               .set("queue_wait_s", wait_json(res.queue_wait))
-               .set("queue_wait_by_tenant", std::move(by_tenant))
+               .set("queue_wait_s", queue_wait_json(res.queue_wait))
+               .set("queue_wait_by_tenant", queue_wait_by_tenant_json(res))
                .set("fairness_jain", res.fairness_jain)
                .set("calibration", res.wait_calibration));
       res.observability = monitor->report();
@@ -1476,37 +1438,17 @@ std::string ServiceResult::describe() const {
 }
 
 telemetry::Json ServiceResult::to_json() const {
-  using telemetry::Json;
   Json doc = Json::object();
   doc.set("schema", "xgyro.service").set("schema_version", 3);
-  Json totals = Json::object();
-  totals.set("admitted", admitted)
-      .set("rejected", rejected)
-      .set("completed", completed)
-      .set("failed", failed)
-      .set("jobs", static_cast<std::int64_t>(jobs.size()));
-  doc.set("totals", std::move(totals));
+  doc.set("totals", totals_json(*this));
   Json throughput = Json::object();
   throughput.set("makespan_s", makespan_s)
       .set("jobs_per_hour", jobs_per_hour)
       .set("requests_per_hour", requests_per_hour)
       .set("node_busy_frac", node_busy_frac);
   doc.set("throughput", std::move(throughput));
-  const auto wait_json = [](const QueueWaitStats& st) {
-    return Json::object()
-        .set("p50", st.p50)
-        .set("p95", st.p95)
-        .set("p99", st.p99)
-        .set("mean", st.mean)
-        .set("max", st.max)
-        .set("n", st.n);
-  };
-  doc.set("queue_wait_s", wait_json(queue_wait));
-  Json by_tenant = Json::object();
-  for (const auto& [tenant, st] : tenant_queue_wait) {
-    by_tenant.set(tenant, wait_json(st));
-  }
-  doc.set("queue_wait_by_tenant", std::move(by_tenant));
+  doc.set("queue_wait_s", queue_wait_json(queue_wait));
+  doc.set("queue_wait_by_tenant", queue_wait_by_tenant_json(*this));
   doc.set("fairness_jain", fairness_jain);
   if (wait_calibration.is_object()) {
     doc.set("wait_calibration", wait_calibration);
@@ -1518,7 +1460,7 @@ telemetry::Json ServiceResult::to_json() const {
     Json jj = Json::object();
     jj.set("id", j.id)
         .set("k", j.k)
-        .set("cmat_fingerprint", strprintf("%016llx", static_cast<unsigned long long>(j.cmat_fingerprint)))
+        .set("cmat_fingerprint", hex64(j.cmat_fingerprint))
         .set("nodes", j.nodes)
         .set("ranks_per_sim", j.ranks_per_sim)
         .set("priority", j.priority)

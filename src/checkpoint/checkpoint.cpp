@@ -41,10 +41,6 @@ std::uint64_t hash_payload(std::span<const cplx> data) {
   return h.digest();
 }
 
-std::string hex64(std::uint64_t v) {
-  return strprintf("%016llx", static_cast<unsigned long long>(v));
-}
-
 std::uint64_t parse_hex64(const std::string& s, const std::string& what) {
   char* end = nullptr;
   const std::uint64_t v = std::strtoull(s.c_str(), &end, 16);

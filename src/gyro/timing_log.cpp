@@ -2,7 +2,6 @@
 
 #include <cmath>
 #include <fstream>
-#include <sstream>
 
 #include "util/error.hpp"
 #include "util/format.hpp"
@@ -98,11 +97,9 @@ std::vector<TimingRow> parse_timing_log(const std::string& text,
 
 std::vector<TimingRow> load_timing_log(const std::string& path,
                                        double* makespan_out) {
-  std::ifstream f(path);
-  if (!f) throw Error(strprintf("cannot open timing log '%s'", path.c_str()));
-  std::ostringstream buf;
-  buf << f.rdbuf();
-  return parse_timing_log(buf.str(), makespan_out);
+  const auto text = read_text_file(path);
+  if (!text) throw Error(strprintf("cannot open timing log '%s'", path.c_str()));
+  return parse_timing_log(*text, makespan_out);
 }
 
 }  // namespace xg::gyro

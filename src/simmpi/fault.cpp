@@ -57,16 +57,7 @@ std::uint64_t FaultPlan::rank_seed(int rank) const {
 
 FaultPlan FaultPlan::parse(const std::string& spec) {
   FaultPlan plan;
-  for (const auto& raw : split(spec, ';')) {
-    const std::string_view item = trim(raw);
-    if (item.empty()) continue;
-    const size_t eq = item.find('=');
-    if (eq == std::string_view::npos) {
-      throw InputError(strprintf("faults: expected key=value, got '%.*s'",
-                                 int(item.size()), item.data()));
-    }
-    const std::string key = to_lower(trim(item.substr(0, eq)));
-    const std::string_view value = trim(item.substr(eq + 1));
+  for (const auto& [key, value] : spec_items(spec, "faults")) {
     if (key == "seed") {
       plan.seed = static_cast<std::uint64_t>(parse_long(value, "faults:seed"));
     } else if (key == "straggler") {

@@ -180,6 +180,7 @@ struct BlockedRankInfo {
   int waiting_tag = 0;
   std::uint64_t waiting_context = 0;
   std::size_t mailbox_pending = 0;  ///< delivered-but-unmatched messages
+  bool hung = false;  ///< parked by a FaultPlan hang clause
 };
 
 /// Raised by the runtime as soon as every unfinished rank is blocked in a

@@ -14,6 +14,9 @@
 
 namespace xg::mpi {
 
+// The context a hung rank waits on; no communicator uses it.
+const std::uint64_t kHangContext = Hasher().str("xgyro.hang").digest();
+
 int Proc::world_size() const { return rt_->nranks_; }
 
 const net::Placement& Proc::placement() const { return rt_->placement_; }
@@ -39,8 +42,6 @@ void Proc::fault_check() {
     // Wait on a context no communicator uses: nothing ever matches, so the
     // rank parks until the runtime reports the stalled schedule as a
     // deadlock and aborts the run.
-    static const std::uint64_t kHangContext =
-        Hasher().str("xgyro.hang").digest();
     (void)rt_->mailboxes_[rank_]->take(kHangContext, rank_, 0);
   }
 }
@@ -295,6 +296,7 @@ DeadlockError Runtime::deadlock_error(const std::vector<Proc>& procs) const {
     info.waiting_src_world = waiting->src_world;
     info.waiting_tag = waiting->tag;
     info.waiting_context = waiting->context;
+    info.hung = waiting->context == kHangContext;
     info.mailbox_pending = mailboxes_[r]->pending();
     blocked.push_back(std::move(info));
   }

@@ -2,10 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
 #include <set>
 
+#include "telemetry/trace.hpp"
 #include "util/error.hpp"
 #include "util/format.hpp"
+#include "util/strings.hpp"
 
 namespace xg::telemetry {
 
@@ -45,9 +48,9 @@ void EventLogWriter::write(const Json& record) {
 
 void EventLogWriter::abort(const std::string& reason) {
   if (f_ == nullptr || n_ == 0) return;
-  Json rec = make_event(last_seq_ + 1, last_t_, "service.aborted");
-  rec.set("reason", reason);
-  write(rec);
+  write(make_event(last_seq_ + 1, last_t_,
+                   event_name(EventKind::kServiceAborted))
+            .set("reason", reason));
   std::fclose(f_);
   f_ = nullptr;
 }
@@ -61,74 +64,91 @@ Json make_event(long seq, double t, std::string_view type) {
 }
 
 // ---------------------------------------------------------------------------
-// Validation
+// The record kinds
 
 namespace {
 
-/// Lifecycle states of one request. Rejected/Completed/Failed are terminal.
-enum class ReqState {
-  kSubmitted,
-  kAdmitted,
-  kBatched,
-  kPlaced,
-  kPreempted,
-  kResumed,
-  kRejected,
-  kCompleted,
-  kFailed,
+template <class... Kinds>
+constexpr std::uint32_t after(Kinds... prior) {
+  return ((std::uint32_t{1} << static_cast<unsigned>(prior)) | ...);
+}
+
+// One row per EventKind, in enum order; the request rows are the grammar.
+using K = EventKind;
+constexpr EventKindRow kKinds[] = {
+    {""},
+    {"service.start"},
+    {"service.end"},
+    {"service.aborted"},
+    {"monitor.snapshot"},
+    {"slo.alert"},
+    {"job.modeled"},
+    {"job.audited"},
+    {"request.submitted", after(K::kNone)},
+    {"request.admitted", after(K::kRequestSubmitted)},
+    {"request.rejected", after(K::kRequestSubmitted), true},
+    {"request.batched", after(K::kRequestAdmitted)},
+    {"request.placed", after(K::kRequestBatched)},
+    {"request.preempted", after(K::kRequestPlaced, K::kRequestResumed)},
+    {"request.resumed", after(K::kRequestPreempted)},
+    {"request.completed", after(K::kRequestPlaced, K::kRequestResumed), true},
+    {"request.failed",
+     after(K::kRequestBatched, K::kRequestPlaced, K::kRequestPreempted,
+           K::kRequestResumed),
+     true},
 };
+static_assert(std::size(kKinds) == kEventKindCount);
 
-const char* req_state_name(ReqState s) {
-  switch (s) {
-    case ReqState::kSubmitted: return "submitted";
-    case ReqState::kAdmitted: return "admitted";
-    case ReqState::kBatched: return "batched";
-    case ReqState::kPlaced: return "placed";
-    case ReqState::kPreempted: return "preempted";
-    case ReqState::kResumed: return "resumed";
-    case ReqState::kRejected: return "rejected";
-    case ReqState::kCompleted: return "completed";
-    case ReqState::kFailed: return "failed";
+/// "placed" for request.placed: how the messages name a request's state.
+std::string state_name(EventKind k) {
+  const std::string_view name = event_name(k);
+  return std::string(name.substr(name.find('.') + 1));
+}
+
+/// The prefix every request kind's name shares, up to its dot.
+std::string_view request_prefix() {
+  const std::string_view name = event_name(EventKind::kRequestSubmitted);
+  return name.substr(0, name.find('.') + 1);
+}
+
+}  // namespace
+
+const EventKindRow& kind_row(EventKind k) {
+  return kKinds[static_cast<size_t>(k)];
+}
+
+EventKind event_kind(std::string_view type) {
+  // Request records are most of a log, so scan from the table's end.
+  for (int k = kEventKindCount - 1; k > 0; --k) {
+    if (kKinds[k].name == type) return static_cast<EventKind>(k);
   }
-  return "?";
+  return EventKind::kNone;
 }
 
-bool is_terminal(ReqState s) {
-  return s == ReqState::kRejected || s == ReqState::kCompleted ||
-         s == ReqState::kFailed;
+std::string transition_error(int request, EventKind prior, EventKind next) {
+  const std::string name(event_name(next));
+  if (next == EventKind::kRequestSubmitted) {
+    return strprintf("request %d submitted twice", request);
+  }
+  if (prior == EventKind::kNone) {
+    return strprintf("%s for request %d before request.submitted",
+                     name.c_str(), request);
+  }
+  return strprintf("illegal transition for request %d: %s while %s", request,
+                   name.c_str(), state_name(prior).c_str());
 }
 
-/// The legal state machine: which prior states each request.* event may
-/// fire from. request.submitted is special-cased (no prior state allowed).
-const std::map<std::string, std::vector<ReqState>>& transitions() {
-  static const std::map<std::string, std::vector<ReqState>> t{
-      {"request.admitted", {ReqState::kSubmitted}},
-      {"request.rejected", {ReqState::kSubmitted}},
-      {"request.batched", {ReqState::kAdmitted}},
-      {"request.placed", {ReqState::kBatched}},
-      {"request.preempted", {ReqState::kPlaced, ReqState::kResumed}},
-      {"request.resumed", {ReqState::kPreempted}},
-      {"request.completed", {ReqState::kPlaced, ReqState::kResumed}},
-      {"request.failed",
-       {ReqState::kBatched, ReqState::kPlaced, ReqState::kPreempted,
-        ReqState::kResumed}},
-  };
-  return t;
+void advance_request(EventKind& state, int request, EventKind next) {
+  if (!may_follow(state, next)) {
+    throw Error("events: " + transition_error(request, state, next));
+  }
+  state = next;
 }
 
-ReqState state_after(const std::string& type) {
-  if (type == "request.submitted") return ReqState::kSubmitted;
-  if (type == "request.admitted") return ReqState::kAdmitted;
-  if (type == "request.rejected") return ReqState::kRejected;
-  if (type == "request.batched") return ReqState::kBatched;
-  if (type == "request.placed") return ReqState::kPlaced;
-  if (type == "request.preempted") return ReqState::kPreempted;
-  if (type == "request.resumed") return ReqState::kResumed;
-  if (type == "request.completed") return ReqState::kCompleted;
-  if (type == "request.failed") return ReqState::kFailed;
-  throw InputError(strprintf("events: unknown request event '%s'",
-                             type.c_str()));
-}
+// ---------------------------------------------------------------------------
+// Validation
+
+namespace {
 
 [[noreturn]] void bad(long seq, const std::string& what) {
   throw InputError(strprintf("events: record seq %ld: %s", seq,
@@ -169,9 +189,10 @@ void EventValidator::consume(const Json& record) {
   }
   ++stats_.records;
   ++stats_.by_type[type];
+  const EventKind kind = event_kind(type);
 
   if (i == 0) {
-    if (type != "service.start") {
+    if (kind != EventKind::kServiceStart) {
       bad(seq, "first record must be service.start");
     }
     const Json* schema = record.find("schema");
@@ -183,80 +204,62 @@ void EventValidator::consume(const Json& record) {
     }
     return;
   }
-  if (type == "service.start") bad(seq, "second service.start");
 
-  if (type == "service.end") {
-    stats_.ended = true;
-    closed_ = true;
-    return;
-  }
-  if (type == "service.aborted") {
-    stats_.aborted = true;
-    closed_ = true;
-    return;
-  }
-  if (type == "monitor.snapshot" || type == "slo.alert") return;
-
-  if (type == "job.modeled" || type == "job.audited") {
-    const Json* job_field = record.find("job");
-    if (job_field == nullptr || job_field->as_int() < 0) {
-      bad(seq, type + " without a non-negative 'job' id");
-    }
-    const Json* price = record.find("price_s");
-    if (price == nullptr || !std::isfinite(price->as_double()) ||
-        price->as_double() < 0.0) {
-      bad(seq, type + " without a finite non-negative 'price_s'");
-    }
-    if (type == "job.audited") {
-      const Json* measured = record.find("measured_s");
-      if (measured == nullptr || !std::isfinite(measured->as_double()) ||
-          measured->as_double() < 0.0) {
-        bad(seq, "job.audited without a finite non-negative 'measured_s'");
+  switch (kind) {
+    case EventKind::kNone:
+      bad(seq, strprintf(starts_with(type, request_prefix())
+                             ? "unknown request event '%s'"
+                             : "unknown event type '%s'",
+                         type.c_str()));
+    case EventKind::kServiceStart:
+      bad(seq, "second service.start");
+    case EventKind::kServiceEnd:
+    case EventKind::kServiceAborted:
+      (kind == EventKind::kServiceEnd ? stats_.ended : stats_.aborted) = true;
+      closed_ = true;
+      return;
+    case EventKind::kMonitorSnapshot:
+    case EventKind::kSloAlert:
+      return;
+    case EventKind::kJobModeled:
+    case EventKind::kJobAudited: {
+      const Json* job_field = record.find("job");
+      if (job_field == nullptr || job_field->as_int() < 0) {
+        bad(seq, type + " without a non-negative 'job' id");
       }
-      ++stats_.jobs_audited;
-    } else {
-      ++stats_.jobs_modeled;
+      const auto require_cost = [&](const char* key) {
+        const Json* f = record.find(key);
+        if (f == nullptr || !std::isfinite(f->as_double()) ||
+            f->as_double() < 0.0) {
+          bad(seq, strprintf("%s without a finite non-negative '%s'",
+                             type.c_str(), key));
+        }
+      };
+      require_cost("price_s");
+      if (kind == EventKind::kJobAudited) {
+        require_cost("measured_s");
+        ++stats_.jobs_audited;
+      } else {
+        ++stats_.jobs_modeled;
+      }
+      return;
     }
-    return;
+    default:
+      break;  // a request kind
   }
 
-  if (type.rfind("request.", 0) != 0) {
-    bad(seq, strprintf("unknown event type '%s'", type.c_str()));
-  }
   const Json* req_field = record.find("request");
   if (req_field == nullptr) bad(seq, type + " has no 'request' id");
   const int id = static_cast<int>(req_field->as_int());
-
-  const auto it = req_state_.find(id);
-  if (type == "request.submitted") {
-    if (it != req_state_.end()) {
-      bad(seq, strprintf("request %d submitted twice", id));
-    }
-    req_state_[id] = static_cast<int>(ReqState::kSubmitted);
-    ++stats_.requests;
-    return;
-  }
-  const auto legal_it = transitions().find(type);
-  if (legal_it == transitions().end()) {
-    bad(seq, strprintf("unknown request event '%s'", type.c_str()));
-  }
-  if (it == req_state_.end()) {
-    bad(seq, strprintf("%s for request %d before request.submitted",
-                       type.c_str(), id));
-  }
-  const auto& legal = legal_it->second;
-  const auto cur = static_cast<ReqState>(it->second);
-  if (std::find(legal.begin(), legal.end(), cur) == legal.end()) {
-    bad(seq, strprintf("illegal transition for request %d: %s while %s",
-                       id, type.c_str(), req_state_name(cur)));
-  }
-  const ReqState next = state_after(type);
-  it->second = static_cast<int>(next);
-  if (is_terminal(next)) {
+  EventKind& state = req_state_[id];  // kNone for a request not yet seen
+  if (!may_follow(state, kind)) bad(seq, transition_error(id, state, kind));
+  state = kind;
+  if (kind == EventKind::kRequestSubmitted) ++stats_.requests;
+  if (kind_row(kind).terminal) {
     ++stats_.terminals;
-    if (next == ReqState::kCompleted) ++stats_.completed;
-    if (next == ReqState::kFailed) ++stats_.failed;
-    if (next == ReqState::kRejected) ++stats_.rejected;
+    if (kind == EventKind::kRequestCompleted) ++stats_.completed;
+    if (kind == EventKind::kRequestFailed) ++stats_.failed;
+    if (kind == EventKind::kRequestRejected) ++stats_.rejected;
   }
 }
 
@@ -268,11 +271,10 @@ EventLogStats EventValidator::finish() {
   }
   if (!stats_.aborted) {
     for (const auto& [id, s] : req_state_) {
-      if (!is_terminal(static_cast<ReqState>(s))) {
+      if (!kind_row(s).terminal) {
         throw InputError(strprintf(
             "events: request %d never reached a terminal state (last: %s) "
-            "and the log did not abort", id,
-            req_state_name(static_cast<ReqState>(s))));
+            "and the log did not abort", id, state_name(s).c_str()));
       }
     }
   }
@@ -286,17 +288,9 @@ EventLogStats validate_events(const std::vector<Json>& records) {
 }
 
 std::vector<Json> load_event_log(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "r");
-  if (f == nullptr) {
-    throw Error(strprintf("events: cannot open '%s'", path.c_str()));
-  }
-  std::string text;
-  char buf[1 << 16];
-  size_t got;
-  while ((got = std::fread(buf, 1, sizeof buf, f)) > 0) {
-    text.append(buf, got);
-  }
-  std::fclose(f);
+  const auto file = read_text_file(path);
+  if (!file) throw Error(strprintf("events: cannot open '%s'", path.c_str()));
+  const std::string& text = *file;
 
   std::vector<Json> records;
   size_t start = 0;
@@ -326,32 +320,10 @@ EventLogStats validate_event_log_file(const std::string& path) {
 // ---------------------------------------------------------------------------
 // Per-tenant Perfetto view
 
-namespace {
-
-constexpr double kSecToUs = 1e6;
-
-Json slice(int pid, int tid, const std::string& name, double t0, double t1,
-           Json args) {
-  return Json::object()
-      .set("ph", "X")
-      .set("name", name)
-      .set("cat", "service")
-      .set("pid", pid)
-      .set("tid", tid)
-      .set("ts", t0 * kSecToUs)
-      .set("dur", std::max(t1 - t0, 0.0) * kSecToUs)
-      .set("args", std::move(args));
-}
-
-}  // namespace
-
 Json service_chrome_trace(const std::vector<Json>& records) {
   // Per-request running view, filled as lifecycle events stream past.
   struct Req {
-    int id = -1;
-    std::string tenant;
     int pid = 0;
-    double t_admitted = -1.0;
     double t_batched = -1.0;
     double t_ready = -1.0;    ///< batch close (from request.placed.ready_s)
     double t_placed = -1.0;
@@ -374,130 +346,114 @@ Json service_chrome_trace(const std::vector<Json>& records) {
 
   auto emit = [&](int pid, int tid, const std::string& name, double t0,
                   double t1, Json args) {
-    events.push(slice(pid, tid, name, t0, t1, std::move(args)));
+    events.push(trace_slice_row(name, "service", pid, tid, t0,
+                                std::max(t1 - t0, 0.0), std::move(args)));
     tracks.insert({pid, tid});
   };
 
   for (const Json& rec : records) {
     const Json* type_field = rec.find("type");
     if (type_field == nullptr) continue;
-    const std::string& type = type_field->as_string();
-    if (type.rfind("request.", 0) != 0) continue;
+    const EventKind kind = event_kind(type_field->as_string());
+    if (!is_request_kind(kind)) continue;
     const double t = rec.at("t").as_double();
     const int id = static_cast<int>(rec.at("request").as_int());
 
-    if (type == "request.submitted") {
-      Req r;
-      r.id = id;
-      r.tenant = rec.at("tenant").as_string();
-      auto [it, fresh] =
-          tenant_pid.insert({r.tenant, static_cast<int>(tenant_pid.size()) + 1});
-      (void)fresh;
-      r.pid = it->second;
-      reqs[id] = std::move(r);
+    if (kind == EventKind::kRequestSubmitted) {
+      const auto pid = tenant_pid.insert(
+          {rec.at("tenant").as_string(),
+           static_cast<int>(tenant_pid.size()) + 1});
+      reqs[id] = Req{pid.first->second};
       continue;
     }
     auto rit = reqs.find(id);
     if (rit == reqs.end()) continue;
     Req& r = rit->second;
 
-    if (type == "request.admitted") {
-      r.t_admitted = t;
-    } else if (type == "request.batched") {
-      r.t_batched = t;
-    } else if (type == "request.placed") {
-      r.t_placed = r.t_segment = t;
-      r.job = static_cast<int>(rec.at("job").as_int());
-      r.k = static_cast<int>(rec.at("k").as_int());
-      r.nodes = static_cast<int>(rec.at("nodes").as_int());
-      if (const Json* ready = rec.find("ready_s"); ready != nullptr) {
-        r.t_ready = ready->as_double();
-      }
-      const double batch_end = r.t_ready >= 0.0 ? std::min(r.t_ready, t) : t;
-      if (r.t_batched >= 0.0) {
-        emit(r.pid, id, "batch", r.t_batched, batch_end,
-             Json::object().set("job", r.job));
-      }
-      emit(r.pid, id, "queue", batch_end, t,
-           Json::object().set("job", r.job).set(
-               "wait_s", rec.at("wait_s").as_double()));
-      JobTrack& jt = job_tracks[r.job];
-      if (jt.t_first < 0.0) {
-        jt.t_first = t;
-        jt.k = r.k;
-        jt.nodes = r.nodes;
-      }
-    } else if (type == "request.preempted") {
-      if (r.t_segment >= 0.0) {
-        emit(r.pid, id, "run", r.t_segment, t,
-             Json::object().set("job", r.job));
-        r.t_segment = t;  // reused as the preempted-slice start
-        r.in_preempt = true;
-      }
-    } else if (type == "request.resumed") {
-      if (r.t_segment >= 0.0) {
-        emit(r.pid, id, "preempted", r.t_segment, t,
-             Json::object().set("job", r.job));
-      }
-      r.t_segment = t;
-      r.in_preempt = false;
-    } else if (type == "request.completed" || type == "request.failed") {
-      if (r.t_placed >= 0.0 && r.t_segment >= 0.0) {
-        emit(r.pid, id, r.in_preempt ? "preempted" : "run", r.t_segment, t,
-             Json::object().set("job", r.job));
-      } else if (r.t_batched >= 0.0) {
-        // Failed before placement: the whole life was queueing.
-        emit(r.pid, id, "queue", r.t_batched, t, Json::object());
-      }
-      if (r.job >= 0) {
+    switch (kind) {
+      case EventKind::kRequestBatched:
+        r.t_batched = t;
+        break;
+      case EventKind::kRequestPlaced: {
+        r.t_placed = r.t_segment = t;
+        r.job = static_cast<int>(rec.at("job").as_int());
+        r.k = static_cast<int>(rec.at("k").as_int());
+        r.nodes = static_cast<int>(rec.at("nodes").as_int());
+        if (const Json* ready = rec.find("ready_s"); ready != nullptr) {
+          r.t_ready = ready->as_double();
+        }
+        const double batch_end =
+            r.t_ready >= 0.0 ? std::min(r.t_ready, t) : t;
+        if (r.t_batched >= 0.0) {
+          emit(r.pid, id, "batch", r.t_batched, batch_end,
+               Json::object().set("job", r.job));
+        }
+        emit(r.pid, id, "queue", batch_end, t,
+             Json::object().set("job", r.job).set(
+                 "wait_s", rec.at("wait_s").as_double()));
         JobTrack& jt = job_tracks[r.job];
-        jt.t_last = std::max(jt.t_last, t);
+        if (jt.t_first < 0.0) {
+          jt.t_first = t;
+          jt.k = r.k;
+          jt.nodes = r.nodes;
+        }
+        break;
       }
+      case EventKind::kRequestPreempted:
+        if (r.t_segment >= 0.0) {
+          emit(r.pid, id, "run", r.t_segment, t,
+               Json::object().set("job", r.job));
+          r.t_segment = t;  // reused as the preempted-slice start
+          r.in_preempt = true;
+        }
+        break;
+      case EventKind::kRequestResumed:
+        if (r.t_segment >= 0.0) {
+          emit(r.pid, id, "preempted", r.t_segment, t,
+               Json::object().set("job", r.job));
+        }
+        r.t_segment = t;
+        r.in_preempt = false;
+        break;
+      case EventKind::kRequestCompleted:
+      case EventKind::kRequestFailed:
+        if (r.t_placed >= 0.0 && r.t_segment >= 0.0) {
+          emit(r.pid, id, r.in_preempt ? "preempted" : "run", r.t_segment, t,
+               Json::object().set("job", r.job));
+        } else if (r.t_batched >= 0.0) {
+          // Failed before placement: the whole life was queueing.
+          emit(r.pid, id, "queue", r.t_batched, t, Json::object());
+        }
+        if (r.job >= 0) {
+          JobTrack& jt = job_tracks[r.job];
+          jt.t_last = std::max(jt.t_last, t);
+        }
+        break;
+      default:
+        break;  // admitted, rejected: no slice
     }
   }
 
   Json all = Json::array();
   // Process metadata: pid 0 is the service-wide job view, tenants follow.
   if (!job_tracks.empty()) {
-    all.push(Json::object()
-                 .set("ph", "M")
-                 .set("name", "process_name")
-                 .set("pid", 0)
-                 .set("tid", 0)
-                 .set("args", Json::object().set("name", "service")));
+    all.push(trace_meta_row("process_name", 0, 0, "service"));
   }
   for (const auto& [tenant, pid] : tenant_pid) {
-    all.push(Json::object()
-                 .set("ph", "M")
-                 .set("name", "process_name")
-                 .set("pid", pid)
-                 .set("tid", 0)
-                 .set("args", Json::object().set(
-                     "name", strprintf("tenant %s", tenant.c_str()))));
+    all.push(trace_meta_row("process_name", pid, 0,
+                            strprintf("tenant %s", tenant.c_str())));
   }
   for (const auto& [job, jt] : job_tracks) {
     if (jt.t_first < 0.0 || jt.t_last < jt.t_first) continue;
-    events.push(slice(0, job, strprintf("job %d", job), jt.t_first, jt.t_last,
-                      Json::object().set("k", jt.k).set("nodes", jt.nodes)));
-    tracks.insert({0, job});
+    emit(0, job, strprintf("job %d", job), jt.t_first, jt.t_last,
+         Json::object().set("k", jt.k).set("nodes", jt.nodes));
   }
   for (const auto& [pid, tid] : tracks) {
-    all.push(Json::object()
-                 .set("ph", "M")
-                 .set("name", "thread_name")
-                 .set("pid", pid)
-                 .set("tid", tid)
-                 .set("args", Json::object().set(
-                     "name", pid == 0 ? strprintf("job %d", tid)
-                                      : strprintf("req %d", tid))));
+    all.push(trace_meta_row("thread_name", pid, tid,
+                            strprintf(pid == 0 ? "job %d" : "req %d", tid)));
   }
   for (auto& e : events.elems()) all.push(e);
-
-  return Json::object()
-      .set("schema", "xgyro.trace")
-      .set("schema_version", 1)
-      .set("displayTimeUnit", "ms")
-      .set("traceEvents", std::move(all));
+  return trace_document(std::move(all));
 }
 
 }  // namespace xg::telemetry

@@ -14,8 +14,8 @@
 //                    non-decreasing), type
 //   service.start    first record: schema "xgyro.events", schema_version,
 //                    cluster/config echo
-//   request.*        request-lifecycle transitions (see
-//                    events.cpp:kTransitions for the legal state machine):
+//   request.*        request-lifecycle transitions (the kind table in
+//                    events.cpp holds the legal state machine):
 //                    submitted → admitted | rejected; admitted → batched;
 //                    batched → placed | failed; placed → preempted |
 //                    completed | failed; preempted → resumed | failed
@@ -41,8 +41,13 @@
 // records); EventValidator is the streaming equivalent — feed records one
 // at a time, memory stays O(requests), and validate_events() is now a thin
 // wrapper over it.
+//
+// Every record type is one EventKind row of that table. A request's state
+// is the kind of its last record, and the service engine, the validator,
+// the monitor and the trace view all check and read it through the table.
 #pragma once
 
+#include <cstdint>
 #include <cstdio>
 #include <map>
 #include <string>
@@ -55,6 +60,57 @@ namespace xg::telemetry {
 
 inline constexpr const char* kEventSchema = "xgyro.events";
 inline constexpr int kEventSchemaVersion = 1;
+
+/// Every record type of the schema, request kinds last in lifecycle order.
+/// As a request's state, kNone means "no record yet".
+enum class EventKind : std::uint8_t {
+  kNone,  ///< no record yet, or a type the schema does not know
+  kServiceStart,
+  kServiceEnd,
+  kServiceAborted,
+  kMonitorSnapshot,
+  kSloAlert,
+  kJobModeled,
+  kJobAudited,
+  kRequestSubmitted,
+  kRequestAdmitted,
+  kRequestRejected,
+  kRequestBatched,
+  kRequestPlaced,
+  kRequestPreempted,
+  kRequestResumed,
+  kRequestCompleted,
+  kRequestFailed,
+};
+inline constexpr int kEventKindCount = int(EventKind::kRequestFailed) + 1;
+
+/// One row of the kind table (events.cpp): the record's "type" and, for a
+/// request kind, the kinds it may follow (bit p of `follows` = kind p) and
+/// whether it is a request's last record.
+struct EventKindRow {
+  std::string_view name;
+  std::uint32_t follows = 0;
+  bool terminal = false;
+};
+[[nodiscard]] const EventKindRow& kind_row(EventKind k);
+[[nodiscard]] inline std::string_view event_name(EventKind k) {
+  return kind_row(k).name;
+}
+[[nodiscard]] inline bool is_request_kind(EventKind k) {
+  return k >= EventKind::kRequestSubmitted;
+}
+/// The table's verdict on one request's edge `prior` → `next`.
+[[nodiscard]] inline bool may_follow(EventKind prior, EventKind next) {
+  return (kind_row(next).follows >> static_cast<unsigned>(prior) & 1u) != 0;
+}
+/// The kind named `type`; kNone when the schema has no such type.
+[[nodiscard]] EventKind event_kind(std::string_view type);
+/// The validator's words for an illegal edge of request `request`.
+[[nodiscard]] std::string transition_error(int request, EventKind prior,
+                                           EventKind next);
+/// Take the edge `state` → `next`, or throw xg::Error with
+/// transition_error's text when the table forbids it.
+void advance_request(EventKind& state, int request, EventKind next);
 
 /// Where emitted event records go. The service borrows a sink; ownership
 /// stays with the caller (CLI, bench, or test).
@@ -136,11 +192,10 @@ class EventValidator : public EventSink {
   void write(const Json& record) override { consume(record); }
   /// End-of-log checks; returns the accumulated stats. Call once.
   EventLogStats finish();
-  [[nodiscard]] const EventLogStats& stats() const { return stats_; }
 
  private:
   EventLogStats stats_;
-  std::map<int, int> req_state_;  ///< request id -> ReqState (as int)
+  std::map<int, EventKind> req_state_;  ///< request id -> last record kind
   long next_seq_ = 0;
   double prev_t_ = 0.0;
   bool closed_ = false;

@@ -6,11 +6,11 @@
 #include <cstdlib>
 #include <fstream>
 #include <limits>
-#include <sstream>
 #include <variant>
 
 #include "util/error.hpp"
 #include "util/format.hpp"
+#include "util/strings.hpp"
 
 namespace xg::telemetry {
 
@@ -467,11 +467,9 @@ void write_json_file(const std::string& path, const Json& doc) {
 }
 
 Json load_json_file(const std::string& path) {
-  std::ifstream f(path);
-  if (!f) throw Error(strprintf("cannot open json file '%s'", path.c_str()));
-  std::ostringstream buf;
-  buf << f.rdbuf();
-  return Json::parse(buf.str());
+  const auto text = read_text_file(path);
+  if (!text) throw Error(strprintf("cannot open json file '%s'", path.c_str()));
+  return Json::parse(*text);
 }
 
 }  // namespace xg::telemetry

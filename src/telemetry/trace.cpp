@@ -20,6 +20,37 @@ int pid_of(int member) { return member + 1; }
 
 }  // namespace
 
+Json trace_meta_row(const char* what, int pid, int tid,
+                    const std::string& name) {
+  return Json::object()
+      .set("ph", "M")
+      .set("name", what)
+      .set("pid", pid)
+      .set("tid", tid)
+      .set("args", Json::object().set("name", name));
+}
+
+Json trace_slice_row(const std::string& name, const char* cat, int pid,
+                     int tid, double ts_s, double dur_s, Json args) {
+  return Json::object()
+      .set("ph", "X")
+      .set("name", name)
+      .set("cat", cat)
+      .set("pid", pid)
+      .set("tid", tid)
+      .set("ts", ts_s * kSecToUs)
+      .set("dur", dur_s * kSecToUs)
+      .set("args", std::move(args));
+}
+
+Json trace_document(Json trace_events) {
+  return Json::object()
+      .set("schema", "xgyro.trace")
+      .set("schema_version", 1)
+      .set("displayTimeUnit", "ms")
+      .set("traceEvents", std::move(trace_events));
+}
+
 std::vector<CollectiveSkew> collective_skew(const mpi::RunResult& result) {
   struct Agg {
     CollectiveSkew skew;
@@ -88,71 +119,40 @@ Json chrome_trace_json(const mpi::RunResult& result) {
   std::set<int> pids;
   for (const auto& [pid, tid] : tracks) pids.insert(pid);
   for (const int pid : pids) {
-    const std::string name =
-        pid == 0 ? std::string("run") : strprintf("member %d", pid - 1);
-    events.push(Json::object()
-                    .set("ph", Json("M"))
-                    .set("name", Json("process_name"))
-                    .set("pid", Json(pid))
-                    .set("tid", Json(0))
-                    .set("args", Json::object().set("name", Json(name))));
+    events.push(trace_meta_row(
+        "process_name", pid, 0,
+        pid == 0 ? std::string("run") : strprintf("member %d", pid - 1)));
   }
   for (const auto& [pid, tid] : tracks) {
-    events.push(Json::object()
-                    .set("ph", Json("M"))
-                    .set("name", Json("thread_name"))
-                    .set("pid", Json(pid))
-                    .set("tid", Json(tid))
-                    .set("args", Json::object().set(
-                        "name", Json(strprintf("rank %d", tid)))));
+    events.push(
+        trace_meta_row("thread_name", pid, tid, strprintf("rank %d", tid)));
   }
 
   for (const auto& s : result.spans) {
-    events.push(Json::object()
-                    .set("ph", Json("X"))
-                    .set("name", Json(s.name))
-                    .set("cat", Json("span"))
-                    .set("pid", Json(pid_of(s.member)))
-                    .set("tid", Json(s.world_rank))
-                    .set("ts", Json(s.t_start * kSecToUs))
-                    .set("dur", Json((s.t_end - s.t_start) * kSecToUs))
-                    .set("args", Json::object().set("phase", Json(s.phase))));
+    events.push(trace_slice_row(s.name, "span", pid_of(s.member),
+                                s.world_rank, s.t_start, s.t_end - s.t_start,
+                                Json::object().set("phase", Json(s.phase))));
   }
   for (const auto& e : result.trace) {
     // comm_context is a 64-bit hash; Json stores integers as int64 and falls
     // back to double above INT64_MAX, so serialize it as a hex string to
     // keep (ctx, seq) grouping exact for the validator.
-    events.push(
+    events.push(trace_slice_row(
+        strprintf("mpi.%s", mpi::trace_kind_name(e.kind)), "collective",
+        pid_of(e.member), e.world_rank, e.t_start, e.t_end - e.t_start,
         Json::object()
-            .set("ph", Json("X"))
-            .set("name",
-                 Json(strprintf("mpi.%s", mpi::trace_kind_name(e.kind))))
-            .set("cat", Json("collective"))
-            .set("pid", Json(pid_of(e.member)))
-            .set("tid", Json(e.world_rank))
-            .set("ts", Json(e.t_start * kSecToUs))
-            .set("dur", Json((e.t_end - e.t_start) * kSecToUs))
-            .set("args",
-                 Json::object()
-                     .set("comm", Json(e.comm_label))
-                     .set("alg", Json(mpi::coll_alg_name(e.alg)))
-                     .set("ctx", Json(strprintf(
-                                     "%016llx", static_cast<unsigned long long>(
-                                                    e.comm_context))))
-                     .set("seq", Json(e.seq))
-                     .set("local_rank", Json(e.local_rank))
-                     .set("participants", Json(e.participants))
-                     .set("payload_bytes", Json(e.payload_bytes))
-                     .set("phase", Json(e.phase))
-                     .set("arrival_skew_us", Json(e.arrival_skew_s * kSecToUs))
-                     .set("last_arriver", Json(e.last_arriver))));
+            .set("comm", Json(e.comm_label))
+            .set("alg", Json(mpi::coll_alg_name(e.alg)))
+            .set("ctx", Json(hex64(e.comm_context)))
+            .set("seq", Json(e.seq))
+            .set("local_rank", Json(e.local_rank))
+            .set("participants", Json(e.participants))
+            .set("payload_bytes", Json(e.payload_bytes))
+            .set("phase", Json(e.phase))
+            .set("arrival_skew_us", Json(e.arrival_skew_s * kSecToUs))
+            .set("last_arriver", Json(e.last_arriver))));
   }
-
-  return Json::object()
-      .set("schema", Json("xgyro.trace"))
-      .set("schema_version", Json(1))
-      .set("displayTimeUnit", Json("ms"))
-      .set("traceEvents", std::move(events));
+  return trace_document(std::move(events));
 }
 
 std::string render_chrome_trace(const mpi::RunResult& result) {

@@ -38,6 +38,14 @@ std::vector<CollectiveSkew> collective_skew(const mpi::RunResult& result);
 /// Largest straggler lag over all instances (0 for an empty trace).
 double max_collective_skew_s(const mpi::RunResult& result);
 
+/// Trace-event rows and document, shared with service_chrome_trace: an "M"
+/// row naming a process or thread, an "X" row over [ts_s, ts_s + dur_s).
+Json trace_meta_row(const char* what, int pid, int tid,
+                    const std::string& name);
+Json trace_slice_row(const std::string& name, const char* cat, int pid,
+                     int tid, double ts_s, double dur_s, Json args);
+Json trace_document(Json trace_events);
+
 /// Build the Chrome trace document:
 /// { "schema": "xgyro.trace", "schema_version": 1, "displayTimeUnit": "ms",
 ///   "traceEvents": [...] }.

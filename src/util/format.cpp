@@ -22,6 +22,10 @@ std::string strprintf(const char* fmt, ...) {
   return out;
 }
 
+std::string hex64(std::uint64_t v) {
+  return strprintf("%016llx", static_cast<unsigned long long>(v));
+}
+
 std::string human_bytes(double bytes) {
   static const char* units[] = {"B", "KiB", "MiB", "GiB", "TiB", "PiB"};
   int u = 0;

@@ -2,6 +2,7 @@
 #pragma once
 
 #include <cstdarg>
+#include <cstdint>
 #include <string>
 
 namespace xg {
@@ -9,6 +10,9 @@ namespace xg {
 /// printf-style formatting returning a std::string.
 /// Example: xg::strprintf("rank %d of %d", r, n)
 [[gnu::format(printf, 1, 2)]] std::string strprintf(const char* fmt, ...);
+
+/// A 64-bit hash or fingerprint as 16 lower-case hex digits.
+std::string hex64(std::uint64_t v);
 
 /// Pretty-print a byte count with binary-unit suffix ("1.50 GiB").
 std::string human_bytes(double bytes);

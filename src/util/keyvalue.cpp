@@ -1,8 +1,5 @@
 #include "util/keyvalue.hpp"
 
-#include <fstream>
-#include <sstream>
-
 #include "util/error.hpp"
 #include "util/format.hpp"
 #include "util/strings.hpp"
@@ -10,11 +7,9 @@
 namespace xg {
 
 KeyValueFile KeyValueFile::load(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) throw InputError(strprintf("cannot open input file '%s'", path.c_str()));
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return parse(buf.str(), path);
+  const auto text = read_text_file(path);
+  if (!text) throw InputError(strprintf("cannot open input file '%s'", path.c_str()));
+  return parse(*text, path);
 }
 
 KeyValueFile KeyValueFile::parse(std::string_view text, std::string_view origin) {

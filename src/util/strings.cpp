@@ -4,11 +4,39 @@
 #include <cctype>
 #include <charconv>
 #include <cstdlib>
+#include <fstream>
+#include <sstream>
 
 #include "util/error.hpp"
 #include "util/format.hpp"
 
 namespace xg {
+
+std::vector<std::pair<std::string, std::string>> spec_items(
+    std::string_view spec, std::string_view what) {
+  std::vector<std::pair<std::string, std::string>> out;
+  for (const auto& raw : split(spec, ';')) {
+    const std::string_view item = trim(raw);
+    if (item.empty()) continue;
+    const size_t eq = item.find('=');
+    if (eq == std::string_view::npos) {
+      throw InputError(strprintf("%.*s: expected key=value, got '%.*s'",
+                                 int(what.size()), what.data(),
+                                 int(item.size()), item.data()));
+    }
+    out.emplace_back(to_lower(trim(item.substr(0, eq))),
+                     trim(item.substr(eq + 1)));
+  }
+  return out;
+}
+
+std::optional<std::string> read_text_file(const std::string& path) {
+  std::ifstream in(path);
+  if (!in) return std::nullopt;
+  std::ostringstream buf;
+  buf << in.rdbuf();
+  return buf.str();
+}
 
 std::string_view trim(std::string_view s) {
   const auto is_space = [](unsigned char c) { return std::isspace(c) != 0; };

@@ -1,8 +1,10 @@
 // Small string utilities (trim/split/case) used by the input parsers.
 #pragma once
 
+#include <optional>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 namespace xg {
@@ -22,6 +24,15 @@ std::string to_lower(std::string_view s);
 
 /// True if `s` begins with `prefix`.
 bool starts_with(std::string_view s, std::string_view prefix);
+
+/// The items of a ';'-separated `key=value` spec, empty items skipped: keys
+/// trimmed and lower-cased, values trimmed. Throws xg::InputError
+/// ("<what>: expected key=value, got '<item>'") on an item without '='.
+std::vector<std::pair<std::string, std::string>> spec_items(
+    std::string_view spec, std::string_view what);
+
+/// The whole contents of the file at `path`; nothing if it cannot be opened.
+std::optional<std::string> read_text_file(const std::string& path);
 
 /// Parse helpers that throw xg::InputError with context on failure.
 long parse_long(std::string_view s, std::string_view context);

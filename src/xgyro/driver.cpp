@@ -205,11 +205,17 @@ JobResult run_job(const EnsembleInput& batch, const net::MachineSpec& machine,
     } catch (const mpi::DeadlockError& e) {
       ev.kind = "deadlock";
       report = e.what();
-      if (!e.blocked().empty()) {
-        const mpi::BlockedRankInfo& first = e.blocked().front();
-        ev.world_rank = first.world_rank;
-        ev.virtual_time_s = first.virtual_time_s;
-        ev.phase = first.phase;
+      // Name the rank a hang clause parked (its peers only stalled behind
+      // it), else the lowest blocked rank.
+      const auto& blocked = e.blocked();
+      const auto hung = std::find_if(blocked.begin(), blocked.end(),
+                                     [](const auto& b) { return b.hung; });
+      if (!blocked.empty()) {
+        const mpi::BlockedRankInfo& b =
+            hung != blocked.end() ? *hung : blocked.front();
+        ev.world_rank = b.world_rank;
+        ev.virtual_time_s = b.virtual_time_s;
+        ev.phase = b.phase;
       }
     }
     if (writer != nullptr) {

@@ -490,6 +490,27 @@ TEST(ElasticRecovery, DeadlockAbortCarriesEveryBlockedRank) {
   }
 }
 
+TEST(ElasticRecovery, DeadlockAbortNamesTheHungRank) {
+  // Every rank ends up blocked: the hung one in 'coll', its peers stalled
+  // behind it in 'report'. The abort names the rank the hang clause parked,
+  // with its own clock and phase, not the lowest blocked rank.
+  for (const int hung : {1, 2}) {
+    xgyro::JobOptions opts;
+    opts.mode = Mode::kReal;
+    opts.faults =
+        mpi::FaultPlan::parse(strprintf("seed=1;hang=%d@0.0005", hung));
+    try {
+      xgyro::run_cgyro_job(Input::small_test(1), net::testbox(1, 4), 4, opts);
+      FAIL() << "expected JobAborted";
+    } catch (const xgyro::JobAborted& e) {
+      EXPECT_EQ(e.kind(), "deadlock");
+      EXPECT_EQ(e.world_rank(), hung);
+      EXPECT_EQ(e.phase(), "coll");
+      EXPECT_EQ(count_of(e.report(), "\n  rank "), 4u);
+    }
+  }
+}
+
 TEST(ElasticRecovery, CampaignFailureMessageCarriesTheDeadlockReport) {
   campaign::CampaignSpec spec;
   spec.members.members = {Input::small_test(1)};

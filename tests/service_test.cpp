@@ -30,7 +30,9 @@
 #include "gyro/simulation.hpp"
 #include "perfmodel/perfmodel.hpp"
 #include "simnet/machine.hpp"
+#include "util/format.hpp"
 #include "util/hash.hpp"
+#include "util/rng.hpp"
 #include "xgyro/ensemble.hpp"
 
 namespace xg::campaign {
@@ -794,6 +796,170 @@ TEST(StreamSpec, GeneratesDeterministicSweepSafeStreams) {
 }
 
 // ---------------------------------------------------------------------------
+// Request lifecycle: every prior state × every request kind
+
+using telemetry::EventKind;
+
+/// "placed" for request.placed, "" for kNone (no record yet).
+std::string short_name(EventKind k) {
+  const std::string name(telemetry::event_name(k));
+  return k == EventKind::kNone ? ""
+                               : name.substr(std::string("request.").size());
+}
+
+/// The lifecycle grammar of the events.hpp header comment, written out by
+/// hand: the states ("" = no record yet) each request kind may follow.
+bool grammar_allows(EventKind prior, EventKind next) {
+  static const std::map<std::string, std::set<std::string>> from{
+      {"submitted", {""}},
+      {"admitted", {"submitted"}},
+      {"rejected", {"submitted"}},
+      {"batched", {"admitted"}},
+      {"placed", {"batched"}},
+      {"preempted", {"placed", "resumed"}},
+      {"resumed", {"preempted"}},
+      {"completed", {"placed", "resumed"}},
+      {"failed", {"batched", "placed", "preempted", "resumed"}},
+  };
+  return from.at(short_name(next)).count(short_name(prior)) > 0;
+}
+
+/// A legal record path that leaves a request in `state`.
+std::vector<std::string> path_to(EventKind state) {
+  static const std::map<std::string, std::vector<std::string>> paths{
+      {"", {}},
+      {"submitted", {"submitted"}},
+      {"admitted", {"submitted", "admitted"}},
+      {"rejected", {"submitted", "rejected"}},
+      {"batched", {"submitted", "admitted", "batched"}},
+      {"placed", {"submitted", "admitted", "batched", "placed"}},
+      {"preempted",
+       {"submitted", "admitted", "batched", "placed", "preempted"}},
+      {"resumed",
+       {"submitted", "admitted", "batched", "placed", "preempted", "resumed"}},
+      {"completed",
+       {"submitted", "admitted", "batched", "placed", "completed"}},
+      {"failed", {"submitted", "admitted", "batched", "failed"}},
+  };
+  return paths.at(short_name(state));
+}
+
+std::vector<EventKind> request_kinds() {
+  std::vector<EventKind> out;
+  for (int k = 0; k < telemetry::kEventKindCount; ++k) {
+    if (telemetry::is_request_kind(EventKind(k))) out.push_back(EventKind(k));
+  }
+  return out;
+}
+
+/// Every state a request can be in: no record yet, then each request kind.
+std::vector<EventKind> request_states() {
+  std::vector<EventKind> out{EventKind::kNone};
+  for (const EventKind k : request_kinds()) out.push_back(k);
+  return out;
+}
+
+/// The validator's and the engine's words for an illegal edge.
+std::string illegal_edge_text(int id, EventKind prior, EventKind next) {
+  const std::string name(telemetry::event_name(next));
+  if (next == EventKind::kRequestSubmitted) {
+    return strprintf("request %d submitted twice", id);
+  }
+  if (prior == EventKind::kNone) {
+    return strprintf("%s for request %d before request.submitted",
+                     name.c_str(), id);
+  }
+  return strprintf("illegal transition for request %d: %s while %s", id,
+                   name.c_str(), short_name(prior).c_str());
+}
+
+TEST(Lifecycle, TableMatchesTheGrammar) {
+  ASSERT_EQ(request_kinds().size(), 9u);
+  for (int k = 1; k < telemetry::kEventKindCount; ++k) {
+    const auto kind = EventKind(k);
+    EXPECT_EQ(telemetry::event_kind(telemetry::event_name(kind)), kind) << k;
+    if (!telemetry::is_request_kind(kind)) {
+      for (const EventKind prior : request_states()) {
+        EXPECT_FALSE(telemetry::may_follow(prior, kind)) << k;
+      }
+    }
+  }
+  EXPECT_EQ(telemetry::event_kind("request.vaporized"), EventKind::kNone);
+  EXPECT_EQ(telemetry::event_kind(""), EventKind::kNone);
+  for (const EventKind next : request_kinds()) {
+    const std::string n = short_name(next);
+    EXPECT_EQ(telemetry::kind_row(next).terminal,
+              n == "rejected" || n == "completed" || n == "failed")
+        << n;
+    for (const EventKind prior : request_states()) {
+      EXPECT_EQ(telemetry::may_follow(prior, next),
+                grammar_allows(prior, next))
+          << n << " while '" << short_name(prior) << "'";
+    }
+  }
+}
+
+TEST(Lifecycle, ValidatorAcceptsExactlyTheLegalEdges) {
+  for (const EventKind prior : request_states()) {
+    for (const EventKind next : request_kinds()) {
+      const std::string edge = short_name(next) + " while '" +
+                               short_name(prior) + "'";
+      telemetry::EventValidator v;
+      long seq = 0;
+      v.consume(telemetry::make_event(seq++, 0.0, "service.start")
+                    .set("schema", telemetry::kEventSchema)
+                    .set("schema_version", telemetry::kEventSchemaVersion));
+      for (const std::string& kind : path_to(prior)) {
+        v.consume(
+            telemetry::make_event(seq++, 0.0, "request." + kind)
+                .set("request", 3));
+      }
+      const telemetry::Json last =
+          telemetry::make_event(seq, 0.0, telemetry::event_name(next))
+              .set("request", 3);
+      if (grammar_allows(prior, next)) {
+        EXPECT_NO_THROW(v.consume(last)) << edge;
+        continue;
+      }
+      try {
+        v.consume(last);
+        ADD_FAILURE() << "accepted " << edge;
+      } catch (const InputError& e) {
+        EXPECT_NE(std::string(e.what()).find(
+                      illegal_edge_text(3, prior, next)),
+                  std::string::npos)
+            << e.what();
+      }
+    }
+  }
+}
+
+TEST(Lifecycle, EngineCheckThrowsOnEveryIllegalEdge) {
+  for (const EventKind prior : request_states()) {
+    for (const EventKind next : request_kinds()) {
+      const std::string edge = short_name(next) + " while '" +
+                               short_name(prior) + "'";
+      EventKind state = prior;
+      if (grammar_allows(prior, next)) {
+        EXPECT_NO_THROW(telemetry::advance_request(state, 5, next)) << edge;
+        EXPECT_EQ(state, next) << edge;
+        continue;
+      }
+      try {
+        telemetry::advance_request(state, 5, next);
+        ADD_FAILURE() << "allowed " << edge;
+      } catch (const Error& e) {
+        EXPECT_NE(std::string(e.what()).find(
+                      illegal_edge_text(5, prior, next)),
+                  std::string::npos)
+            << e.what();
+      }
+      EXPECT_EQ(state, prior) << edge;
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Cross-commit byte pin
 
 // The event log, the report and its pretty-printed file form are what the
@@ -840,6 +1006,154 @@ TEST(Golden, ServiceEventLogAndReportBytes) {
   EXPECT_EQ(fnv(jsonl), 0x805e3253a0a1ddffull);
   EXPECT_EQ(fnv(doc.dump()), 0xe44a9f2c99705d86ull);
   EXPECT_EQ(fnv(doc.dump(2)), 0x2e761c2507f004a2ull);
+}
+
+// Every lifecycle path the record grammar allows, as request record kinds
+// (without the "request." prefix): rejection, failure before placement,
+// failure while running, completion, completion after preemption cycles,
+// and failure while preempted (a job stranded by a cluster shrink).
+const std::vector<std::vector<std::string>>& lifecycle_paths() {
+  static const std::vector<std::vector<std::string>> paths{
+      {"submitted", "rejected"},
+      {"submitted", "admitted", "batched", "failed"},
+      {"submitted", "admitted", "batched", "placed", "completed"},
+      {"submitted", "admitted", "batched", "placed", "failed"},
+      {"submitted", "admitted", "batched", "placed", "preempted", "resumed",
+       "completed"},
+      {"submitted", "admitted", "batched", "placed", "preempted", "failed"},
+      {"submitted", "admitted", "batched", "placed", "preempted", "resumed",
+       "preempted", "resumed", "failed"},
+  };
+  return paths;
+}
+
+/// A seeded event log of `n` interleaved requests, each walking one of
+/// lifecycle_paths() with the fields the monitor and the trace view read,
+/// plus job.modeled / job.audited records and periodic snapshots.
+std::vector<telemetry::Json> synthetic_lifecycle_log(std::uint64_t seed,
+                                                     int n) {
+  using telemetry::Json;
+  struct Pending {
+    double t;
+    int request;
+    int step;
+    Json rec;
+  };
+  Rng rng(seed);
+  std::vector<Pending> pending;
+  double arrival = 0.0;
+  for (int id = 0; id < n; ++id) {
+    arrival += 0.05 + 0.2 * rng.next_double();
+    const auto& path = lifecycle_paths()[rng.next_below(
+        lifecycle_paths().size())];
+    const std::string tenant = strprintf("t%d", int(rng.next_below(3)));
+    const int job = id / 2;
+    double t = arrival, placed_at = -1.0;
+    int intervals = 0;
+    for (size_t s = 0; s < path.size(); ++s) {
+      const std::string& kind = path[s];
+      Json rec = telemetry::make_event(0, 0.0, "request." + kind);
+      rec.set("request", id);
+      if (kind == "submitted") {
+        rec.set("tenant", tenant).set("priority", int(rng.next_below(2)));
+      } else if (kind == "admitted") {
+        rec.set("queue_depth", int(rng.next_below(8)))
+            .set("predicted_wait_s", 0.4 * rng.next_double());
+      } else if (kind == "rejected") {
+        rec.set("reason", "rejected_queue_full");
+      } else if (kind == "batched") {
+        t += 0.01 * rng.next_double();
+        rec.set("batch", job).set("window_close_s", t + 0.1).set("peers", 2);
+      } else if (kind == "placed") {
+        const double ready = t + 0.1 * rng.next_double();
+        t = ready + 0.5 * rng.next_double();
+        placed_at = t;
+        rec.set("job", job)
+            .set("nodes", 1 + id % 3)
+            .set("k", 1 + id % 2)
+            .set("ranks_per_sim", 4)
+            .set("ready_s", ready)
+            .set("wait_s", t - arrival)
+            .set("predicted_wait_s", 0.4 * rng.next_double());
+      } else if (kind == "preempted") {
+        t += 0.3 * rng.next_double();
+        rec.set("job", job).set("intervals_done", ++intervals);
+      } else if (kind == "resumed") {
+        t += 0.3 * rng.next_double();
+        rec.set("job", job);
+      } else if (kind == "completed") {
+        t += 0.5 * rng.next_double();
+        rec.set("job", job).set("turnaround_s", t - arrival);
+      } else {  // failed
+        t += 0.2 * rng.next_double();
+        if (placed_at >= 0.0) rec.set("job", job);
+        rec.set("reason", "no feasible allocation on the surviving nodes");
+      }
+      pending.push_back({t, id, static_cast<int>(s), std::move(rec)});
+    }
+    if (placed_at >= 0.0 && id % 2 == 0) {
+      Json rec = telemetry::make_event(
+          0, 0.0, id % 4 == 0 ? "job.modeled" : "job.audited");
+      const double price = 0.2 + rng.next_double();
+      rec.set("job", job).set("price_s", price);
+      if (id % 4 != 0) {
+        rec.set("measured_s", price * (0.9 + 0.2 * rng.next_double()))
+            .set("forced", id % 8 == 2);
+      }
+      pending.push_back({placed_at, id, static_cast<int>(path.size()),
+                         std::move(rec)});
+    }
+  }
+  for (int k = 1; k <= 4; ++k) {
+    pending.push_back({arrival * k / 4.0, -1, 0,
+                       telemetry::make_event(0, 0.0, "monitor.snapshot")});
+  }
+  std::stable_sort(pending.begin(), pending.end(),
+                   [](const Pending& a, const Pending& b) {
+                     if (a.t != b.t) return a.t < b.t;
+                     if (a.request != b.request) return a.request < b.request;
+                     return a.step < b.step;
+                   });
+  std::vector<Json> log;
+  log.push_back(telemetry::make_event(0, 0.0, "service.start")
+                    .set("schema", telemetry::kEventSchema)
+                    .set("schema_version", telemetry::kEventSchemaVersion));
+  double t_end = 0.0;
+  for (auto& p : pending) {
+    t_end = p.t;
+    log.push_back(std::move(p.rec.set("seq", static_cast<std::int64_t>(
+                                                 log.size()))
+                                .set("t", p.t)));
+  }
+  log.push_back(telemetry::make_event(static_cast<long>(log.size()), t_end,
+                                      "service.end"));
+  return log;
+}
+
+// The monitor report and the per-tenant trace are pure functions of the
+// log; servemon and the trace export print them. A seeded log covering
+// every request kind and path (rejection, failure before placement,
+// preemption and resumption, failure while preempted) pins both byte for
+// byte, so a consumer rewrite that moves one byte fails here.
+TEST(Golden, ServiceReplayViewBytes) {
+  const auto log = synthetic_lifecycle_log(11, 400);
+  auto stats = telemetry::validate_events(log);
+  ASSERT_TRUE(stats.ended);
+  for (const char* kind : {"submitted", "admitted", "rejected", "batched",
+                           "placed", "preempted", "resumed", "completed",
+                           "failed"}) {
+    EXPECT_GT(stats.by_type[std::string("request.") + kind], 0) << kind;
+  }
+  ServiceMonitor monitor(2.0, SloSpec::parse("wait=0.3;target=0.8;window=4"));
+  for (const auto& rec : log) (void)monitor.consume(rec);
+  const auto fnv = [](const std::string& s) {
+    return Hasher().bytes(s.data(), s.size()).digest();
+  };
+  EXPECT_GT(monitor.alerts(), 0);
+  EXPECT_EQ(log.size(), 2270u);
+  EXPECT_EQ(fnv(monitor.report().dump()), 0x4f2673ae9c3aee75ull);
+  EXPECT_EQ(fnv(telemetry::service_chrome_trace(log).dump()),
+            0x589dc9e0bb91aff8ull);
 }
 
 }  // namespace
