@@ -18,9 +18,12 @@
 #      then the service_test subset that drives the request lifecycle
 #      table and the service engine's emission and preemption paths:
 #      Golden.*, Lifecycle.*, ServicePreemption.* and Seeds/ServiceStress.*
-#   3. Release (-O3) build of xgyro_test and its Golden.* cases: the
-#      benchmark builds the solver at -O3, the ctest suite at
-#      RelWithDebInfo, and the pinned state_hash/flux bits must hold at both
+#   3. Release (-O3) build of xgyro_test and its Golden.* cases, fft_test
+#      and gyro_test: the benchmark builds the solver at -O3, the ctest
+#      suite at RelWithDebInfo, and the pinned state_hash/flux bits must
+#      hold at both; at -O3 the vectorized AVX2 clones of the FFT and RK4
+#      stage kernels also meet the FFT memcmp tests and the cross-ISA
+#      kernel tests
 #   4. end-to-end determinism check (identical-seed runs bitwise equal)
 #   5. telemetry artifact smoke (trace/report/metrics export + validation)
 #   6. docs consistency (USER_GUIDE flags vs --help both ways; every guide
@@ -66,10 +69,12 @@ UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \
   ./build-sanitize/tests/service_test --gtest_brief=1 \
   --gtest_filter='Golden.*:Lifecycle.*:ServicePreemption.*:Seeds/ServiceStress.*'
 
-echo "=== [3/10] Release (-O3) build + solver goldens ==="
+echo "=== [3/10] Release (-O3) build + solver goldens, FFT and kernel tests ==="
 cmake --preset release
-cmake --build --preset release -j "$JOBS" --target xgyro_test
+cmake --build --preset release -j "$JOBS" --target xgyro_test fft_test gyro_test
 ./build-release/tests/xgyro_test --gtest_filter='Golden.*' --gtest_brief=1
+./build-release/tests/fft_test --gtest_brief=1
+./build-release/tests/gyro_test --gtest_brief=1
 
 echo "=== [4/10] determinism check ==="
 bash scripts/check_determinism.sh build

@@ -3,7 +3,9 @@
 #
 # End-to-end determinism check for the simulated runtime: run the same
 # fault-injected ensemble job twice through xgyro_cli with an identical
-# seed and require bitwise-identical stdout and timing logs. Any
+# seed and require bitwise-identical stdout, timing logs and Chrome trace
+# files (--trace-out: the row order of the collective trace and spans
+# must not depend on how the worker threads interleaved). Any
 # nondeterminism in the schedule, the fault layer, or the accounting
 # shows up as a diff and fails the check (registered with ctest as
 # `check_determinism_script`).
@@ -21,13 +23,14 @@ trap 'rm -rf "$WORK"' EXIT
 
 FAULTS="seed=7;straggler=1x1.5;jitter=1x0.25;delay=0.2x2e-5"
 run() {
-  # The "timing log written to <path>" line names the per-run temp file;
-  # drop it so the diff sees only schedule/accounting output.
+  # The "... written to <path>" lines name the per-run temp files; drop
+  # them so the diff sees only schedule/accounting output.
   "$CLI" --ensemble examples/inputs/input.xgyro \
          --ranks-per-sim 2 --intervals 1 \
          --faults "$FAULTS" \
          --timing-out "$WORK/$1.timing" \
-    | grep -v '^timing log written to ' > "$WORK/$1.stdout"
+         --trace-out "$WORK/$1.trace.json" \
+    | grep -v ' written to ' > "$WORK/$1.stdout"
 }
 
 run a
@@ -40,6 +43,11 @@ if ! diff -u "$WORK/a.stdout" "$WORK/b.stdout"; then
 fi
 if ! diff -u "$WORK/a.timing" "$WORK/b.timing"; then
   echo "check_determinism: timing log differs between identical-seed runs" >&2
+  fail=1
+fi
+
+if ! cmp "$WORK/a.trace.json" "$WORK/b.trace.json"; then
+  echo "check_determinism: trace file differs between identical-seed runs" >&2
   fail=1
 fi
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "util/cpu.hpp"
 #include "util/error.hpp"
 #include "util/hash.hpp"
 
@@ -19,7 +20,7 @@ constexpr int kBatchBlock = 16;
 /// does not achieve at -O2. Per output element the accumulation over j is
 /// sequential j = 0..nv-1 — identical to the scalar apply(), so the batched
 /// path is bit-exact with it regardless of W or ISA (mul and add are kept as
-/// separate operations; no FMA contraction, see panel_avx2 below).
+/// separate operations; no FMA contraction).
 template <int W>
 [[gnu::always_inline]] inline void panel_body(const float* __restrict a,
                                               int nv, int batch, int b0,
@@ -39,36 +40,22 @@ template <int W>
   }
 }
 
-#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
-#define XG_TENSOR_X86 1
-/// AVX2 clone of panel_body, dispatched at runtime: the default build targets
-/// baseline x86-64 (SSE2), which halves the usable vector width. target("avx2")
-/// deliberately omits "fma" so the compiler cannot contract the mul+add into a
-/// fused op — contraction would change the rounding and break the bit-exact
-/// equivalence with the scalar apply().
+/// AVX2 clone of panel_body (see util/cpu.hpp for the dispatch and its
+/// no-FMA rule).
 template <int W>
-[[gnu::target("avx2")]] void panel_avx2(const float* __restrict a, int nv,
-                                        int batch, int b0,
-                                        const double* __restrict xs,
-                                        double* __restrict ys) {
+XG_TARGET_AVX2 void panel_avx2(const float* __restrict a, int nv, int batch,
+                               int b0, const double* __restrict xs,
+                               double* __restrict ys) {
   panel_body<W>(a, nv, batch, b0, xs, ys);
 }
-
-bool cpu_has_avx2() {
-  static const bool ok = __builtin_cpu_supports("avx2");
-  return ok;
-}
-#endif
 
 template <int W>
 void panel(const float* __restrict a, int nv, int batch, int b0,
            const double* __restrict xs, double* __restrict ys) {
-#ifdef XG_TENSOR_X86
   if (cpu_has_avx2()) {
     panel_avx2<W>(a, nv, batch, b0, xs, ys);
     return;
   }
-#endif
   panel_body<W>(a, nv, batch, b0, xs, ys);
 }
 }  // namespace

@@ -17,9 +17,9 @@ constexpr double kPi = std::numbers::pi;
 /// (u, v) ← (u + v, u − v). The product is expanded as (ac − bd, ad + bc),
 /// the operations std::complex performs, so each line matches the
 /// single-line butterfly bit for bit.
-void butterfly_lines(double* __restrict ur, double* __restrict ui,
-                     double* __restrict vr, double* __restrict vi,
-                     size_t lines, double wr, double wi) {
+[[gnu::always_inline]] inline void butterfly_lines(
+    double* __restrict ur, double* __restrict ui, double* __restrict vr,
+    double* __restrict vi, size_t lines, double wr, double wi) {
   for (size_t l = 0; l < lines; ++l) {
     const double tr = vr[l] * wr - vi[l] * wi;
     const double ti = vr[l] * wi + vi[l] * wr;
@@ -73,11 +73,23 @@ struct Radix2 {
     }
   }
 
-  /// Unnormalized in-place transform of `lines` split-layout lines.
-  void run_lines(double* re, double* im, size_t lines, bool inverse) const {
+  /// Unnormalized in-place transform of `lines` split-layout lines: the
+  /// bit-reversal swaps, then the butterflies. Part of the dispatched lines
+  /// body (Plan::Impl::lines_body).
+  [[gnu::always_inline]] void run_lines(double* re, double* im, size_t lines,
+                                        bool inverse) const {
     for (const auto& [i, j] : swaps) {
-      std::swap_ranges(re + i * lines, re + (i + 1) * lines, re + j * lines);
-      std::swap_ranges(im + i * lines, im + (i + 1) * lines, im + j * lines);
+      double* ri = re + i * lines;
+      double* rj = re + j * lines;
+      double* ii = im + i * lines;
+      double* ij = im + j * lines;
+      for (size_t l = 0; l < lines; ++l) {
+        const double r = ri[l], m = ii[l];
+        ri[l] = rj[l];
+        ii[l] = ij[l];
+        rj[l] = r;
+        ij[l] = m;
+      }
     }
     const cplx* tw = inverse ? inv.data() : fwd.data();
     for (size_t len = 2; len <= n; len <<= 1) {
@@ -152,20 +164,47 @@ struct Plan::Impl {
     }
   }
 
+  /// The batched transform at `isa`. The Bluestein scratch (two m·lines
+  /// arrays) is allocated here, outside the dispatched body.
   void transform_lines(std::span<double> re, std::span<double> im,
-                       size_t lines, bool inv) const {
+                       size_t lines, bool inv, Isa isa) const {
     XG_REQUIRE(re.size() == n * lines && im.size() == n * lines,
                "FFT lines: re/im must each hold n*lines values");
     if (n == 1) return;
-    if (m == 0) {
-      radix.run_lines(re.data(), im.data(), lines, inv);
+    std::vector<double> scratch(2 * m * lines, 0.0);
+    double* tr = scratch.data();
+    double* ti = tr + m * lines;
+    if (isa == Isa::kAvx2) {
+      lines_avx2(re.data(), im.data(), lines, inv, tr, ti);
     } else {
-      bluestein_lines(re.data(), im.data(), lines, inv);
+      lines_baseline(re.data(), im.data(), lines, inv, tr, ti);
+    }
+  }
+
+  void lines_baseline(double* re, double* im, size_t lines, bool inv,
+                      double* tr, double* ti) const {
+    lines_body(re, im, lines, inv, tr, ti);
+  }
+  XG_TARGET_AVX2 void lines_avx2(double* re, double* im, size_t lines,
+                                 bool inv, double* tr, double* ti) const {
+    lines_body(re, im, lines, inv, tr, ti);
+  }
+
+  /// The dispatched lines kernel: the radix-2 or Bluestein transform of
+  /// `lines` split-layout lines, then the inverse's 1/n scale. tr/ti are
+  /// the zeroed Bluestein scratch (m·lines each; unused when m == 0).
+  [[gnu::always_inline]] void lines_body(double* re, double* im, size_t lines,
+                                         bool inv, double* tr,
+                                         double* ti) const {
+    if (m == 0) {
+      radix.run_lines(re, im, lines, inv);
+    } else {
+      bluestein_lines(re, im, lines, inv, tr, ti);
     }
     if (inv) {
       const double scale = 1.0 / double(n);
-      for (auto& v : re) v *= scale;
-      for (auto& v : im) v *= scale;
+      for (size_t i = 0; i < n * lines; ++i) re[i] *= scale;
+      for (size_t i = 0; i < n * lines; ++i) im[i] *= scale;
     }
   }
 
@@ -189,9 +228,10 @@ struct Plan::Impl {
 
   /// bluestein() on split-layout lines, step for step: every complex
   /// product expanded as (ac − bd, ad + bc), the conjugations as sign flips
-  /// of the imaginary part.
-  void bluestein_lines(double* re, double* im, size_t lines, bool inv) const {
-    std::vector<double> tr(m * lines, 0.0), ti(m * lines, 0.0);
+  /// of the imaginary part. tr/ti: m·lines zeroed values each.
+  [[gnu::always_inline]] void bluestein_lines(double* re, double* im,
+                                              size_t lines, bool inv,
+                                              double* tr, double* ti) const {
     for (size_t k = 0; k < n; ++k) {
       const double cr = chirp[k].real(), ci = chirp[k].imag();
       for (size_t l = 0; l < lines; ++l) {
@@ -201,7 +241,7 @@ struct Plan::Impl {
         ti[k * lines + l] = xr * ci + xi * cr;
       }
     }
-    radix.run_lines(tr.data(), ti.data(), lines, /*inverse=*/false);
+    radix.run_lines(tr, ti, lines, /*inverse=*/false);
     for (size_t k = 0; k < m; ++k) {
       const double fr = chirp_fft[k].real(), fi = chirp_fft[k].imag();
       for (size_t l = 0; l < lines; ++l) {
@@ -211,7 +251,7 @@ struct Plan::Impl {
         ti[k * lines + l] = xr * fi + xi * fr;
       }
     }
-    radix.run_lines(tr.data(), ti.data(), lines, /*inverse=*/true);
+    radix.run_lines(tr, ti, lines, /*inverse=*/true);
     const double scale = 1.0 / double(m);
     for (size_t k = 0; k < n; ++k) {
       const double cr = chirp[k].real(), ci = chirp[k].imag();
@@ -238,11 +278,17 @@ void Plan::inverse(std::span<cplx> data) const { impl_->transform(data, true); }
 
 void Plan::forward_lines(std::span<double> re, std::span<double> im,
                          size_t lines) const {
-  impl_->transform_lines(re, im, lines, false);
+  impl_->transform_lines(re, im, lines, false, kernel_isa());
 }
 void Plan::inverse_lines(std::span<double> re, std::span<double> im,
                          size_t lines) const {
-  impl_->transform_lines(re, im, lines, true);
+  impl_->transform_lines(re, im, lines, true, kernel_isa());
+}
+
+void detail::transform_lines(const Plan& plan, std::span<double> re,
+                             std::span<double> im, size_t lines, bool inverse,
+                             Isa isa) {
+  plan.impl_->transform_lines(re, im, lines, inverse, isa);
 }
 
 void forward(std::span<cplx> data) { Plan(data.size()).forward(data); }

@@ -15,7 +15,9 @@
 // vectorizes, the way pseudo-spectral codes batch their FFTs across the
 // velocity dimension. Every line of a batch goes through exactly the
 // floating-point operations of a single-line call, so the two are
-// bit-identical.
+// bit-identical. The batched kernel (bit reversal, butterflies, Bluestein
+// chirps, inverse scale) is dispatched at run time to an AVX2 clone where
+// the CPU has it (util/cpu.hpp); both clones give the same bits.
 #pragma once
 
 #include <complex>
@@ -23,9 +25,22 @@
 #include <span>
 #include <vector>
 
+#include "util/cpu.hpp"
+
 namespace xg::fft {
 
 using cplx = std::complex<double>;
+
+class Plan;
+
+namespace detail {
+/// Plan::forward_lines (inverse = false) or inverse_lines at `isa`, which
+/// those run at kernel_isa(). Both ISAs give identical bits; this seam lets
+/// the tests compare them.
+void transform_lines(const Plan& plan, std::span<double> re,
+                     std::span<double> im, size_t lines, bool inverse,
+                     Isa isa);
+}  // namespace detail
 
 /// True if n is a power of two (n >= 1).
 bool is_pow2(size_t n);
@@ -64,6 +79,8 @@ class Plan {
                      size_t lines) const;
 
  private:
+  friend void detail::transform_lines(const Plan&, std::span<double>,
+                                      std::span<double>, size_t, bool, Isa);
   struct Impl;
   std::unique_ptr<Impl> impl_;
 };

@@ -5,6 +5,7 @@
 #include <cmath>
 
 #include "fft/fft.hpp"
+#include "util/cpu.hpp"
 #include "util/error.hpp"
 #include "util/format.hpp"
 #include "util/hash.hpp"
@@ -191,11 +192,18 @@ void Simulation::build_tables() {
   // kernels that read them stay bit-identical.
   ky_.resize(static_cast<size_t>(input_.nt()));
   for (int t = 0; t < input_.nt(); ++t) ky_[t] = geometry_.ky(t);
-  rhs_kpar_.resize(static_cast<size_t>(input_.nc()));
-  rhs_damp_.resize(static_cast<size_t>(input_.nc()));
+  const size_t cells = static_cast<size_t>(input_.nc()) * nt_loc();
+  rhs_kpar_.resize(cells);
+  rhs_damp_.resize(cells);
+  rhs_ky_.resize(cells);
   for (int ic = 0; ic < input_.nc(); ++ic) {
-    rhs_kpar_[ic] = geometry_.kpar(ic);
-    rhs_damp_[ic] = input_.upwind * std::abs(rhs_kpar_[ic]);
+    const double kpar = geometry_.kpar(ic);
+    for (int itl = 0; itl < nt_loc(); ++itl) {
+      const size_t c = static_cast<size_t>(ic) * nt_loc() + itl;
+      rhs_kpar_[c] = kpar;
+      rhs_damp_[c] = input_.upwind * std::abs(kpar);
+      rhs_ky_[c] = ky_[it_global(itl)];
+    }
   }
   rhs_v_.resize(static_cast<size_t>(nv_loc()));
   for (int ivl = 0; ivl < nv_loc(); ++ivl) {
@@ -288,26 +296,18 @@ void Simulation::field_solve(const tensor::Tensor3Z& h, bool upwind) {
                 compute_model_.field_partial_flops_per_elem);
   const size_t cells = static_cast<size_t>(input_.nc()) * nt_loc();
   if (mode_ == Mode::kReal) {
-    // One sweep over h, velocity outer and cell inner: each (ivl) row of h
-    // and gyro_j_ is read from memory once and feeds every accumulator.
-    // Accumulators start at +0 and sum in ascending ivl, with the per-term
-    // expression w·j·h of a per-cell loop, so the partials are bit-identical
-    // to it.
-    std::fill(field_stack_.begin(), field_stack_.end(), cplx{});
-    if (upwind) std::fill(u_.begin(), u_.end(), cplx{});
-    for (int ivl = 0; ivl < nv_loc(); ++ivl) {
-      const cplx* hv = &h(ivl, 0, 0);
-      const double* jv = &gyro_j_(ivl, 0, 0);
-      for (int f = 0; f < nf; ++f) {
-        cplx* slot = field_stack_.data() + static_cast<size_t>(f) * cells;
-        const double w = field_w_[static_cast<size_t>(f) * nv_loc() + ivl];
-        for (size_t i = 0; i < cells; ++i) slot[i] += w * jv[i] * hv[i];
-      }
-      if (upwind) {
-        const double w = upwind_w_[ivl];
-        for (size_t i = 0; i < cells; ++i) u_[i] += w * jv[i] * hv[i];
-      }
-    }
+    // One sweep over h for every field slot and the upwind partial.
+    detail::MomentSweep sweep;
+    sweep.nv = static_cast<size_t>(nv_loc());
+    sweep.cells = cells;
+    sweep.n_field = static_cast<size_t>(nf);
+    sweep.h = h.data().data();
+    sweep.j = gyro_j_.data().data();
+    sweep.field_w = field_w_.data();
+    sweep.upwind_w = upwind ? upwind_w_.data() : nullptr;
+    sweep.field = field_stack_.data();
+    sweep.u = u_.data();
+    detail::moment_sweep(sweep, kernel_isa());
   }
   proc_->set_phase("str_comm");
   {
@@ -415,16 +415,31 @@ void Simulation::nonlinear_term(const tensor::Tensor3Z& h) {
     if (mode_ == Mode::kReal) {
       // pt = 1: h(ivl, ic, t) → nl_(ivl, ic, t), t contiguous. pt > 1: the
       // cell's (t, ivl) block of nl_layout_, in place, ivl contiguous.
-      const size_t nv = static_cast<size_t>(nv_loc());
-      const size_t cell_stride = static_cast<size_t>(input_.nc()) * nt;
+      detail::BracketCell cell;
+      cell.nt = static_cast<size_t>(nt);
+      cell.nv = static_cast<size_t>(nv_loc());
+      cell.plan = nl_plan_.get();
+      cell.ky = ky_.data();
+      cell.lines = nl_lines_.data();
+      cell.phi_lines = nl_phi_lines_.data();
+      const Isa isa = kernel_isa();
       for (int aa = 0; aa < nc_pt; ++aa) {
         const int ic = comms_.t.rank() * nc_pt + aa;
+        cell.kx = nl_kx_.data() + static_cast<size_t>(aa) * nt;
+        cell.phi = phi_full_t_.data() + static_cast<size_t>(ic) * nt;
         if (permute) {
           cplx* block = &nl_layout_[0](aa, 0, 0);
-          bracket_cell(aa, ic, block, block, nv, 1);
+          cell.src = block;
+          cell.dst = block;
+          cell.st = cell.nv;
+          cell.sv = 1;
         } else {
-          bracket_cell(aa, ic, &h(0, ic, 0), &nl_(0, ic, 0), 1, cell_stride);
+          cell.src = &h(0, ic, 0);
+          cell.dst = &nl_(0, ic, 0);
+          cell.st = 1;
+          cell.sv = static_cast<size_t>(input_.nc()) * nt;
         }
+        detail::bracket_cell(cell, isa);
       }
     }
   }
@@ -450,131 +465,30 @@ void Simulation::nonlinear_term(const tensor::Tensor3Z& h) {
   proc_->set_phase("str");
 }
 
-void Simulation::bracket_cell(int aa, int ic, const cplx* src, cplx* dst,
-                              size_t st, size_t sv) {
-  // Split-layout lines (element (t, line) at t·lines + line): p = iky·φ and
-  // q = ikx·φ as 2 lines, b = ikx·h and d = iky·h as nv_loc lines each: the
-  // two φ lines are transformed once, the h lines of all velocities
-  // together. Every complex product is expanded as (ac − bd, ad + bc), the
-  // 0·x terms of the (0, k) multipliers included, so each line sees the
-  // floating-point operations of the single-line std::complex bracket and
-  // the result is bit-identical to it.
-  const size_t n = static_cast<size_t>(input_.nt());
-  const size_t nv = static_cast<size_t>(nv_loc());
-  const size_t len = n * nv;
-  double* br = nl_lines_.data();
-  double* bi = br + len;
-  double* dr = bi + len;
-  double* di = dr + len;
-  double* pqr = nl_phi_lines_.data();
-  double* pqi = pqr + 2 * n;
-  const double* kx = nl_kx_.data() + static_cast<size_t>(aa) * n;
-  const cplx* phi = phi_full_t_.data() + static_cast<size_t>(ic) * n;
-  for (size_t t = 0; t < n; ++t) {
-    const double ky = ky_[t];
-    const double fr = phi[t].real();
-    const double fi = phi[t].imag();
-    pqr[2 * t] = 0.0 * fr - ky * fi;
-    pqi[2 * t] = 0.0 * fi + ky * fr;
-    pqr[2 * t + 1] = 0.0 * fr - kx[t] * fi;
-    pqi[2 * t + 1] = 0.0 * fi + kx[t] * fr;
-  }
-  // Velocity outer: at pt = 1 each source line is nt contiguous elements.
-  for (size_t v = 0; v < nv; ++v) {
-    const cplx* line = src + v * sv;
-    for (size_t t = 0; t < n; ++t) {
-      const double hr = line[t * st].real();
-      const double hi = line[t * st].imag();
-      br[t * nv + v] = 0.0 * hr - kx[t] * hi;
-      bi[t * nv + v] = 0.0 * hi + kx[t] * hr;
-      dr[t * nv + v] = 0.0 * hr - ky_[t] * hi;
-      di[t * nv + v] = 0.0 * hi + ky_[t] * hr;
-    }
-  }
-  nl_plan_->forward_lines({pqr, 2 * n}, {pqi, 2 * n}, 2);
-  nl_plan_->forward_lines({br, len}, {bi, len}, nv);
-  nl_plan_->forward_lines({dr, len}, {di, len}, nv);
-  // b ← p·b − q·d, two products then one subtraction.
-  for (size_t t = 0; t < n; ++t) {
-    const double p_r = pqr[2 * t], p_i = pqi[2 * t];
-    const double q_r = pqr[2 * t + 1], q_i = pqi[2 * t + 1];
-    for (size_t v = 0; v < nv; ++v) {
-      const size_t i = t * nv + v;
-      const double xr = p_r * br[i] - p_i * bi[i];
-      const double xi = p_r * bi[i] + p_i * br[i];
-      const double yr = q_r * dr[i] - q_i * di[i];
-      const double yi = q_r * di[i] + q_i * dr[i];
-      br[i] = xr - yr;
-      bi[i] = xi - yi;
-    }
-  }
-  nl_plan_->inverse_lines({br, len}, {bi, len}, nv);
-  for (size_t v = 0; v < nv; ++v) {
-    cplx* line = dst + v * sv;
-    for (size_t t = 0; t < n; ++t) {
-      line[t * st] = cplx(br[t * nv + v], bi[t * nv + v]);
-    }
-  }
-}
-
-void Simulation::compute_rhs(const tensor::Tensor3Z& x, int stage, double b,
-                             double a) {
+void Simulation::compute_rhs(int stage, double b, double a) {
   proc_->set_phase("str");
   proc_->kernel(static_cast<double>(state_elems()) *
                 compute_model_.rhs_flops_per_elem);
   if (mode_ != Mode::kReal) return;
-  const bool nonlinear = input_.nonlinear;
-  const double* ky_loc = ky_.data() + it_global(0);
-  // acc_ starts from h_ on the first stage and accumulates after it
-  // (acc + b·r rounds as acc += b·r); the last stage feeds no further one.
-  // x is h_ or stage_; each element of x is read before stage_'s is written.
-  const cplx* xp = x.data().data();
-  const cplx* hp = h_.data().data();
-  const cplx* nlp = nonlinear ? nl_.data().data() : nullptr;
-  cplx* accp = acc_.data().data();
-  cplx* stp = stage_.data().data();
-  const cplx* acc_base = stage == 0 ? hp : accp;
-  const bool next = stage < 3;
-  size_t idx = 0;
-  for (int ivl = 0; ivl < nv_loc(); ++ivl) {
-    const RhsVelocity& v = rhs_v_[ivl];
-    for (int ic = 0; ic < input_.nc(); ++ic) {
-      const double kpar = rhs_kpar_[ic];
-      const double damp = rhs_damp_[ic];
-      for (int itl = 0; itl < nt_loc(); ++itl, ++idx) {
-        const double ky = ky_loc[itl];
-        const size_t fidx = static_cast<size_t>(ic) * nt_loc() + itl;
-        const double omega = kpar * v.vpar + 0.4 * ky * v.e * v.pitch;
-        const double j = gyro_j_(ivl, ic, itl);
-        const double hr = xp[idx].real();
-        const double hi = xp[idx].imag();
-        const double fr = field_stack_[fidx].real();
-        const double fi = field_stack_[fidx].imag();
-        const double ur = u_[fidx].real();
-        const double ui = u_[fidx].imag();
-        // r = (0, −ω)·h + (0, ky·j·drive)·φ − damp·(|v∥|·h − j·u) [+ nl]:
-        // the complex products expanded as (ac − bd, ad + bc), 0·x terms
-        // kept, and summed in the std::complex order, so r rounds exactly
-        // like the complex-typed expression.
-        const double w = -omega;
-        const double g = ky * j * v.drive;
-        double rr = ((0.0 * hr - w * hi) + (0.0 * fr - g * fi)) -
-                    damp * (v.abs_vpar * hr - j * ur);
-        double ri = ((0.0 * hi + w * hr) + (0.0 * fi + g * fr)) -
-                    damp * (v.abs_vpar * hi - j * ui);
-        if (nonlinear) {
-          rr += nlp[idx].real();
-          ri += nlp[idx].imag();
-        }
-        // The RK4 update, with the complex operations of an axpy over a
-        // stored r.
-        const cplx r(rr, ri);
-        const cplx h0 = hp[idx];
-        accp[idx] = acc_base[idx] + b * r;
-        if (next) stp[idx] = h0 + a * r;
-      }
-    }
-  }
+  detail::RhsStage rhs;
+  rhs.stage = stage;
+  rhs.nonlinear = input_.nonlinear;
+  rhs.nv = static_cast<size_t>(nv_loc());
+  rhs.cells = static_cast<size_t>(input_.nc()) * nt_loc();
+  rhs.b = b;
+  rhs.a = a;
+  rhs.vel = rhs_v_.data();
+  rhs.kpar = rhs_kpar_.data();
+  rhs.damp = rhs_damp_.data();
+  rhs.ky = rhs_ky_.data();
+  rhs.j = gyro_j_.data().data();
+  rhs.phi = field_stack_.data();
+  rhs.u = u_.data();
+  rhs.nl = input_.nonlinear ? nl_.data().data() : nullptr;
+  rhs.h = h_.data().data();
+  rhs.stage_in = stage_.data().data();
+  rhs.acc = acc_.data().data();
+  detail::compute_rhs(rhs, kernel_isa());
 }
 
 void Simulation::rk4_step() {
@@ -588,7 +502,7 @@ void Simulation::rk4_step() {
     field_solve(x, /*upwind=*/true);
     upwind_solve();
     if (input_.nonlinear) nonlinear_term(x);
-    compute_rhs(x, s, b[s], a[s]);
+    compute_rhs(s, b[s], a[s]);
   }
   if (mode_ == Mode::kReal) std::swap(h_, acc_);
 }

@@ -36,6 +36,7 @@
 #include "gyro/decomposition.hpp"
 #include "gyro/geometry.hpp"
 #include "gyro/input.hpp"
+#include "gyro/kernels.hpp"
 #include "simmpi/runtime.hpp"
 #include "tensor/dist_transpose.hpp"
 #include "tensor/tensor.hpp"
@@ -151,16 +152,11 @@ class Simulation {
   /// AllReduce and normalisation.
   void field_solve(const tensor::Tensor3Z& h, bool upwind);
   void upwind_solve();
-  /// RHS r of RK4 stage `stage` (0..3) at stage input `x`, fused with the
-  /// update: acc_ = h_ + b·r on stage 0 and acc_ += b·r after it; on stages
-  /// 0..2 also stage_ = h_ + a·r. `x` may be stage_.
-  void compute_rhs(const tensor::Tensor3Z& x, int stage, double b, double a);
+  /// RHS r of RK4 stage `stage` (0..3) at the stage input (h_ on stage 0,
+  /// stage_ after it), fused with the update: acc_ = h_ + b·r on stage 0 and
+  /// acc_ += b·r after it; on stages 0..2 also stage_ = h_ + a·r.
+  void compute_rhs(int stage, double b, double a);
   void nonlinear_term(const tensor::Tensor3Z& h);
-  /// Toroidal bracket of configuration cell `ic` (nl-local index `aa`) over
-  /// nv_loc lines of nt: element (t, v) is read at src[t·st + v·sv] and the
-  /// result written at dst[t·st + v·sv]; src may equal dst.
-  void bracket_cell(int aa, int ic, const cplx* src, cplx* dst, size_t st,
-                    size_t sv);
   void collision_step();
   void apply_collisions_range(int a_lo, int a_hi);
   void rk4_step();
@@ -211,16 +207,12 @@ class Simulation {
   std::vector<double> upwind_w_;         // (nv_loc)
   /// compute_rhs and bracket coefficients, built once in build_tables
   /// instead of per-element Geometry/VelocityGrid calls (kpar's cos among
-  /// them): ky per global toroidal mode, kpar and the upwind damping
-  /// upwind·|kpar| per cell, and the per-velocity constants.
-  struct RhsVelocity {
-    double vpar, abs_vpar, e;
-    double pitch;  ///< 0.5 + 0.5·ξ²
-    double drive;  ///< a_ln_n + a_ln_t·(e − 1.5) of the point's species
-  };
-  std::vector<double> ky_;                   // (nt)
-  std::vector<double> rhs_kpar_, rhs_damp_;  // (nc)
-  std::vector<RhsVelocity> rhs_v_;           // (nv_loc)
+  /// them): ky per global toroidal mode; kpar, the upwind damping
+  /// upwind·|kpar| and ky per (ic, itl) cell, so compute_rhs runs one flat
+  /// loop over a velocity row; and the per-velocity constants.
+  std::vector<double> ky_;                             // (nt)
+  std::vector<double> rhs_kpar_, rhs_damp_, rhs_ky_;   // (nc × nt_loc)
+  std::vector<detail::RhsVelocity> rhs_v_;             // (nv_loc)
 
   // collision-phase objects
   std::unique_ptr<tensor::EnsembleTransposer<cplx>> coll_transpose_;

@@ -375,20 +375,25 @@ RunResult Runtime::run(const std::function<void(Proc&)>& body) {
   }
   {
     const std::scoped_lock lock(trace_mu_);
+    // Ranks on different workers append concurrently, so trace_ and spans_
+    // arrive interleaved in a run-dependent order. A stable sort makes the
+    // order total: records with equal keys come from one rank (world_rank
+    // is a key), whose own appends are in its record order, which is thus
+    // the last key.
     result.trace = std::move(trace_);
-    std::sort(result.trace.begin(), result.trace.end(),
-              [](const TraceEvent& a, const TraceEvent& b) {
-                if (a.t_start != b.t_start) return a.t_start < b.t_start;
-                return a.world_rank < b.world_rank;
-              });
+    std::stable_sort(result.trace.begin(), result.trace.end(),
+                     [](const TraceEvent& a, const TraceEvent& b) {
+                       if (a.t_start != b.t_start) return a.t_start < b.t_start;
+                       return a.world_rank < b.world_rank;
+                     });
     annotate_collective_arrivals(result.trace);
     result.spans = std::move(spans_);
-    std::sort(result.spans.begin(), result.spans.end(),
-              [](const SpanEvent& a, const SpanEvent& b) {
-                if (a.t_start != b.t_start) return a.t_start < b.t_start;
-                if (a.world_rank != b.world_rank) return a.world_rank < b.world_rank;
-                return a.t_end > b.t_end;  // enclosing span first
-              });
+    std::stable_sort(result.spans.begin(), result.spans.end(),
+                     [](const SpanEvent& a, const SpanEvent& b) {
+                       if (a.t_start != b.t_start) return a.t_start < b.t_start;
+                       if (a.world_rank != b.world_rank) return a.world_rank < b.world_rank;
+                       return a.t_end > b.t_end;  // enclosing span first
+                     });
   }
   return result;
 }

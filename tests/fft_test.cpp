@@ -1,6 +1,7 @@
 // FFT tests: fast paths vs the O(n²) reference DFT, roundtrips, Parseval,
-// linearity, batched-vs-single-line bit identity, and convolution —
-// parameterized across pow2 and non-pow2 sizes.
+// linearity, batched-vs-single-line bit identity, the batched kernel's AVX2
+// clone against its baseline one, and convolution — parameterized across
+// pow2 and non-pow2 sizes.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -8,6 +9,8 @@
 #include <numbers>
 
 #include "fft/fft.hpp"
+#include "isa_check.hpp"
+#include "util/cpu.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 
@@ -172,6 +175,34 @@ TEST_P(FftSizes, BatchedLinesBitIdenticalToSingleLines) {
     EXPECT_TRUE(same_bits(re, want_re));
     EXPECT_TRUE(same_bits(im, want_im));
     EXPECT_LT(max_err(x, orig), 1e-10 * double(n));
+  }
+}
+
+TEST_P(FftSizes, BatchedLinesAvx2CloneBitIdenticalToBaseline) {
+  // The batched kernel is dispatched to an AVX2 clone at run time; both
+  // clones must give the same bits, IEEE specials included.
+  if (!cpu_has_avx2()) GTEST_SKIP() << "CPU lacks AVX2";
+  using isa_check::Specials;
+  const size_t n = GetParam();
+  const Plan plan(n);
+  for (const Specials sp :
+       {Specials::kFinite, Specials::kInfinite, Specials::kNaN}) {
+    for (const bool inverse : {false, true}) {
+      for (const size_t lines : {1u, 3u, 64u}) {
+        SCOPED_TRACE(::testing::Message()
+                     << "n=" << n << " lines=" << lines << " inverse="
+                     << inverse << " " << isa_check::specials_name(sp));
+        const std::uint64_t seed = n * 131 + lines;
+        auto re = isa_check::seeded_values(n * lines, seed, sp);
+        auto im = isa_check::seeded_values(n * lines, seed + 1, sp);
+        auto re2 = re, im2 = im;
+        detail::transform_lines(plan, re, im, lines, inverse, Isa::kBaseline);
+        detail::transform_lines(plan, re2, im2, lines, inverse, Isa::kAvx2);
+        const bool nan_allowed = sp != Specials::kFinite;
+        EXPECT_TRUE(isa_check::same_bits(re, re2, nan_allowed));
+        EXPECT_TRUE(isa_check::same_bits(im, im2, nan_allowed));
+      }
+    }
   }
 }
 

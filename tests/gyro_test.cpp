@@ -1,6 +1,7 @@
 // Solver tests: input parsing and the cmat-relevant parameter partition,
 // geometry, decomposition choice, physics sanity, decomposition-independent
-// state evolution, and real↔model timing equivalence.
+// state evolution, real↔model timing equivalence, and the RK4 stage
+// kernels' AVX2 clones against their baseline ones.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -15,8 +16,11 @@
 #include "gyro/decomposition.hpp"
 #include "gyro/geometry.hpp"
 #include "gyro/input.hpp"
+#include "gyro/kernels.hpp"
 #include "gyro/simulation.hpp"
+#include "isa_check.hpp"
 #include "simnet/machine.hpp"
+#include "util/cpu.hpp"
 #include "xgyro/driver.hpp"
 
 namespace xg::gyro {
@@ -654,6 +658,173 @@ TEST(Simulation, PhaseBreakdownCoversAllSolverPhases) {
   EXPECT_NE(timing.find("str_comm"), std::string::npos);
   EXPECT_NE(timing.find("MAKESPAN"), std::string::npos);
 }
+
+// --- RK4 stage kernels: AVX2 clone vs baseline clone ------------------------
+// Each dispatched kernel runs at both ISAs on the same seeded inputs (IEEE
+// specials mixed in, see isa_check.hpp); every output must agree bit for bit.
+
+using isa_check::Specials;
+
+std::vector<cplx> seeded_cplx(size_t n, std::uint64_t seed, Specials sp) {
+  const auto v = isa_check::seeded_values(2 * n, seed, sp);
+  std::vector<cplx> out(n);
+  std::memcpy(static_cast<void*>(out.data()), v.data(), v.size() * sizeof(double));
+  return out;
+}
+
+std::span<const double> doubles(const std::vector<cplx>& v) {
+  return {reinterpret_cast<const double*>(v.data()), 2 * v.size()};
+}
+
+class KernelIsa : public ::testing::TestWithParam<Specials> {
+ protected:
+  void SetUp() override {
+    if (!cpu_has_avx2()) GTEST_SKIP() << "CPU lacks AVX2";
+  }
+  [[nodiscard]] bool nan_allowed() const {
+    return GetParam() != Specials::kFinite;
+  }
+};
+
+TEST_P(KernelIsa, MomentSweepClonesAgree) {
+  const Specials sp = GetParam();
+  // 150 cells: two full 64-cell blocks and a tail, none a multiple of 4.
+  const size_t nv = 7, cells = 150, nf = 3;
+  const auto h = seeded_cplx(nv * cells, 1, sp);
+  const auto j = isa_check::seeded_values(nv * cells, 2, sp);
+  const auto fw = isa_check::seeded_values(nf * nv, 3, sp);
+  const auto uw = isa_check::seeded_values(nv, 4, sp);
+  for (const bool upwind : {false, true}) {
+    SCOPED_TRACE(upwind ? "upwind" : "field only");
+    std::vector<cplx> field[2], u[2];
+    for (int isa = 0; isa < 2; ++isa) {
+      field[isa] = seeded_cplx(nf * cells, 5, sp);  // overwritten
+      u[isa] = seeded_cplx(cells, 6, sp);
+      detail::MomentSweep s;
+      s.nv = nv;
+      s.cells = cells;
+      s.n_field = nf;
+      s.h = h.data();
+      s.j = j.data();
+      s.field_w = fw.data();
+      s.upwind_w = upwind ? uw.data() : nullptr;
+      s.field = field[isa].data();
+      s.u = u[isa].data();
+      detail::moment_sweep(s, isa == 0 ? Isa::kBaseline : Isa::kAvx2);
+    }
+    EXPECT_TRUE(isa_check::same_bits(doubles(field[0]), doubles(field[1]),
+                                     nan_allowed()));
+    EXPECT_TRUE(
+        isa_check::same_bits(doubles(u[0]), doubles(u[1]), nan_allowed()));
+  }
+}
+
+TEST_P(KernelIsa, BracketClonesAgree) {
+  const Specials sp = GetParam();
+  const size_t nv = 13, nc = 3, ic = 1;
+  for (const size_t nt : {8u, 6u}) {  // radix-2 and Bluestein
+    const fft::Plan plan(nt);
+    const auto ky = isa_check::seeded_values(nt, 10 + nt, sp);
+    const auto kx = isa_check::seeded_values(nt, 20 + nt, sp);
+    const auto phi = seeded_cplx(nt, 30 + nt, sp);
+    // Streaming layout (pt = 1: t contiguous, velocity lines nc·nt apart,
+    // out of place) and the nl layout (pt > 1: (t, v) block, in place).
+    for (const bool in_place : {false, true}) {
+      SCOPED_TRACE(::testing::Message() << "nt=" << nt
+                                        << (in_place ? " in place" : ""));
+      const auto src = seeded_cplx(nv * nc * nt, 40 + nt, sp);
+      std::vector<cplx> dst[2];
+      for (int isa = 0; isa < 2; ++isa) {
+        std::vector<double> lines(4 * nt * nv), phi_lines(4 * nt);
+        dst[isa] = in_place ? src : std::vector<cplx>(src.size());
+        detail::BracketCell c;
+        c.nt = nt;
+        c.nv = nv;
+        c.plan = &plan;
+        c.ky = ky.data();
+        c.kx = kx.data();
+        c.phi = phi.data();
+        if (in_place) {
+          c.src = dst[isa].data();
+          c.dst = dst[isa].data();
+          c.st = nv;
+          c.sv = 1;
+        } else {
+          c.src = src.data() + ic * nt;
+          c.dst = dst[isa].data() + ic * nt;
+          c.st = 1;
+          c.sv = nc * nt;
+        }
+        c.lines = lines.data();
+        c.phi_lines = phi_lines.data();
+        detail::bracket_cell(c, isa == 0 ? Isa::kBaseline : Isa::kAvx2);
+      }
+      EXPECT_TRUE(isa_check::same_bits(doubles(dst[0]), doubles(dst[1]),
+                                       nan_allowed()));
+    }
+  }
+}
+
+TEST_P(KernelIsa, ComputeRhsClonesAgreeInEveryStageShape) {
+  const Specials sp = GetParam();
+  const size_t nv = 5, cells = 37;
+  const auto vel_raw = isa_check::seeded_values(5 * nv, 50, sp);
+  std::vector<detail::RhsVelocity> vel(nv);
+  for (size_t i = 0; i < nv; ++i) {
+    const double* v = vel_raw.data() + 5 * i;
+    vel[i] = {v[0], v[1], v[2], v[3], v[4]};
+  }
+  const auto kpar = isa_check::seeded_values(cells, 51, sp);
+  const auto damp = isa_check::seeded_values(cells, 52, sp);
+  const auto ky = isa_check::seeded_values(cells, 53, sp);
+  const auto j = isa_check::seeded_values(nv * cells, 54, sp);
+  const auto phi = seeded_cplx(cells, 55, sp);
+  const auto u = seeded_cplx(cells, 56, sp);
+  const auto nl = seeded_cplx(nv * cells, 57, sp);
+  const auto h = seeded_cplx(nv * cells, 58, sp);
+  for (const bool nonlinear : {false, true}) {
+    for (int stage = 0; stage < 4; ++stage) {
+      SCOPED_TRACE(::testing::Message() << "stage " << stage
+                                        << (nonlinear ? " nonlinear" : ""));
+      // stage_in is the stage input, updated in place on stages 1..2.
+      std::vector<cplx> stage_in[2], acc[2];
+      for (int isa = 0; isa < 2; ++isa) {
+        stage_in[isa] = seeded_cplx(nv * cells, 59, sp);
+        acc[isa] = seeded_cplx(nv * cells, 60, sp);
+        detail::RhsStage s;
+        s.stage = stage;
+        s.nonlinear = nonlinear;
+        s.nv = nv;
+        s.cells = cells;
+        s.b = 0.125;
+        s.a = 0.3;
+        s.vel = vel.data();
+        s.kpar = kpar.data();
+        s.damp = damp.data();
+        s.ky = ky.data();
+        s.j = j.data();
+        s.phi = phi.data();
+        s.u = u.data();
+        s.nl = nonlinear ? nl.data() : nullptr;
+        s.h = h.data();
+        s.stage_in = stage_in[isa].data();
+        s.acc = acc[isa].data();
+        detail::compute_rhs(s, isa == 0 ? Isa::kBaseline : Isa::kAvx2);
+      }
+      EXPECT_TRUE(isa_check::same_bits(doubles(stage_in[0]),
+                                       doubles(stage_in[1]), nan_allowed()));
+      EXPECT_TRUE(
+          isa_check::same_bits(doubles(acc[0]), doubles(acc[1]), nan_allowed()));
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Inputs, KernelIsa,
+    ::testing::Values(Specials::kFinite, Specials::kInfinite, Specials::kNaN),
+    [](const ::testing::TestParamInfo<Specials>& info) {
+      return std::string(isa_check::specials_name(info.param));
+    });
 
 }  // namespace
 }  // namespace xg::gyro
