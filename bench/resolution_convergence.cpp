@@ -33,17 +33,13 @@ double damped_energy(int n_xi, int n_energy) {
   }
   in.collision.nu_ee = 0.5;
   in.n_steps_per_report = 25;
-  double w = 0.0;
-  const auto d = gyro::Decomposition::choose(in, 1);
-  mpi::run_simulation(net::testbox(1, 1), 1, [&](mpi::Proc& p) {
-    auto layout = gyro::make_cgyro_layout(p.world(), d);
-    gyro::Simulation sim(in, d, std::move(layout), p, gyro::Mode::kReal);
-    sim.initialize();
-    sim.advance_report_interval();
-    // Normalize by the initial energy so grids of different size compare.
-    w = sim.diagnostics().free_energy;
-  });
-  return w;
+  xgyro::JobOptions opts;
+  opts.mode = gyro::Mode::kReal;
+  opts.cgyro_layout = true;
+  return xgyro::run_job(xgyro::EnsembleInput{{in}}, net::testbox(1, 1), 1,
+                        opts)
+      .diagnostics.front()
+      .free_energy;
 }
 
 }  // namespace

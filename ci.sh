@@ -25,39 +25,41 @@
 #      stage kernels also meet the FFT memcmp tests and the cross-ISA
 #      kernel tests
 #   4. end-to-end determinism check (identical-seed runs bitwise equal)
-#   5. telemetry artifact smoke (trace/report/metrics export + validation)
-#   6. docs consistency (USER_GUIDE flags vs --help both ways; every guide
+#   5. example output check (the job-driving examples' stdout and exit
+#      codes equal the recorded ones under tests/data/examples)
+#   6. telemetry artifact smoke (trace/report/metrics export + validation)
+#   7. docs consistency (USER_GUIDE flags vs --help both ways; every guide
 #      command runs; documented CLI error paths behave as documented)
-#   7. benchmark baseline smoke (every BENCH_*.json validates and detects
+#   8. benchmark baseline smoke (every BENCH_*.json validates and detects
 #      an injected +10% slowdown)
-#   8. collective autotuner smoke (xgyro_colltune's emitted decision table
+#   9. collective autotuner smoke (xgyro_colltune's emitted decision table
 #      round-trips: write -> load -> selector resolves every swept cell to
 #      the measured winner)
-#   9. campaign service smoke (a short arrival stream through xgyro_serve:
+#  10. campaign service smoke (a short arrival stream through xgyro_serve:
 #      admission, batching, placement, and the exit-0 convention — then the
 #      same stream down the production path: perfmodel fast path with a
 #      full DES audit, EASY backfilling, and adaptive windows)
-#  10. service observability smoke (xgyro_serve with the streamed event
+#  11. service observability smoke (xgyro_serve with the streamed event
 #      log, snapshots and an SLO, replayed through xgyro_servemon:
 #      validation, sketch-vs-exact cross-check, trace export, event-log
 #      determinism, and the aborted-run partial-log guarantee)
 #
-# Steps 4–10 are also registered with ctest (check_determinism_script,
-# trace_export_smoke, docs_consistency_check, bench_baseline_smoke,
-# colltune_smoke, service_smoke, servemon_smoke); they rerun here
-# standalone so a failure prints its own transcript even when ctest is
-# skipped.
+# Steps 4–11 are also registered with ctest (check_determinism_script,
+# examples_stdout_check, trace_export_smoke, docs_consistency_check,
+# bench_baseline_smoke, colltune_smoke, service_smoke, servemon_smoke);
+# they rerun here standalone so a failure prints its own transcript even
+# when ctest is skipped.
 set -euo pipefail
 cd "$(dirname "$0")"
 
 JOBS=$(nproc 2>/dev/null || echo 4)
 
-echo "=== [1/10] default build + ctest ==="
+echo "=== [1/11] default build + ctest ==="
 cmake --preset default
 cmake --build --preset default -j "$JOBS"
 ctest --preset default
 
-echo "=== [2/10] sanitized build + kernel, fiber runtime, telemetry, job-runner and service-lifecycle tests ==="
+echo "=== [2/11] sanitized build + kernel, fiber runtime, telemetry, job-runner and service-lifecycle tests ==="
 cmake --preset sanitize
 cmake --build --preset sanitize -j "$JOBS"
 for t in fft_test gyro_test xgyro_test simmpi_test fault_test coll_test \
@@ -69,29 +71,32 @@ UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \
   ./build-sanitize/tests/service_test --gtest_brief=1 \
   --gtest_filter='Golden.*:Lifecycle.*:ServicePreemption.*:Seeds/ServiceStress.*'
 
-echo "=== [3/10] Release (-O3) build + solver goldens, FFT and kernel tests ==="
+echo "=== [3/11] Release (-O3) build + solver goldens, FFT and kernel tests ==="
 cmake --preset release
 cmake --build --preset release -j "$JOBS" --target xgyro_test fft_test gyro_test
 ./build-release/tests/xgyro_test --gtest_filter='Golden.*' --gtest_brief=1
 ./build-release/tests/fft_test --gtest_brief=1
 ./build-release/tests/gyro_test --gtest_brief=1
 
-echo "=== [4/10] determinism check ==="
+echo "=== [4/11] determinism check ==="
 bash scripts/check_determinism.sh build
 
-echo "=== [5/10] telemetry trace-export smoke ==="
+echo "=== [5/11] example output check ==="
+bash scripts/examples_stdout_check.sh build
+
+echo "=== [6/11] telemetry trace-export smoke ==="
 bash scripts/trace_smoke.sh build
 
-echo "=== [6/10] docs consistency check ==="
+echo "=== [7/11] docs consistency check ==="
 bash scripts/docs_check.sh build
 
-echo "=== [7/10] bench baseline smoke ==="
+echo "=== [8/11] bench baseline smoke ==="
 ./build/examples/xgyro_bench_check --smoke .
 
-echo "=== [8/10] collective autotuner smoke ==="
+echo "=== [9/11] collective autotuner smoke ==="
 ./build/examples/xgyro_colltune --smoke --out build/colltune_smoke.coll_table.json
 
-echo "=== [9/10] campaign service smoke ==="
+echo "=== [10/11] campaign service smoke ==="
 ./build/examples/xgyro_serve --gen "seed=3;n=6;rate=4;tenants=2;sigs=2" \
   --nodes 2 --ranks-per-node 4 --window 0.5
 # The production-stream path: modeled fast path with every job audited
@@ -102,7 +107,7 @@ echo "=== [9/10] campaign service smoke ==="
   --nodes 2 --ranks-per-node 4 --window 0.5 \
   --fast-path --audit-frac 1.0 --backfill --window-auto
 
-echo "=== [10/10] service observability smoke ==="
+echo "=== [11/11] service observability smoke ==="
 bash scripts/servemon_smoke.sh build/examples
 
 echo "ci.sh: all gates passed"

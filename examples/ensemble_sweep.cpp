@@ -8,13 +8,11 @@
 //
 //   $ ./examples/ensemble_sweep
 #include <cstdio>
-#include <mutex>
-#include <vector>
 
 #include "gyro/simulation.hpp"
 #include "simnet/machine.hpp"
 #include "util/format.hpp"
-#include "xgyro/ensemble.hpp"
+#include "xgyro/driver.hpp"
 
 int main() {
   using namespace xg;
@@ -35,44 +33,26 @@ int main() {
                   ensemble.members[0].cmat_fingerprint()));
 
   const int ranks_per_sim = 4;
-  const auto decomp =
-      gyro::Decomposition::choose(base, ranks_per_sim, k);
-  const auto machine = net::frontier_like(2);
+  xgyro::JobOptions opts;
+  opts.mode = gyro::Mode::kReal;
+  opts.n_report_intervals = 2;
+  const auto job =
+      xgyro::run_job(ensemble, net::frontier_like(2), ranks_per_sim, opts);
 
-  struct Row {
-    std::string tag;
-    gyro::Diagnostics diag;
-    std::uint64_t cmat_bytes;
-  };
-  std::vector<Row> rows(static_cast<size_t>(k));
-  std::mutex mu;
-
-  mpi::run_simulation(machine, k * ranks_per_sim, [&](mpi::Proc& p) {
-    xgyro::EnsembleDriver driver(ensemble, decomp, p, gyro::Mode::kReal);
-    driver.initialize();
-    gyro::Diagnostics d;
-    for (int i = 0; i < 2; ++i) d = driver.advance_report_interval();
-    if (p.world_rank() % decomp.nranks() == 0) {
-      const std::scoped_lock lock(mu);
-      rows[driver.sim_index()] = {
-          ensemble.members[driver.sim_index()].tag, d,
-          driver.simulation().cmat().bytes()};
-    }
-  });
-
+  const auto decomp = gyro::Decomposition::choose(base, ranks_per_sim, k);
+  const double shared =
+      gyro::Simulation::memory_inventory(base, decomp, k).bytes_of("cmat");
+  const double unshared =
+      gyro::Simulation::memory_inventory(base, decomp, 1).bytes_of("cmat");
   std::printf("%-12s %14s %14s %16s\n", "member", "phi_rms", "flux proxy",
               "cmat slice/rank");
-  for (const auto& row : rows) {
-    std::printf("%-12s %14.6e %14.6e %16s\n", row.tag.c_str(),
-                row.diag.phi_rms, row.diag.flux_proxy,
-                human_bytes(static_cast<double>(row.cmat_bytes)).c_str());
+  for (int m = 0; m < k; ++m) {
+    const gyro::Diagnostics& d = job.diagnostics[static_cast<size_t>(m)];
+    std::printf("%-12s %14.6e %14.6e %16s\n", ensemble.members[m].tag.c_str(),
+                d.phi_rms, d.flux_proxy, human_bytes(shared).c_str());
   }
-
-  const auto shared = gyro::Simulation::memory_inventory(base, decomp, k);
-  const auto unshared = gyro::Simulation::memory_inventory(base, decomp, 1);
   std::printf("\ncmat per rank: %s shared vs %s if every member kept its own "
               "copy (%dx saving, paper §2.1)\n",
-              human_bytes(shared.bytes_of("cmat")).c_str(),
-              human_bytes(unshared.bytes_of("cmat")).c_str(), k);
+              human_bytes(shared).c_str(), human_bytes(unshared).c_str(), k);
   return 0;
 }

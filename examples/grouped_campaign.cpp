@@ -10,13 +10,11 @@
 //
 //   $ ./examples/grouped_campaign
 #include <cstdio>
-#include <map>
-#include <mutex>
 
 #include "gyro/simulation.hpp"
 #include "simnet/machine.hpp"
 #include "util/format.hpp"
-#include "xgyro/ensemble.hpp"
+#include "xgyro/driver.hpp"
 
 int main() {
   using namespace xg;
@@ -45,39 +43,27 @@ int main() {
   }
 
   const int ranks_per_sim = 4;
+  xgyro::JobOptions opts;
+  opts.mode = gyro::Mode::kReal;
+  opts.n_report_intervals = 2;
+  opts.sharing = xgyro::SharingPolicy::kGroupByFingerprint;
+  const auto job =
+      xgyro::run_job(campaign, net::frontier_like(2), ranks_per_sim, opts);
+
   const auto decomp = gyro::Decomposition::choose(
       base, ranks_per_sim, static_cast<int>(groups[0].size()));
-
-  struct Row {
-    std::string tag;
-    int group;
-    gyro::Diagnostics diag;
-    std::uint64_t cmat_bytes;
-  };
-  std::map<int, Row> rows;
-  std::mutex mu;
-  mpi::run_simulation(
-      net::frontier_like(2), campaign.n_sims() * ranks_per_sim,
-      [&](mpi::Proc& p) {
-        xgyro::EnsembleDriver driver(campaign, decomp, p, gyro::Mode::kReal,
-                                     xgyro::SharingPolicy::kGroupByFingerprint);
-        driver.initialize();
-        gyro::Diagnostics d;
-        for (int i = 0; i < 2; ++i) d = driver.advance_report_interval();
-        if (p.world_rank() % decomp.nranks() == 0) {
-          const std::scoped_lock lock(mu);
-          rows[driver.sim_index()] = {campaign.members[driver.sim_index()].tag,
-                                      driver.sharing_group(), d,
-                                      driver.simulation().cmat().bytes()};
-        }
-      });
-
   std::printf("\n%-18s %-6s %14s %14s %12s\n", "member", "group", "phi_rms",
               "flux proxy", "cmat/rank");
-  for (const auto& [sim, row] : rows) {
-    std::printf("%-18s %-6d %14.6e %14.6e %12s\n", row.tag.c_str(), row.group,
-                row.diag.phi_rms, row.diag.flux_proxy,
-                human_bytes(static_cast<double>(row.cmat_bytes)).c_str());
+  for (size_t g = 0; g < groups.size(); ++g) {
+    const double cmat = gyro::Simulation::memory_inventory(
+                            base, decomp, static_cast<int>(groups[g].size()))
+                            .bytes_of("cmat");
+    for (const int s : groups[g]) {
+      const gyro::Diagnostics& d = job.diagnostics[static_cast<size_t>(s)];
+      std::printf("%-18s %-6zu %14.6e %14.6e %12s\n",
+                  campaign.members[s].tag.c_str(), g, d.phi_rms, d.flux_proxy,
+                  human_bytes(cmat).c_str());
+    }
   }
   std::printf("\neach group shares one cmat copy across its members; a "
               "single-group XGYRO job would have refused this campaign.\n");

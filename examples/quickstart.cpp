@@ -6,13 +6,13 @@
 //
 // What happens:
 //  1. A Frontier-like virtual machine is described (simnet).
-//  2. Four rank threads are spawned (simmpi); each builds its slice of the
-//     velocity/configuration grid, the collisional constant tensor (cmat),
-//     and a random initial perturbation.
+//  2. xgyro::run_job runs the job on four simulated ranks (simmpi fibers);
+//     each builds its slice of the velocity/configuration grid, the
+//     collisional constant tensor (cmat), and a random initial perturbation.
 //  3. The solver advances two reporting intervals: RK4 streaming with
 //     AllReduce field solves, then the implicit collision step through the
 //     str↔coll AllToAll transpose.
-//  4. Diagnostics and the CGYRO-style timing breakdown are printed.
+//  4. Diagnostics, the CGYRO-style timing breakdown and memory are printed.
 #include <cstdio>
 
 #include "gyro/simulation.hpp"
@@ -36,26 +36,24 @@ int main() {
   std::printf("quickstart: %d ranks on %s (pv=%d, pt=%d)\n", nranks,
               machine.name.c_str(), decomp.pv, decomp.pt);
 
-  gyro::Diagnostics diag;
-  std::uint64_t cmat_bytes = 0;
-  const auto result = mpi::run_simulation(machine, nranks, [&](mpi::Proc& p) {
-    auto layout = gyro::make_cgyro_layout(p.world(), decomp);
-    gyro::Simulation sim(input, decomp, std::move(layout), p, gyro::Mode::kReal);
-    sim.initialize();
-    for (int i = 0; i < 2; ++i) diag = sim.advance_report_interval();
-    if (p.world_rank() == 0) cmat_bytes = sim.cmat().bytes();
-  });
+  xgyro::JobOptions opts;
+  opts.mode = gyro::Mode::kReal;
+  opts.n_report_intervals = 2;
+  opts.cgyro_layout = true;
+  const auto job =
+      xgyro::run_job(xgyro::EnsembleInput{{input}}, machine, nranks, opts);
+  const gyro::Diagnostics& diag = job.diagnostics.front();
+  const auto inventory = gyro::Simulation::memory_inventory(input, decomp, 1);
 
   std::printf("\nafter %d steps (t = %.2f):\n", diag.steps, diag.time);
   std::printf("  phi_rms     = %.6e\n", diag.phi_rms);
   std::printf("  flux proxy  = %.6e\n", diag.flux_proxy);
   std::printf("  cmat slice  = %s per rank\n\n",
-              human_bytes(static_cast<double>(cmat_bytes)).c_str());
+              human_bytes(inventory.bytes_of("cmat")).c_str());
 
   std::printf("per-phase timing (virtual seconds on the simulated machine):\n%s\n",
-              gyro::format_timing(result, xgyro::solver_phases()).c_str());
+              gyro::format_timing(job.run, xgyro::solver_phases()).c_str());
 
-  std::printf("memory inventory per rank:\n%s",
-              gyro::Simulation::memory_inventory(input, decomp, 1).table().c_str());
+  std::printf("memory inventory per rank:\n%s", inventory.table().c_str());
   return 0;
 }

@@ -164,14 +164,16 @@ struct Plan::Impl {
     }
   }
 
-  /// The batched transform at `isa`. The Bluestein scratch (two m·lines
-  /// arrays) is allocated here, outside the dispatched body.
+  /// The batched transform at `isa` on the caller's Bluestein scratch (two
+  /// m·lines arrays).
   void transform_lines(std::span<double> re, std::span<double> im,
-                       size_t lines, bool inv, Isa isa) const {
+                       size_t lines, bool inv, Isa isa,
+                       std::span<double> scratch) const {
     XG_REQUIRE(re.size() == n * lines && im.size() == n * lines,
                "FFT lines: re/im must each hold n*lines values");
+    XG_REQUIRE(scratch.size() >= 2 * m * lines,
+               "FFT lines: scratch must hold 2*m*lines values");
     if (n == 1) return;
-    std::vector<double> scratch(2 * m * lines, 0.0);
     double* tr = scratch.data();
     double* ti = tr + m * lines;
     if (isa == Isa::kAvx2) {
@@ -192,7 +194,7 @@ struct Plan::Impl {
 
   /// The dispatched lines kernel: the radix-2 or Bluestein transform of
   /// `lines` split-layout lines, then the inverse's 1/n scale. tr/ti are
-  /// the zeroed Bluestein scratch (m·lines each; unused when m == 0).
+  /// the Bluestein scratch (m·lines each; unused when m == 0).
   [[gnu::always_inline]] void lines_body(double* re, double* im, size_t lines,
                                          bool inv, double* tr,
                                          double* ti) const {
@@ -228,10 +230,13 @@ struct Plan::Impl {
 
   /// bluestein() on split-layout lines, step for step: every complex
   /// product expanded as (ac − bd, ad + bc), the conjugations as sign flips
-  /// of the imaginary part. tr/ti: m·lines zeroed values each.
+  /// of the imaginary part. tr/ti: m·lines values each, whatever a previous
+  /// call left there; the zero padding past the n chirped rows is set here.
   [[gnu::always_inline]] void bluestein_lines(double* re, double* im,
                                               size_t lines, bool inv,
                                               double* tr, double* ti) const {
+    std::fill(tr + n * lines, tr + m * lines, 0.0);
+    std::fill(ti + n * lines, ti + m * lines, 0.0);
     for (size_t k = 0; k < n; ++k) {
       const double cr = chirp[k].real(), ci = chirp[k].imag();
       for (size_t l = 0; l < lines; ++l) {
@@ -278,17 +283,23 @@ void Plan::inverse(std::span<cplx> data) const { impl_->transform(data, true); }
 
 void Plan::forward_lines(std::span<double> re, std::span<double> im,
                          size_t lines) const {
-  impl_->transform_lines(re, im, lines, false, kernel_isa());
+  std::vector<double> scratch(detail::lines_scratch_size(*this, lines));
+  impl_->transform_lines(re, im, lines, false, kernel_isa(), scratch);
 }
 void Plan::inverse_lines(std::span<double> re, std::span<double> im,
                          size_t lines) const {
-  impl_->transform_lines(re, im, lines, true, kernel_isa());
+  std::vector<double> scratch(detail::lines_scratch_size(*this, lines));
+  impl_->transform_lines(re, im, lines, true, kernel_isa(), scratch);
+}
+
+size_t detail::lines_scratch_size(const Plan& plan, size_t lines) {
+  return 2 * plan.impl_->m * lines;
 }
 
 void detail::transform_lines(const Plan& plan, std::span<double> re,
                              std::span<double> im, size_t lines, bool inverse,
-                             Isa isa) {
-  plan.impl_->transform_lines(re, im, lines, inverse, isa);
+                             Isa isa, std::span<double> scratch) {
+  plan.impl_->transform_lines(re, im, lines, inverse, isa, scratch);
 }
 
 void forward(std::span<cplx> data) { Plan(data.size()).forward(data); }

@@ -34,12 +34,17 @@ using cplx = std::complex<double>;
 class Plan;
 
 namespace detail {
+/// Doubles of scratch a batch of `lines` lines needs (2·m·lines for a
+/// Bluestein plan of padded length m; 0 at a power-of-two length).
+size_t lines_scratch_size(const Plan& plan, size_t lines);
+
 /// Plan::forward_lines (inverse = false) or inverse_lines at `isa`, which
-/// those run at kernel_isa(). Both ISAs give identical bits; this seam lets
-/// the tests compare them.
+/// those run at kernel_isa(), on the caller's `scratch` of at least
+/// lines_scratch_size(plan, lines) doubles, so a warm call never allocates.
+/// Both ISAs give identical bits; this seam lets the tests compare them.
 void transform_lines(const Plan& plan, std::span<double> re,
                      std::span<double> im, size_t lines, bool inverse,
-                     Isa isa);
+                     Isa isa, std::span<double> scratch);
 }  // namespace detail
 
 /// True if n is a power of two (n >= 1).
@@ -79,8 +84,10 @@ class Plan {
                      size_t lines) const;
 
  private:
+  friend size_t detail::lines_scratch_size(const Plan&, size_t);
   friend void detail::transform_lines(const Plan&, std::span<double>,
-                                      std::span<double>, size_t, bool, Isa);
+                                      std::span<double>, size_t, bool, Isa,
+                                      std::span<double>);
   struct Impl;
   std::unique_ptr<Impl> impl_;
 };

@@ -103,11 +103,11 @@ XG_TARGET_AVX2 void moment_avx2(const MomentSweep& s) { moment_body(s); }
     }
   }
   fft::detail::transform_lines(*c.plan, {pqr, 2 * n}, {pqi, 2 * n}, 2,
-                               /*inverse=*/false, isa);
+                               /*inverse=*/false, isa, c.fft_scratch);
   fft::detail::transform_lines(*c.plan, {br, len}, {bi, len}, nv,
-                               /*inverse=*/false, isa);
+                               /*inverse=*/false, isa, c.fft_scratch);
   fft::detail::transform_lines(*c.plan, {dr, len}, {di, len}, nv,
-                               /*inverse=*/false, isa);
+                               /*inverse=*/false, isa, c.fft_scratch);
   // b ← p·b − q·d, two products then one subtraction.
   for (size_t t = 0; t < n; ++t) {
     const double p_r = pqr[2 * t], p_i = pqi[2 * t];
@@ -126,7 +126,7 @@ XG_TARGET_AVX2 void moment_avx2(const MomentSweep& s) { moment_body(s); }
     }
   }
   fft::detail::transform_lines(*c.plan, {br, len}, {bi, len}, nv,
-                               /*inverse=*/true, isa);
+                               /*inverse=*/true, isa, c.fft_scratch);
   for (size_t v = 0; v < nv; ++v) {
     cplx* line = c.dst + v * c.sv;
     for (size_t t = 0; t < n; ++t) {

@@ -15,6 +15,7 @@
 
 #include <complex>
 #include <cstddef>
+#include <span>
 
 #include "fft/fft.hpp"
 #include "util/cpu.hpp"
@@ -51,6 +52,9 @@ struct BracketCell {
   size_t st = 0, sv = 0;
   double* lines = nullptr;      ///< scratch, 4 · nt · nv
   double* phi_lines = nullptr;  ///< scratch, 4 · nt
+  /// FFT scratch of fft::detail::lines_scratch_size(*plan, max(nv, 2))
+  /// doubles, so the bracket never allocates.
+  std::span<double> fft_scratch;
 };
 void bracket_cell(const BracketCell& c, Isa isa);
 

@@ -104,6 +104,8 @@ void Simulation::initialize() {
       nl_plan_ = std::make_unique<fft::Plan>(nt);
       nl_lines_.assign(4 * nt * static_cast<size_t>(nv_loc()), 0.0);
       nl_phi_lines_.assign(4 * nt, 0.0);
+      nl_fft_scratch_.resize(fft::detail::lines_scratch_size(
+          *nl_plan_, std::max<size_t>(nv_loc(), 2)));
       nl_gather_.resize(static_cast<size_t>(input_.nc()) * nt);
     }
     gyro_j_ = tensor::Tensor3<double>(nv_loc(), input_.nc(), nt_loc());
@@ -422,6 +424,7 @@ void Simulation::nonlinear_term(const tensor::Tensor3Z& h) {
       cell.ky = ky_.data();
       cell.lines = nl_lines_.data();
       cell.phi_lines = nl_phi_lines_.data();
+      cell.fft_scratch = nl_fft_scratch_;
       const Isa isa = kernel_isa();
       for (int aa = 0; aa < nc_pt; ++aa) {
         const int ic = comms_.t.rank() * nc_pt + aa;

@@ -236,10 +236,12 @@ class Simulation {
   /// nl_lines_ holds [re | im] of the ikx·h lines, which then carry the
   /// bracket, followed by [re | im] of the iky·h lines — nt × nv_loc each;
   /// nl_phi_lines_ holds [re | im] of the cell's iky·φ and ikx·φ lines
-  /// (nt × 2 each).
+  /// (nt × 2 each); nl_fft_scratch_ is the FFT's Bluestein scratch for the
+  /// larger of those batches (empty at a power-of-two nt).
   std::unique_ptr<fft::Plan> nl_plan_;
   std::vector<double> nl_lines_;          // 4 · nt · nv_loc
   std::vector<double> nl_phi_lines_;      // 4 · nt
+  std::vector<double> nl_fft_scratch_;
   /// kx(ic, t) of this rank's nl cells (nc/pt × nt), built in
   /// build_tables; the bracket's ky(t) is ky_.
   std::vector<double> nl_kx_;

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <memory>
-#include <mutex>
+#include <numeric>
 #include <optional>
 
 #include "checkpoint/checkpoint.hpp"
@@ -12,36 +12,46 @@
 
 namespace xg::xgyro {
 
-std::optional<gyro::Decomposition> fit_decomposition(
-    const gyro::Input& input, const net::MachineSpec& machine, int k,
-    int ranks_per_sim) {
+namespace {
+
+/// nc must divide by pv times the lcm of the sharing-group sizes (each
+/// group's collision communicator splits nc over its own size·pv ranks), and
+/// the smallest group holds the largest per-rank cmat slice. Only a grouped
+/// ensemble batch has groups other than the one group of all k members.
+struct SharingShape {
+  int lcm, smallest;
+};
+
+SharingShape sharing_shape(const EnsembleInput& batch, const JobOptions& o) {
+  SharingShape shape{batch.n_sims(), batch.n_sims()};
+  if (o.sharing == SharingPolicy::kGroupByFingerprint && !o.cgyro_layout) {
+    shape.lcm = 1;
+    for (const auto& group : batch.sharing_groups()) {
+      const int size = static_cast<int>(group.size());
+      shape.lcm = std::lcm(shape.lcm, size);
+      shape.smallest = std::min(shape.smallest, size);
+    }
+  }
+  return shape;
+}
+
+std::optional<gyro::Decomposition> fit_shape(const gyro::Input& input,
+                                             const net::MachineSpec& machine,
+                                             int k, int ranks_per_sim,
+                                             SharingShape shape) {
   if (ranks_per_sim < 1 || k * ranks_per_sim > machine.total_ranks()) {
     return std::nullopt;
   }
   gyro::Decomposition d;
   try {
-    d = gyro::Decomposition::choose(input, ranks_per_sim, k);
+    d = gyro::Decomposition::choose(input, ranks_per_sim, shape.lcm);
   } catch (const Error&) {
     return std::nullopt;
   }
   const auto fit = cluster::check_fit(
-      gyro::Simulation::memory_inventory(input, d, k), machine);
+      gyro::Simulation::memory_inventory(input, d, shape.smallest), machine);
   if (!fit.fits) return std::nullopt;
   return d;
-}
-
-namespace {
-
-/// Largest feasible ranks-per-sim on the (possibly shrunken) machine, never
-/// growing past `current` — keeping the decomposition unchanged when it
-/// still fits preserves bit-identical physics across the recovery.
-int replan_ranks_per_sim(const gyro::Input& input,
-                         const net::MachineSpec& machine, int k, int current) {
-  const int cap = std::min(current, machine.total_ranks() / k);
-  for (int rps = cap; rps >= 1; --rps) {
-    if (fit_decomposition(input, machine, k, rps)) return rps;
-  }
-  return 0;
 }
 
 std::string abort_summary(const std::string& kind, const std::string& reason,
@@ -55,6 +65,12 @@ std::string abort_summary(const std::string& kind, const std::string& reason,
 }
 
 }  // namespace
+
+std::optional<gyro::Decomposition> fit_decomposition(
+    const gyro::Input& input, const net::MachineSpec& machine, int k,
+    int ranks_per_sim) {
+  return fit_shape(input, machine, k, ranks_per_sim, {k, k});
+}
 
 JobAborted::JobAborted(std::string kind, std::string reason, int world_rank,
                        double virtual_time_s, std::string phase,
@@ -113,13 +129,11 @@ JobResult run_job(const EnsembleInput& batch, const net::MachineSpec& machine,
   bool resume = options.resume && ckpt_enabled;
   int recoveries_left = options.max_recoveries;
   bool just_recovered = false;
+  const SharingShape shape = sharing_shape(batch, options);
 
   for (;;) {
-    // n_sims_sharing = k for the ensemble layout; the classic CGYRO layout
-    // has no ensemble-wide collision communicator.
     const auto decomp = gyro::Decomposition::choose(
-        batch.members.front(), out.ranks_per_sim,
-        options.cgyro_layout ? 1 : k);
+        batch.members.front(), out.ranks_per_sim, shape.lcm);
     const int nranks = k * out.ranks_per_sim;
 
     std::unique_ptr<ckpt::CheckpointWriter> writer;
@@ -145,7 +159,6 @@ JobResult run_job(const EnsembleInput& batch, const net::MachineSpec& machine,
     }
 
     std::vector<gyro::Diagnostics> diags(static_cast<size_t>(k));
-    std::mutex mu;
     RecoveryEvent ev;  // stays empty when the attempt completes
     std::string report;  // a deadlock's blocked-rank report
     try {
@@ -182,8 +195,7 @@ JobResult run_job(const EnsembleInput& batch, const net::MachineSpec& machine,
               d = sim->diagnostics();
             }
             for (std::int64_t i = start_interval; i < n_intervals; ++i) {
-              d = driver ? driver->advance_report_interval()
-                         : sim->advance_report_interval();
+              d = sim->advance_report_interval();
               if (writer != nullptr &&
                   ((i + 1) % options.checkpoint_every == 0 ||
                    i + 1 == n_intervals)) {
@@ -191,8 +203,8 @@ JobResult run_job(const EnsembleInput& batch, const net::MachineSpec& machine,
                 ckpt::snapshot_rank(*writer, i + 1, *sim, member);
               }
             }
+            // Each member's first rank writes its own slot: no lock needed.
             if (proc.world_rank() % decomp.nranks() == 0) {
-              const std::scoped_lock lock(mu);
               diags[static_cast<size_t>(member)] = d;
             }
           },
@@ -240,12 +252,15 @@ JobResult run_job(const EnsembleInput& batch, const net::MachineSpec& machine,
       // is homogeneous, so the surviving allocation is one node smaller.
       if (out.machine.n_nodes <= 1) throw abort("no surviving nodes");
       out.machine.n_nodes -= 1;
-      const int new_rps = replan_ranks_per_sim(
-          batch.members.front(), out.machine, k, out.ranks_per_sim);
-      if (new_rps == 0) {
-        throw abort("survivors cannot host the decomposition");
+      // The largest ranks-per-sim that fits, never above the current one:
+      // an unchanged decomposition keeps the physics bit-identical.
+      int rps = std::min(out.ranks_per_sim, out.machine.total_ranks() / k);
+      while (rps >= 1 &&
+             !fit_shape(batch.members.front(), out.machine, k, rps, shape)) {
+        --rps;
       }
-      out.ranks_per_sim = new_rps;
+      if (rps < 1) throw abort("survivors cannot host the decomposition");
+      out.ranks_per_sim = rps;
       ev.nodes_after = out.machine.n_nodes;
       ev.ranks_per_sim_after = out.ranks_per_sim;
       // Strip only the fired rank's kill clauses: kills armed for other

@@ -150,8 +150,7 @@ EnsembleDriver::EnsembleDriver(EnsembleInput input,
                                gyro::Decomposition per_sim_decomp,
                                mpi::Proc& proc, gyro::Mode mode,
                                SharingPolicy policy)
-    : input_(std::move(input)), decomp_(per_sim_decomp), proc_(&proc),
-      mode_(mode), world_(proc.world()) {
+    : input_(std::move(input)), proc_(&proc) {
   std::vector<int> group_of_sim(static_cast<size_t>(input_.n_sims()), 0);
   if (policy == SharingPolicy::kSingleGroup) {
     input_.validate_shared_cmat();
@@ -161,15 +160,16 @@ EnsembleDriver::EnsembleDriver(EnsembleInput input,
       for (const int s : groups[g]) group_of_sim[s] = static_cast<int>(g);
     }
   }
-  auto layout =
-      make_xgyro_layout_grouped(world_, group_of_sim, decomp_, &sim_index_);
+  auto layout = make_xgyro_layout_grouped(proc.world(), group_of_sim,
+                                          per_sim_decomp, &sim_index_);
   // Attribute this rank's trace rows and spans to its ensemble member, so
   // the Chrome trace groups tracks per member (one pid per simulation).
   proc.set_trace_member(sim_index_);
   group_ = group_of_sim[sim_index_];
   group_size_ = layout.n_sims_sharing;
-  sim_ = std::make_unique<gyro::Simulation>(input_.members[sim_index_], decomp_,
-                                            std::move(layout), proc, mode_);
+  sim_ = std::make_unique<gyro::Simulation>(input_.members[sim_index_],
+                                            per_sim_decomp, std::move(layout),
+                                            proc, mode);
 }
 
 void EnsembleDriver::initialize() {

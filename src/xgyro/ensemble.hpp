@@ -103,7 +103,6 @@ class EnsembleDriver {
 
   [[nodiscard]] gyro::Simulation& simulation() { return *sim_; }
   [[nodiscard]] int sim_index() const { return sim_index_; }
-  [[nodiscard]] int n_sims() const { return input_.n_sims(); }
   /// Sharing group of this rank's member (always 0 under kSingleGroup).
   [[nodiscard]] int sharing_group() const { return group_; }
   /// Members sharing this rank's cmat copy.
@@ -111,10 +110,7 @@ class EnsembleDriver {
 
  private:
   EnsembleInput input_;
-  gyro::Decomposition decomp_;
   mpi::Proc* proc_;
-  gyro::Mode mode_;
-  mpi::Comm world_;
   int sim_index_ = -1;
   int group_ = 0;
   int group_size_ = 1;

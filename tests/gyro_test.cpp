@@ -1,7 +1,8 @@
 // Solver tests: input parsing and the cmat-relevant parameter partition,
 // geometry, decomposition choice, physics sanity, decomposition-independent
-// state evolution, real↔model timing equivalence, and the RK4 stage
-// kernels' AVX2 clones against their baseline ones.
+// state evolution, real↔model timing equivalence, the RK4 stage kernels'
+// AVX2 clones against their baseline ones, and the allocation-free warm
+// bracket.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -12,6 +13,7 @@
 #include <numbers>
 #include <set>
 
+#include "alloc_count.hpp"
 #include "collision/operator.hpp"
 #include "gyro/decomposition.hpp"
 #include "gyro/geometry.hpp"
@@ -734,6 +736,10 @@ TEST_P(KernelIsa, BracketClonesAgree) {
                                         << (in_place ? " in place" : ""));
       const auto src = seeded_cplx(nv * nc * nt, 40 + nt, sp);
       std::vector<cplx> dst[2];
+      // One FFT scratch for both clones: the second sees what the first
+      // left, as every warm cell of a real run does.
+      std::vector<double> fft_scratch(
+          fft::detail::lines_scratch_size(plan, nv), 1.0);
       for (int isa = 0; isa < 2; ++isa) {
         std::vector<double> lines(4 * nt * nv), phi_lines(4 * nt);
         dst[isa] = in_place ? src : std::vector<cplx>(src.size());
@@ -757,12 +763,45 @@ TEST_P(KernelIsa, BracketClonesAgree) {
         }
         c.lines = lines.data();
         c.phi_lines = phi_lines.data();
+        c.fft_scratch = fft_scratch;
         detail::bracket_cell(c, isa == 0 ? Isa::kBaseline : Isa::kAvx2);
       }
       EXPECT_TRUE(isa_check::same_bits(doubles(dst[0]), doubles(dst[1]),
                                        nan_allowed()));
     }
   }
+}
+
+TEST(Bracket, WarmBluesteinCellDoesNotAllocate) {
+  // nt = 6 takes the FFT's Bluestein path; its scratch is the cell's
+  // fft_scratch, so a warm cell makes no heap allocation.
+  const size_t nt = 6, nv = 13;
+  const fft::Plan plan(nt);
+  const auto ky = isa_check::seeded_values(nt, 1, Specials::kFinite);
+  const auto kx = isa_check::seeded_values(nt, 2, Specials::kFinite);
+  const auto phi = seeded_cplx(nt, 3, Specials::kFinite);
+  auto h = seeded_cplx(nv * nt, 4, Specials::kFinite);
+  std::vector<double> lines(4 * nt * nv), phi_lines(4 * nt);
+  std::vector<double> fft_scratch(fft::detail::lines_scratch_size(plan, nv));
+  ASSERT_GT(fft_scratch.size(), 0u);
+  detail::BracketCell c;
+  c.nt = nt;
+  c.nv = nv;
+  c.plan = &plan;
+  c.ky = ky.data();
+  c.kx = kx.data();
+  c.phi = phi.data();
+  c.src = h.data();
+  c.dst = h.data();
+  c.st = nv;
+  c.sv = 1;
+  c.lines = lines.data();
+  c.phi_lines = phi_lines.data();
+  c.fft_scratch = fft_scratch;
+  detail::bracket_cell(c, kernel_isa());
+  const std::uint64_t before = alloc_count::heap_allocs();
+  for (int i = 0; i < 4; ++i) detail::bracket_cell(c, kernel_isa());
+  EXPECT_EQ(alloc_count::heap_allocs() - before, 0u);
 }
 
 TEST_P(KernelIsa, ComputeRhsClonesAgreeInEveryStageShape) {

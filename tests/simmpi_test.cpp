@@ -17,6 +17,7 @@
 #include <set>
 #include <thread>
 
+#include "alloc_count.hpp"
 #include "simmpi/comm.hpp"
 #include "simmpi/fiber.hpp"
 #include "simmpi/runtime.hpp"
@@ -25,94 +26,8 @@
 #include "util/error.hpp"
 #include "util/rng.hpp"
 
-// ---------------------------------------------------------------------------
-// Every heap allocation in this binary goes through the counting operators
-// below, so tests can assert that a warm message path never reaches the
-// allocator. All forms are replaced, so every block is malloc'd and freed
-// by the same family (AddressSanitizer checks that pairing).
-
-namespace {
-
-std::atomic<std::uint64_t> g_heap_allocs{0};
-
-void* counted_alloc(std::size_t n) {
-  g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
-  throw std::bad_alloc();
-}
-
-void* counted_alloc(std::size_t n, std::align_val_t al) {
-  g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
-  const auto a = static_cast<std::size_t>(al);
-  if (void* p = std::aligned_alloc(a, std::max(a, (n + a - 1) / a * a))) {
-    return p;
-  }
-  throw std::bad_alloc();
-}
-
-}  // namespace
-
-void* operator new(std::size_t n) { return counted_alloc(n); }
-void* operator new[](std::size_t n) { return counted_alloc(n); }
-void* operator new(std::size_t n, std::align_val_t a) {
-  return counted_alloc(n, a);
-}
-void* operator new[](std::size_t n, std::align_val_t a) {
-  return counted_alloc(n, a);
-}
-void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
-  try {
-    return counted_alloc(n);
-  } catch (const std::bad_alloc&) {
-    return nullptr;
-  }
-}
-void* operator new[](std::size_t n, const std::nothrow_t&) noexcept {
-  return operator new(n, std::nothrow);
-}
-void* operator new(std::size_t n, std::align_val_t a,
-                   const std::nothrow_t&) noexcept {
-  try {
-    return counted_alloc(n, a);
-  } catch (const std::bad_alloc&) {
-    return nullptr;
-  }
-}
-void* operator new[](std::size_t n, std::align_val_t a,
-                     const std::nothrow_t&) noexcept {
-  return operator new(n, a, std::nothrow);
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
-void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
-void operator delete[](void* p, const std::nothrow_t&) noexcept {
-  std::free(p);
-}
-void operator delete(void* p, std::align_val_t,
-                     const std::nothrow_t&) noexcept {
-  std::free(p);
-}
-void operator delete[](void* p, std::align_val_t,
-                       const std::nothrow_t&) noexcept {
-  std::free(p);
-}
-
 namespace xg::mpi {
 namespace {
-
-std::uint64_t heap_allocs() {
-  return g_heap_allocs.load(std::memory_order_relaxed);
-}
 
 net::MachineSpec small_machine(int nranks) {
   // Single testbox node large enough for nranks.
@@ -1150,11 +1065,11 @@ TEST(HotPath, WarmVirtualRoundTripsDoNotAllocate) {
       }
     };
     round_trip();  // charges the phase once
-    const std::uint64_t before = heap_allocs();
+    const std::uint64_t before = alloc_count::heap_allocs();
     for (int i = 0; i < 1000; ++i) round_trip();
     // Rank 1's final send precedes rank 0's final receive, so the window
     // covers both ranks' loops.
-    if (me == 0) allocs = heap_allocs() - before;
+    if (me == 0) allocs = alloc_count::heap_allocs() - before;
   });
   EXPECT_EQ(allocs, 0u);
 }
@@ -1177,11 +1092,11 @@ std::pair<std::uint64_t, std::uint64_t> warm_collective_allocs(
       collective(world);
       world.barrier();
     }
-    const std::uint64_t before = heap_allocs();
+    const std::uint64_t before = alloc_count::heap_allocs();
     world.barrier();
     for (int i = 0; i < kReps; ++i) collective(world);
     world.barrier();
-    if (p.world_rank() == 0) allocs = heap_allocs() - before;
+    if (p.world_rank() == 0) allocs = alloc_count::heap_allocs() - before;
   }, opts);
   // The counted reps, the two barriers inside the window, and the tail of
   // the barrier before it.

@@ -329,6 +329,38 @@ TEST(Groups, GroupedPolicyWithUniformEnsembleEqualsSingleGroup) {
   EXPECT_EQ(grouped, single);
 }
 
+TEST(Groups, RunJobSizesUnequalGroupsByTheirOwnCollisionComms) {
+  // nu_ee 0.1, 0.2, 0.1: groups of 2 and 1. nc = 32 divides by no 3·pv,
+  // but each group's collision communicator splits nc over its own
+  // size·pv ranks, so (pv, pt) = (1, 4) serves both — in the first attempt
+  // and in the replan after a node is lost (4 → 2 ranks per member).
+  Input base = Input::small_test(2);
+  base.n_radial = 8;
+  base.n_xi = 8;
+  EnsembleInput batch;
+  for (const double nu : {0.1, 0.2, 0.1}) {
+    base.collision.nu_ee = nu;
+    batch.members.push_back(base);
+  }
+  JobOptions opts;
+  opts.mode = Mode::kReal;
+  opts.sharing = SharingPolicy::kGroupByFingerprint;
+  for (const bool kill : {false, true}) {
+    SCOPED_TRACE(kill ? "after a node loss" : "first attempt");
+    if (kill) {
+      opts.faults = mpi::FaultPlan::parse("seed=1;kill=5@1e-6");
+      opts.max_recoveries = 1;
+    }
+    const auto job = run_job(batch, net::testbox(2, 8), 4, opts);
+    EXPECT_EQ(job.ranks_per_sim, kill ? 2 : 4);
+    ASSERT_EQ(job.diagnostics.size(), 3u);
+    EXPECT_TRUE(std::isfinite(job.diagnostics[1].phi_rms));
+    // Members 0 and 2 are the same input, sharing one cmat copy.
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(job.diagnostics[0].phi_rms),
+              std::bit_cast<std::uint64_t>(job.diagnostics[2].phi_rms));
+  }
+}
+
 TEST(Memory, CmatTotalBytesInvariantInEnsembleSize) {
   // Paper §2.1: "its size does not change if we change the number of
   // simulations in a XGYRO ensemble" while other buffers grow ∝ k.
