@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
 
 #include "campaign/campaign.hpp"
 #include "perfmodel/perfmodel.hpp"
@@ -90,6 +91,79 @@ TEST(Planner, MixedGroupsPlannedIndependently) {
   }
   std::sort(seen.begin(), seen.end());
   EXPECT_EQ(seen, (std::vector<int>{0, 1, 2, 3}));
+}
+
+// plan_batch_exact prices exactly k members on the whole machine; whenever
+// it answers, its layout and cost are plan_xgyro's for the same arguments.
+void expect_matches_plan_xgyro(const GroupBatch& gb, const Input& input,
+                               const net::MachineSpec& machine) {
+  const auto p = perfmodel::plan_xgyro(input, gb.k, machine);
+  EXPECT_TRUE(p.fit.fits);
+  EXPECT_EQ(gb.ranks_per_sim, p.ranks_per_sim);
+  EXPECT_EQ(gb.decomp.pv, p.decomp.pv);
+  EXPECT_EQ(gb.decomp.pt, p.decomp.pt);
+  EXPECT_EQ(gb.predicted_seconds, p.per_report.total());
+}
+
+TEST(Planner, BatchExactFeasibleKIsPlanXgyro) {
+  const Input input = Input::small_test(2);
+  const auto machine = net::testbox(2, 8);
+  for (const int k : {1, 2, 4}) {
+    const auto gb = plan_batch_exact(input, k, machine);
+    ASSERT_TRUE(gb.has_value()) << "k=" << k;
+    EXPECT_EQ(gb->k, k);
+    EXPECT_EQ(gb->ranks_per_sim, 16 / k);
+    expect_matches_plan_xgyro(*gb, input, machine);
+  }
+}
+
+TEST(Planner, BatchExactRejectsKNotDividingTheRanks) {
+  // 16 ranks split into 3 or 5 equal members is impossible.
+  const Input input = Input::small_test(2);
+  EXPECT_FALSE(plan_batch_exact(input, 3, net::testbox(2, 8)).has_value());
+  EXPECT_FALSE(plan_batch_exact(input, 5, net::testbox(2, 8)).has_value());
+}
+
+TEST(Planner, BatchExactRejectsGridWithoutDecomposition) {
+  // nc = 16 never divides by 3·pv: 12 ranks do split into 3 members, but no
+  // (pv, pt) suits the grid, so the planner itself refuses.
+  const Input input = Input::small_test(2);
+  const auto machine = net::testbox(3, 4);
+  EXPECT_THROW(perfmodel::plan_xgyro(input, 3, machine), Error);
+  EXPECT_FALSE(plan_batch_exact(input, 3, machine).has_value());
+}
+
+TEST(Planner, BatchExactRejectsMemoryOverflow) {
+  const Input input = Input::small_test(2);
+  auto machine = net::testbox(2, 8);
+  machine.rank_memory_bytes = 1024;
+  EXPECT_FALSE(perfmodel::plan_xgyro(input, 2, machine).fit.fits);
+  EXPECT_FALSE(plan_batch_exact(input, 2, machine).has_value());
+  EXPECT_FALSE(plan_group(input, 4, machine).has_value());
+}
+
+TEST(Planner, PlanGroupPicksTheCheapestDivisor) {
+  // A group of 6 on 16 ranks: k = 3 and k = 6 divide the group but not the
+  // ranks, so only k = 1 and k = 2 compete, priced as jobs × seconds.
+  const Input input = Input::small_test(2);
+  for (const auto& machine : {net::testbox(2, 8), net::testbox(1, 2)}) {
+    for (const int group : {1, 4, 6}) {
+      std::optional<GroupBatch> want;
+      for (int k = 1; k <= group; ++k) {
+        if (group % k != 0) continue;
+        const auto gb = plan_batch_exact(input, k, machine);
+        if (gb && (!want || (group / k) * gb->predicted_seconds <
+                                (group / want->k) * want->predicted_seconds)) {
+          want = gb;
+        }
+      }
+      const auto got = plan_group(input, group, machine);
+      ASSERT_EQ(got.has_value(), want.has_value()) << "group " << group;
+      ASSERT_TRUE(got.has_value());
+      EXPECT_EQ(got->k, want->k) << "group " << group;
+      expect_matches_plan_xgyro(*got, input, machine);
+    }
+  }
 }
 
 TEST(Executor, RunsPlanAndReportsEveryMember) {

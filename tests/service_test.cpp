@@ -33,6 +33,7 @@
 #include "util/format.hpp"
 #include "util/hash.hpp"
 #include "util/rng.hpp"
+#include "util/strings.hpp"
 #include "xgyro/ensemble.hpp"
 
 namespace xg::campaign {
@@ -303,11 +304,11 @@ TEST(ServiceDifferential, AllAtOnceArrivalIsNeverWorseThanOfflinePlan) {
 // ---------------------------------------------------------------------------
 // Seeded randomized scheduler stress
 
-class ServiceStress : public ::testing::TestWithParam<int> {};
+/// Every fourth stress seed injects kills.
+bool stress_kills(int seed) { return seed % 4 == 0; }
 
-TEST_P(ServiceStress, InvariantsHoldUnderRandomizedLoad) {
-  const int seed = GetParam();
-
+/// The randomized arrival stream of stress seed `seed`.
+std::vector<Request> stress_stream(int seed) {
   StreamSpec spec;
   spec.seed = static_cast<std::uint64_t>(seed);
   spec.n = 5 + seed % 5;
@@ -316,11 +317,16 @@ TEST_P(ServiceStress, InvariantsHoldUnderRandomizedLoad) {
   spec.signatures = 1 + seed % 3;
   spec.priorities = 1 + seed % 3;
   spec.skew = seed % 2 == 1;
-  const bool kills = seed % 4 == 0;
-  spec.kill_frac = kills ? 0.25 : 0.0;
-  const auto stream = spec.generate();
+  spec.kill_frac = stress_kills(seed) ? 0.25 : 0.0;
+  return spec.generate();
+}
 
-  const TempDir ckpt("stress_" + std::to_string(seed));
+/// The service configuration of stress seed `seed`, checkpointing under
+/// `ckpt_root` when it runs sliced. The caller sets the event sink, which
+/// every stress seed runs with; some seeds also exercise periodic
+/// snapshots and the SLO monitor under load.
+ServiceConfig stress_config(int seed, const std::string& ckpt_root) {
+  const bool kills = stress_kills(seed);
   ServiceConfig cfg;
   cfg.cluster = net::testbox(2, 2);
   cfg.max_queue_depth = 4 + seed % 4;
@@ -330,14 +336,22 @@ TEST_P(ServiceStress, InvariantsHoldUnderRandomizedLoad) {
   cfg.n_report_intervals = kills ? 2 : 1;
   // Sliced execution (checkpointing + preemption) for odd seeds and for
   // every fault-injecting case; single-slice jobs otherwise.
-  if (seed % 2 == 1 || kills) cfg.checkpoint_root = ckpt.path;
+  if (seed % 2 == 1 || kills) cfg.checkpoint_root = ckpt_root;
   if (kills) cfg.nodes_per_job = 2;  // recovery needs a node to drop
-  // Every stress seed runs with the observability plane on; some also
-  // exercise periodic snapshots and the SLO monitor under load.
-  telemetry::EventBuffer events;
-  cfg.events = &events;
   if (seed % 3 == 1) cfg.metrics_every_s = 0.5;
   if (seed % 4 == 2) cfg.slo = "wait=0.25;target=0.9;burn=2";
+  return cfg;
+}
+
+class ServiceStress : public ::testing::TestWithParam<int> {};
+
+TEST_P(ServiceStress, InvariantsHoldUnderRandomizedLoad) {
+  const int seed = GetParam();
+  const auto stream = stress_stream(seed);
+  const TempDir ckpt("stress_" + std::to_string(seed));
+  ServiceConfig cfg = stress_config(seed, ckpt.path);
+  telemetry::EventBuffer events;
+  cfg.events = &events;
   CampaignService service(cfg);
   const auto res = service.run(stream);
 
@@ -962,6 +976,51 @@ TEST(Lifecycle, EngineCheckThrowsOnEveryIllegalEdge) {
 // ---------------------------------------------------------------------------
 // Cross-commit byte pin
 
+std::uint64_t fnv(const std::string& s) {
+  return Hasher().bytes(s.data(), s.size()).digest();
+}
+
+/// The event log as the JSONL file form writes it.
+std::string jsonl_of(const telemetry::EventBuffer& events) {
+  std::string jsonl;
+  for (const auto& rec : events.records) {
+    jsonl += rec.dump();
+    jsonl += '\n';
+  }
+  return jsonl;
+}
+
+/// Digest of every file in `dir`, name and bytes, in name order.
+std::uint64_t dir_digest(const std::string& dir) {
+  std::vector<fs::path> files;
+  for (const auto& e : fs::directory_iterator(dir)) files.push_back(e.path());
+  std::sort(files.begin(), files.end());
+  std::string all;
+  for (const auto& f : files) {
+    all += f.filename().string();
+    all += '\n';
+    all += read_text_file(f.string()).value();
+  }
+  return fnv(all);
+}
+
+/// The three artifacts a service run leaves: its event log, its result
+/// document and its per-job report files.
+struct ServiceDigests {
+  std::uint64_t log = 0, doc = 0, reports = 0;
+};
+
+ServiceDigests run_digests(ServiceConfig cfg,
+                           const std::vector<Request>& stream,
+                           const std::string& report_dir) {
+  telemetry::EventBuffer events;
+  cfg.events = &events;
+  const auto res = CampaignService(cfg).run(stream);
+  EXPECT_TRUE(telemetry::validate_events(events.records).ended);
+  return {fnv(jsonl_of(events)), fnv(res.to_json().dump()),
+          dir_digest(report_dir)};
+}
+
 // The event log, the report and its pretty-printed file form are what the
 // validator, the monitor and the replay tools read. A seeded fast-path
 // stream with snapshots, SLO alerts, audits and backfilling pins their exact
@@ -987,14 +1046,6 @@ TEST(Golden, ServiceEventLogAndReportBytes) {
   cfg.slo = "wait=0.1;target=0.9;window=5";
   const auto res = CampaignService(cfg).run(stream);
 
-  std::string jsonl;
-  for (const auto& rec : events.records) {
-    jsonl += rec.dump();
-    jsonl += '\n';
-  }
-  const auto fnv = [](const std::string& s) {
-    return Hasher().bytes(s.data(), s.size()).digest();
-  };
   const telemetry::Json doc = res.to_json();
   auto stats = telemetry::validate_events(events.records);
   EXPECT_TRUE(stats.ended);
@@ -1003,9 +1054,71 @@ TEST(Golden, ServiceEventLogAndReportBytes) {
   EXPECT_GT(stats.rejected, 0);
   EXPECT_GT(stats.jobs_audited, 0);
   EXPECT_EQ(events.records.size(), 1722u);
-  EXPECT_EQ(fnv(jsonl), 0x805e3253a0a1ddffull);
+  EXPECT_EQ(fnv(jsonl_of(events)), 0x805e3253a0a1ddffull);
   EXPECT_EQ(fnv(doc.dump()), 0xe44a9f2c99705d86ull);
   EXPECT_EQ(fnv(doc.dump(2)), 0x2e761c2507f004a2ull);
+}
+
+// The DES side of the engine: sliced jobs, preemption, recovery from
+// injected kills (with their per-job reports), stranded and unplaceable
+// jobs, and the nodes_per_job pin under strict FIFO placement on the fast
+// path. The fifteen stress seeds and one pinned fast-path stream fix the
+// bytes of every artifact, so a rewrite of the engine's job bookkeeping,
+// placement sweep or planner calls that moves one byte fails here.
+TEST(Golden, ServiceStressBytes) {
+  // An empty report directory digests to the FNV offset basis.
+  static constexpr std::uint64_t kNoReports = 0xcbf29ce484222325ull;
+  static constexpr ServiceDigests kStress[] = {
+      {0x14fd70bd67811c30ull, 0xc57df1f23a6e2d32ull, kNoReports},
+      {0xd4c3eecf4b0222e9ull, 0x8656b368dbdc6432ull, kNoReports},
+      {0xc1cfefa7c56e6668ull, 0x88aa64c894bca76eull, kNoReports},
+      {0xb7772f2c496f36b5ull, 0xcffc3861d1a67b99ull, 0x5028d502dd411517ull},
+      {0xf7600d258cf2aa24ull, 0xbfb83333c42586dbull, kNoReports},
+      {0x8c4535bfce545b94ull, 0x6246851a8d1210c6ull, kNoReports},
+      {0x02b67601601d93b1ull, 0x5adfe7f255be3656ull, kNoReports},
+      {0x13a60edf16673a55ull, 0x33afc1cc668a591bull, 0xe36fca8ea7eb9fc5ull},
+      {0xd5b36336560b3a39ull, 0x18e80b598c7193e6ull, kNoReports},
+      {0x51d317b51e6dd9efull, 0x2b14308c68661ee5ull, kNoReports},
+      {0x859f2ae8e7b9aa69ull, 0x6b1867abfe48c9e2ull, kNoReports},
+      {0xaa33b6dbbfa2dae9ull, 0x2ed0c704d0e6c672ull, 0x94242b423df68098ull},
+      {0x878bb7723e26ea87ull, 0x3686528685ab8db0ull, kNoReports},
+      {0xed9012dd32f3585dull, 0xe59792f7d0d55adcull, kNoReports},
+      {0x0b7ee4a9654fe0e8ull, 0x11b8eaa3cd902031ull, kNoReports},
+  };
+  for (int seed = 1; seed <= 15; ++seed) {
+    const TempDir ckpt("golden_stress_" + std::to_string(seed));
+    const TempDir reports("golden_stress_reports_" + std::to_string(seed));
+    ServiceConfig cfg = stress_config(seed, ckpt.path);
+    if (stress_kills(seed)) cfg.report_dir = reports.path;
+    const ServiceDigests got =
+        run_digests(cfg, stress_stream(seed), reports.path);
+    const ServiceDigests& want = kStress[seed - 1];
+    EXPECT_EQ(got.log, want.log) << "seed " << seed;
+    EXPECT_EQ(got.doc, want.doc) << "seed " << seed;
+    EXPECT_EQ(got.reports, want.reports) << "seed " << seed;
+  }
+
+  const auto stream = StreamSpec::parse(
+                          "seed=9;n=200;rate=30;tenants=3;sigs=3;prios=3;"
+                          "species=2")
+                          .generate();
+  const TempDir reports("golden_fifo_reports");
+  ServiceConfig cfg;
+  cfg.cluster = net::testbox(4, 4);
+  cfg.max_queue_depth = 24;
+  cfg.tenant_quota = 10;
+  cfg.n_report_intervals = 2;
+  cfg.mode = gyro::Mode::kModel;
+  cfg.fast_path = true;
+  cfg.audit_frac = 0.1;
+  cfg.placement = PlacementPolicy::kFifo;
+  cfg.nodes_per_job = 2;
+  cfg.report_dir = reports.path;
+  cfg.metrics_every_s = 1.0;
+  const ServiceDigests got = run_digests(cfg, stream, reports.path);
+  EXPECT_EQ(got.log, 0x475835dd14bbf52cull);
+  EXPECT_EQ(got.doc, 0x44af06e08ea0f755ull);
+  EXPECT_EQ(got.reports, 0x8165587bd515a44dull);
 }
 
 // Every lifecycle path the record grammar allows, as request record kinds
@@ -1146,9 +1259,6 @@ TEST(Golden, ServiceReplayViewBytes) {
   }
   ServiceMonitor monitor(2.0, SloSpec::parse("wait=0.3;target=0.8;window=4"));
   for (const auto& rec : log) (void)monitor.consume(rec);
-  const auto fnv = [](const std::string& s) {
-    return Hasher().bytes(s.data(), s.size()).digest();
-  };
   EXPECT_GT(monitor.alerts(), 0);
   EXPECT_EQ(log.size(), 2270u);
   EXPECT_EQ(fnv(monitor.report().dump()), 0x4f2673ae9c3aee75ull);
