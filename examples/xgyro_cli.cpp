@@ -501,19 +501,7 @@ int main(int argc, char** argv) {
           report.have_recovery = true;
           report.snapshots_committed = job.snapshots_committed;
           report.snapshots_rejected = job.snapshots_rejected;
-          for (const auto& ev : job.recoveries) {
-            telemetry::RunReport::RecoveryRecord rec;
-            rec.kind = ev.kind;
-            rec.world_rank = ev.world_rank;
-            rec.virtual_time_s = ev.virtual_time_s;
-            rec.phase = ev.phase;
-            rec.resumed_interval = ev.resumed_interval;
-            rec.nodes_before = ev.nodes_before;
-            rec.nodes_after = ev.nodes_after;
-            rec.ranks_per_sim_before = ev.ranks_per_sim_before;
-            rec.ranks_per_sim_after = ev.ranks_per_sim_after;
-            report.recoveries.push_back(std::move(rec));
-          }
+          report.recoveries = job.recoveries;
         }
         telemetry::write_run_report(opt.report_out, report);
         std::printf("run report written to %s\n", opt.report_out.c_str());

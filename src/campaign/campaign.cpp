@@ -9,25 +9,20 @@
 
 namespace xg::campaign {
 
-namespace {
-
-/// Feasibility + predicted cost of batching k members of `input`'s physics
-/// on the whole machine. Returns false if no decomposition exists or the
-/// memory does not fit.
-bool evaluate_batch(const gyro::Input& input, const net::MachineSpec& machine,
-                    int k, const mpi::CollSelector* selector,
-                    gyro::Decomposition* decomp_out, double* seconds_out) {
-  if (machine.total_ranks() % k != 0) return false;
-  const auto d = xgyro::fit_decomposition(input, machine, k,
-                                          machine.total_ranks() / k);
-  if (!d) return false;
-  const auto plan = perfmodel::plan_xgyro(input, k, machine, selector);
-  if (decomp_out != nullptr) *decomp_out = *d;
-  if (seconds_out != nullptr) *seconds_out = plan.per_report.total();
-  return true;
+std::optional<GroupBatch> plan_batch_exact(const gyro::Input& input, int k,
+                                           const net::MachineSpec& machine,
+                                           const mpi::CollSelector* selector) {
+  XG_REQUIRE(k >= 1, "plan_batch_exact: empty batch");
+  if (machine.total_ranks() % k != 0) return std::nullopt;
+  perfmodel::PlanPoint p;
+  try {
+    p = perfmodel::plan_xgyro(input, k, machine, selector);
+  } catch (const Error&) {
+    return std::nullopt;  // no (pv, pt) suits the grid
+  }
+  if (!p.fit.fits) return std::nullopt;
+  return GroupBatch{k, p.ranks_per_sim, p.decomp, p.per_report.total()};
 }
-
-}  // namespace
 
 std::optional<GroupBatch> plan_group(const gyro::Input& input, int group_size,
                                      const net::MachineSpec& machine,
@@ -38,28 +33,15 @@ std::optional<GroupBatch> plan_group(const gyro::Input& input, int group_size,
   double best_cost = 0.0;
   for (int k = 1; k <= group_size; ++k) {
     if (group_size % k != 0) continue;
-    gyro::Decomposition d;
-    double seconds = 0.0;
-    if (!evaluate_batch(input, machine, k, selector, &d, &seconds)) continue;
-    const double cost = (group_size / k) * seconds;
+    const auto gb = plan_batch_exact(input, k, machine, selector);
+    if (!gb.has_value()) continue;
+    const double cost = (group_size / k) * gb->predicted_seconds;
     if (!best.has_value() || cost < best_cost) {
-      best = GroupBatch{k, machine.total_ranks() / k, d, seconds};
+      best = gb;
       best_cost = cost;
     }
   }
   return best;
-}
-
-std::optional<GroupBatch> plan_batch_exact(const gyro::Input& input, int k,
-                                           const net::MachineSpec& machine,
-                                           const mpi::CollSelector* selector) {
-  XG_REQUIRE(k >= 1, "plan_batch_exact: empty batch");
-  gyro::Decomposition d;
-  double seconds = 0.0;
-  if (!evaluate_batch(input, machine, k, selector, &d, &seconds)) {
-    return std::nullopt;
-  }
-  return GroupBatch{k, machine.total_ranks() / k, d, seconds};
 }
 
 CampaignPlan plan_campaign(const CampaignSpec& spec) {

@@ -58,8 +58,9 @@ struct GroupBatch {
   double predicted_seconds = 0.0;  ///< per report interval, per job
 };
 
-/// Returns the optimal GroupBatch, or nothing when even k = 1 cannot run
-/// (no decomposition, or a single simulation overflows the memory budget).
+/// Returns the optimal GroupBatch — plan_batch_exact's answer for the best
+/// divisor k — or nothing when even k = 1 cannot run (no decomposition, or
+/// a single simulation overflows the memory budget).
 /// Shared by the offline planner below and the online campaign service, so
 /// both realize the same grouping given the same members and machine.
 /// `selector` makes predicted_seconds selector-aware (nullptr = built-in
@@ -72,8 +73,9 @@ std::optional<GroupBatch> plan_group(const gyro::Input& input, int group_size,
 
 /// Feasibility + predicted cost of running EXACTLY k members of `input`'s
 /// physics as one job on the whole machine (no splitting into smaller
-/// jobs, unlike plan_group). Nothing when k does not divide the machine's
-/// rank count, no decomposition exists, or the memory does not fit. The
+/// jobs, unlike plan_group): perfmodel::plan_xgyro's decomposition and
+/// per-interval total. Nothing when k does not divide the machine's rank
+/// count, no decomposition exists, or the memory does not fit. The
 /// online service uses this to consider uneven batch splits (e.g. a batch
 /// of 3 as one k=2 job plus one k=1 job on a 2^n-rank machine).
 std::optional<GroupBatch> plan_batch_exact(const gyro::Input& input, int k,

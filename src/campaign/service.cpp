@@ -202,34 +202,27 @@ struct EventAfter {
 
 struct OpenBatch {
   std::uint64_t fp = 0;
-  gyro::Input input;  ///< representative member (first request)
   std::vector<int> request_ids;
   bool closed = false;
   double close_s = 0.0;  ///< scheduled window close (event-log annotation)
 };
 
+/// One job's scheduling state. Its allocation is rec.nodes nodes of the
+/// configured cluster, its members are rec.request_ids, and it is done once
+/// rec.finish_s is set.
 struct JobState {
   ServiceJobRecord rec;
-  xgyro::EnsembleInput batch;
   mpi::FaultPlan faults;
-  net::MachineSpec machine;  ///< current allocation (recovery shrinks it)
   int intervals_done = 0;
-  bool has_checkpoint = false;
   int recoveries_left = 0;
   double queue_since = 0.0;  ///< last time the job (re)entered the ready set
-  bool done = false;
   double backlog_contrib = 0.0;  ///< this job's share of the backlog total
   double slice_end_s = 0.0;      ///< when the slice in flight ends
 
   // Result of the slice in flight, applied when its kSliceDone event fires.
-  bool slice_ok = false;
   int slice_target = 0;
-  int nodes_held = 0;
   xgyro::JobResult slice;
-  std::string slice_error;
-  std::vector<RecoveryEvent> abort_recoveries;
-  std::uint64_t abort_snapshots_committed = 0;
-  std::uint64_t abort_snapshots_rejected = 0;
+  std::optional<xgyro::JobAborted> abort;  ///< set when the slice gave up
 };
 
 struct Engine {
@@ -320,8 +313,6 @@ struct Engine {
     }
   }
 
-  [[nodiscard]] bool sliced() const { return !cfg.checkpoint_root.empty(); }
-
   [[nodiscard]] net::MachineSpec machine_with(int n_nodes) const {
     net::MachineSpec m = cfg.cluster;
     m.n_nodes = n_nodes;
@@ -332,19 +323,23 @@ struct Engine {
     events.push(Event{t, seq++, kind, idx});
   }
 
-  /// Node-seconds of committed work ahead of a new arrival. Maintained
-  /// incrementally: each live job carries its current contribution and
-  /// set_backlog moves the total by the delta, so an arrival reads the
-  /// backlog in O(1) — the old full scan was O(#jobs) per arrival,
-  /// quadratic over a 10⁵-request stream.
-  [[nodiscard]] double backlog_node_seconds() const { return backlog_ns; }
+  [[nodiscard]] bool sliced() const { return !cfg.checkpoint_root.empty(); }
 
-  [[nodiscard]] double job_remaining_ns(const JobState& js) const {
-    const int remaining = cfg.n_report_intervals - js.intervals_done;
-    return js.rec.predicted_seconds * remaining * js.machine.n_nodes;
+  /// Predicted seconds of report intervals [from, to) of `js`.
+  [[nodiscard]] static double predicted_s(const JobState& js, int from,
+                                          int to) {
+    return js.rec.predicted_seconds * (to - from);
   }
 
-  void set_backlog(JobState& js, double contrib) {
+  /// Move `js`'s share of the backlog to the predicted node-seconds it has
+  /// left (none once done). Each live job carries its contribution, so an
+  /// arrival reads the backlog in O(1) instead of scanning every job.
+  void update_backlog(JobState& js) {
+    const double contrib =
+        js.rec.finish_s >= 0.0
+            ? 0.0
+            : predicted_s(js, js.intervals_done, cfg.n_report_intervals) *
+                  js.rec.nodes;
     backlog_ns += contrib - js.backlog_contrib;
     js.backlog_contrib = contrib;
     if (backlog_ns < 0.0) backlog_ns = 0.0;  // floating-point drift guard
@@ -413,8 +408,8 @@ struct Engine {
     metrics.add_counter("tenant." + rq.tenant + ".admitted");
     ++pending_requests;
     ++tenant_inflight[rq.tenant];
-    oc.predicted_wait_s = perfmodel::estimate_queue_wait(
-        backlog_node_seconds(), cfg.cluster.n_nodes);
+    oc.predicted_wait_s =
+        perfmodel::estimate_queue_wait(backlog_ns, cfg.cluster.n_nodes);
     advance(id, EventKind::kRequestAdmitted, [&](Json& rec) {
       rec.set("queue_depth", pending_requests)
           .set("predicted_wait_s", oc.predicted_wait_s);
@@ -441,7 +436,6 @@ struct Engine {
     const std::uint64_t fp = oc.cmat_fingerprint;
     OpenBatch ob;
     ob.fp = fp;
-    ob.input = rq.input;
     ob.request_ids.push_back(id);
     const double window =
         !windowed ? 0.0
@@ -492,9 +486,8 @@ struct Engine {
     return best_w;
   }
 
-  /// One job-to-be: `size` members on `nodes` nodes with `gb`'s layout.
+  /// One job-to-be: gb.k members on `nodes` nodes with `gb`'s layout.
   struct Chunk {
-    int size = 0;
     int nodes = 0;
     GroupBatch gb;
   };
@@ -507,71 +500,70 @@ struct Engine {
   // invalidated.
   std::map<std::pair<std::uint64_t, int>, std::optional<Chunk>> exact_cache;
   std::map<std::pair<std::uint64_t, int>, std::vector<Chunk>> split_cache;
-  std::map<std::uint64_t, double> saving_cache;
   int cache_cluster_nodes = -1;
 
   void refresh_plan_caches() {
     if (cache_cluster_nodes == cluster_nodes) return;
     exact_cache.clear();
     split_cache.clear();
-    saving_cache.clear();
     cache_cluster_nodes = cluster_nodes;
   }
 
-  /// Best single-job allocation for EXACTLY k members: the node count
-  /// minimizing predicted node-seconds (or the first feasible count at or
-  /// above the nodes_per_job pin). Nothing if no allocation fits.
-  [[nodiscard]] std::optional<Chunk> place_exact(const gyro::Input& input,
-                                                 int k) const {
+  /// The placement sweep over node counts for `size` members, each count
+  /// planned by `plan(machine)` into jobs of gb.k members: the first
+  /// feasible count at or above the nodes_per_job pin, or else the count
+  /// with the fewest predicted node-seconds for all `size` members (the
+  /// lowest such count on ties). Nothing if no count fits.
+  template <class Plan>
+  [[nodiscard]] std::optional<Chunk> sweep_nodes(int size,
+                                                 const Plan& plan) const {
     const int lo = cfg.nodes_per_job > 0
                        ? std::min(cfg.nodes_per_job, cluster_nodes)
                        : 1;
     std::optional<Chunk> best;
     double best_cost = 0.0;
     for (int n = lo; n <= cluster_nodes; ++n) {
-      const auto gb =
-          plan_batch_exact(input, k, machine_with(n), cfg.coll_selector.get());
+      const std::optional<GroupBatch> gb = plan(machine_with(n));
       if (!gb.has_value()) continue;
-      if (cfg.nodes_per_job > 0) return Chunk{k, n, *gb};
-      const double cost = double(n) * gb->predicted_seconds;
+      if (cfg.nodes_per_job > 0) return Chunk{n, *gb};
+      const double cost = double(n) * (size / gb->k) * gb->predicted_seconds;
       if (!best.has_value() || cost < best_cost) {
-        best = Chunk{k, n, *gb};
+        best = Chunk{n, *gb};
         best_cost = cost;
       }
     }
     return best;
   }
 
-  std::optional<Chunk> place_exact_cached(std::uint64_t fp,
-                                          const gyro::Input& input, int k) {
+  /// Best single-job allocation for EXACTLY k members, memoized per
+  /// (fingerprint, k). Nothing if no allocation fits.
+  std::optional<Chunk> place_exact(std::uint64_t fp, const gyro::Input& input,
+                                   int k) {
     refresh_plan_caches();
     const auto key = std::make_pair(fp, k);
     const auto it = exact_cache.find(key);
     if (it != exact_cache.end()) return it->second;
-    auto c = place_exact(input, k);
-    exact_cache.emplace(key, c);
-    return c;
+    return exact_cache
+        .emplace(key, sweep_nodes(k,
+                                  [&](const net::MachineSpec& m) {
+                                    return plan_batch_exact(
+                                        input, k, m, cfg.coll_selector.get());
+                                  }))
+        .first->second;
   }
 
   /// Predicted node-seconds one member saves by running as half of a k=2
   /// shared-cmat pair instead of alone (0 when pairing is infeasible or
   /// not cheaper). This is the per-peer value the adaptive window weighs
-  /// against queueing delay; cached per signature.
+  /// against queueing delay.
   double per_peer_saving(std::uint64_t fp, const gyro::Input& input) {
-    refresh_plan_caches();
-    const auto it = saving_cache.find(fp);
-    if (it != saving_cache.end()) return it->second;
-    double saving = 0.0;
-    const auto solo = place_exact_cached(fp, input, 1);
-    const auto pair = place_exact_cached(fp, input, 2);
-    if (solo.has_value() && pair.has_value()) {
-      const double solo_ns = double(solo->nodes) * solo->gb.predicted_seconds;
-      const double pair_ns =
-          double(pair->nodes) * pair->gb.predicted_seconds / 2.0;
-      saving = std::max(solo_ns - pair_ns, 0.0);
-    }
-    saving_cache[fp] = saving;
-    return saving;
+    const auto solo = place_exact(fp, input, 1);
+    const auto pair = place_exact(fp, input, 2);
+    if (!solo.has_value() || !pair.has_value()) return 0.0;
+    const double solo_ns = double(solo->nodes) * solo->gb.predicted_seconds;
+    const double pair_ns =
+        double(pair->nodes) * pair->gb.predicted_seconds / 2.0;
+    return std::max(solo_ns - pair_ns, 0.0);
   }
 
   /// Split a closed batch of `size` same-fingerprint members into jobs.
@@ -590,32 +582,13 @@ struct Engine {
                                                     int size) {
     std::vector<Chunk> uniform;
     double uniform_cost = 0.0;
-    {
-      const int lo = cfg.nodes_per_job > 0
-                         ? std::min(cfg.nodes_per_job, cluster_nodes)
-                         : 1;
-      std::optional<std::pair<int, GroupBatch>> best;
-      double best_cost = 0.0;
-      for (int n = lo; n <= cluster_nodes; ++n) {
-        const auto gb =
-            plan_group(input, size, machine_with(n), cfg.coll_selector.get());
-        if (!gb.has_value()) continue;
-        const double cost = double(n) * (size / gb->k) * gb->predicted_seconds;
-        if (cfg.nodes_per_job > 0) {
-          best = {n, *gb};
-          best_cost = cost;
-          break;  // first fit from the pin
-        }
-        if (!best.has_value() || cost < best_cost) {
-          best = {n, *gb};
-          best_cost = cost;
-        }
-      }
-      if (best.has_value()) {
-        uniform.assign(static_cast<size_t>(size / best->second.k),
-                       Chunk{best->second.k, best->first, best->second});
-        uniform_cost = best_cost;
-      }
+    const auto u = sweep_nodes(size, [&](const net::MachineSpec& m) {
+      return plan_group(input, size, m, cfg.coll_selector.get());
+    });
+    if (u.has_value()) {
+      uniform.assign(static_cast<size_t>(size / u->gb.k), *u);
+      uniform_cost =
+          double(u->nodes) * (size / u->gb.k) * u->gb.predicted_seconds;
     }
 
     std::vector<Chunk> greedy;
@@ -624,7 +597,7 @@ struct Engine {
       std::optional<Chunk> pick;
       double pick_per_member = 0.0;
       for (int k = 1; k <= rem; ++k) {
-        const auto c = place_exact_cached(fp, input, k);
+        const auto c = place_exact(fp, input, k);
         if (!c.has_value()) continue;
         const double pm = double(c->nodes) * c->gb.predicted_seconds / k;
         // <= so ties go to the larger k: fewer jobs means fewer cmat
@@ -639,7 +612,7 @@ struct Engine {
         break;
       }
       greedy_cost += double(pick->nodes) * pick->gb.predicted_seconds;
-      rem -= pick->size;
+      rem -= pick->gb.k;
       greedy.push_back(*std::move(pick));
     }
 
@@ -661,7 +634,7 @@ struct Engine {
   /// Fold the member requests' fault plans into one per-job plan. Only the
   /// earliest kill survives — recovery drops one node at a time, and a job
   /// outliving several injected kills is a max_recoveries story the stress
-  /// harness drives through run_job_elastic's own multi-kill path.
+  /// harness drives through run_job's own multi-kill path.
   [[nodiscard]] mpi::FaultPlan merge_faults(const std::vector<int>& ids,
                                             int nranks) const {
     mpi::FaultPlan plan;
@@ -695,7 +668,8 @@ struct Engine {
       open_by_fp.erase(open_it);
     }
     const int size = static_cast<int>(ob.request_ids.size());
-    const auto& chunks = split_batch(ob.fp, ob.input, size);
+    const auto& chunks = split_batch(
+        ob.fp, reqs[static_cast<size_t>(ob.request_ids.front())].input, size);
     if (chunks.empty()) {
       // The cluster shrank below feasibility after these requests were
       // admitted. Fail them structurally; the service keeps running.
@@ -719,8 +693,8 @@ struct Engine {
       JobState js;
       js.rec.id = static_cast<int>(jobs.size());
       js.rec.request_ids.assign(ob.request_ids.begin() + offset,
-                                ob.request_ids.begin() + offset + chunk.size);
-      offset += chunk.size;
+                                ob.request_ids.begin() + offset + gb.k);
+      offset += gb.k;
       js.rec.cmat_fingerprint = ob.fp;
       js.rec.k = gb.k;
       js.rec.nodes = chunk.nodes;
@@ -729,13 +703,11 @@ struct Engine {
       js.rec.ready_s = now;
       js.rec.predicted_seconds = gb.predicted_seconds;
       for (const int id : js.rec.request_ids) {
-        js.batch.members.push_back(reqs[static_cast<size_t>(id)].input);
         js.rec.priority =
             std::max(js.rec.priority, reqs[static_cast<size_t>(id)].priority);
         outcomes[static_cast<size_t>(id)].job = js.rec.id;
       }
       js.faults = merge_faults(js.rec.request_ids, gb.k * gb.ranks_per_sim);
-      js.machine = machine_with(chunk.nodes);
       js.recoveries_left = cfg.max_recoveries;
       js.queue_since = now;
       if (cfg.fast_path) {
@@ -759,7 +731,7 @@ struct Engine {
       metrics.add_counter("service.jobs");
       ready.push_back(js.rec.id);
       jobs.push_back(std::move(js));
-      set_backlog(jobs.back(), job_remaining_ns(jobs.back()));
+      update_backlog(jobs.back());
     }
     try_schedule();
   }
@@ -769,16 +741,16 @@ struct Engine {
   /// job keeps its progress across the smaller decomposition), or report
   /// that nothing fits anymore.
   bool replan_job(JobState& js) {
-    const auto c = place_exact_cached(js.rec.cmat_fingerprint,
-                                      js.batch.members[0], js.rec.k);
+    const auto c = place_exact(
+        js.rec.cmat_fingerprint,
+        reqs[static_cast<size_t>(js.rec.request_ids.front())].input, js.rec.k);
     if (!c.has_value()) return false;
-    js.machine = machine_with(c->nodes);
     js.rec.nodes = c->nodes;
     js.rec.ranks_per_sim = c->gb.ranks_per_sim;
     js.rec.decomp = c->gb.decomp;
     js.rec.predicted_seconds = c->gb.predicted_seconds;
     js.faults = js.faults.pruned_to(js.rec.k * js.rec.ranks_per_sim);
-    set_backlog(js, job_remaining_ns(js));
+    update_backlog(js);
     metrics.add_counter("service.jobs_replanned");
     return true;
   }
@@ -788,28 +760,12 @@ struct Engine {
   void fail_stranded(JobState& js) {
     js.rec.failure = "no feasible allocation on the surviving nodes";
     js.rec.finish_s = now;
-    js.done = true;
-    set_backlog(js, 0.0);
+    update_backlog(js);
     if (js.rec.start_s < 0.0) {
       pending_requests -= static_cast<int>(js.rec.request_ids.size());
     }
     metrics.add_counter("service.jobs_failed");
     finish_requests(js, /*completed=*/false);
-  }
-
-  /// Predicted virtual time at which a running job releases its nodes:
-  /// end of the slice in flight plus the modeled cost of the intervals
-  /// still to run after it.
-  [[nodiscard]] double predicted_release_s(const JobState& js) const {
-    const int after = cfg.n_report_intervals - js.slice_target;
-    return js.slice_end_s +
-           js.rec.predicted_seconds * std::max(after, 0);
-  }
-
-  /// Predicted span of a ready job if started now.
-  [[nodiscard]] double predicted_job_span(const JobState& js) const {
-    return js.rec.predicted_seconds *
-           std::max(cfg.n_report_intervals - js.intervals_done, 0);
   }
 
   /// EASY-backfill shadow for a blocked head-of-queue job: walk the
@@ -822,20 +778,25 @@ struct Engine {
                       int& shadow_extra) const {
     std::vector<std::pair<double, int>> releases;
     releases.reserve(running_jobs.size());
+    // A running job releases its nodes at the end of the slice in flight
+    // plus the predicted cost of the intervals after it.
     for (const int r : running_jobs) {
       const JobState& rj = jobs[static_cast<size_t>(r)];
-      releases.emplace_back(predicted_release_s(rj), rj.machine.n_nodes);
+      releases.emplace_back(
+          rj.slice_end_s +
+              predicted_s(rj, rj.slice_target, cfg.n_report_intervals),
+          rj.rec.nodes);
     }
     std::sort(releases.begin(), releases.end());
     int avail = free_nodes;
     shadow_s = now;
     for (const auto& [t, n] : releases) {
-      if (avail >= head.machine.n_nodes) break;
+      if (avail >= head.rec.nodes) break;
       avail += n;
       shadow_s = std::max(shadow_s, t);
     }
-    if (avail < head.machine.n_nodes) return false;
-    shadow_extra = avail - head.machine.n_nodes;
+    if (avail < head.rec.nodes) return false;
+    shadow_extra = avail - head.rec.nodes;
     return true;
   }
 
@@ -869,7 +830,7 @@ struct Engine {
     int shadow_extra = 0;
     for (const int j : ready) {
       JobState& js = jobs[static_cast<size_t>(j)];
-      if (js.machine.n_nodes > cluster_nodes && !replan_job(js)) {
+      if (js.rec.nodes > cluster_nodes && !replan_job(js)) {
         fail_stranded(js);
         continue;
       }
@@ -877,19 +838,21 @@ struct Engine {
         still_waiting.push_back(j);
         continue;
       }
-      bool can_place = js.machine.n_nodes <= free_nodes;
+      bool can_place = js.rec.nodes <= free_nodes;
       bool uses_shadow_extra = false;
       if (can_place && blocked &&
           cfg.placement == PlacementPolicy::kBackfill) {
         const bool before_shadow =
-            have_shadow && now + predicted_job_span(js) <= shadow_s + 1e-9;
+            have_shadow &&
+            now + predicted_s(js, js.intervals_done, cfg.n_report_intervals) <=
+                shadow_s + 1e-9;
         uses_shadow_extra =
-            !before_shadow && have_shadow && js.machine.n_nodes <= shadow_extra;
+            !before_shadow && have_shadow && js.rec.nodes <= shadow_extra;
         can_place = before_shadow || uses_shadow_extra;
       }
       if (can_place) {
-        if (uses_shadow_extra) shadow_extra -= js.machine.n_nodes;
-        free_nodes -= js.machine.n_nodes;
+        if (uses_shadow_extra) shadow_extra -= js.rec.nodes;
+        free_nodes -= js.rec.nodes;
         start_slice(j);
         continue;
       }
@@ -925,7 +888,7 @@ struct Engine {
         real_waits.push_back(wait);
         advance(id, EventKind::kRequestPlaced, [&](Json& rec) {
           rec.set("job", js.rec.id)
-              .set("nodes", js.machine.n_nodes)
+              .set("nodes", js.rec.nodes)
               .set("k", js.rec.k)
               .set("ranks_per_sim", js.rec.ranks_per_sim)
               .set("ready_s", js.rec.ready_s)
@@ -944,21 +907,17 @@ struct Engine {
                           ? std::min(js.intervals_done + cfg.preempt_quantum,
                                      cfg.n_report_intervals)
                           : cfg.n_report_intervals;
-    js.nodes_held = js.machine.n_nodes;
-    if (cfg.fast_path) {
-      // The fast-path price of this slice — for a modeled job this IS the
-      // duration; for an audited job it accumulates the counterfactual
-      // price the divergence gate compares against the DES cost.
-      js.rec.price_s +=
-          js.rec.predicted_seconds * (js.slice_target - js.intervals_done);
-    }
+    // The slice's price: for a modeled job this IS its duration; for an
+    // audited job it accumulates the counterfactual price the divergence
+    // gate compares against the DES cost.
+    const double price = predicted_s(js, js.intervals_done, js.slice_target);
+    if (cfg.fast_path) js.rec.price_s += price;
     if (observing() && js.rec.modeled && js.rec.slices == 0) {
       emit(new_event(EventKind::kJobModeled)
                .set("job", js.rec.id)
                .set("k", js.rec.k)
-               .set("nodes", js.machine.n_nodes)
-               .set("price_s",
-                    js.rec.predicted_seconds * cfg.n_report_intervals));
+               .set("nodes", js.rec.nodes)
+               .set("price_s", predicted_s(js, 0, cfg.n_report_intervals)));
     }
 
     double duration;
@@ -967,47 +926,40 @@ struct Engine {
       // plan instead of spinning up simnet ranks — the plan's
       // per-interval prediction is what a fault-free DES execution
       // integrates, and the sampled audits keep that claim honest.
-      duration =
-          js.rec.predicted_seconds * (js.slice_target - js.intervals_done);
-      xgyro::JobResult r;
-      r.machine = js.machine;
-      r.ranks_per_sim = js.rec.ranks_per_sim;
-      r.run.makespan_s = duration;
-      js.slice_ok = true;
-      js.slice = std::move(r);
+      duration = price;
+      js.slice = {};
+      js.slice.machine = machine_with(js.rec.nodes);
+      js.slice.ranks_per_sim = js.rec.ranks_per_sim;
+      js.slice.run.makespan_s = duration;
     } else {
-      RecoveryOptions ro;
-      if (sliced()) {
-        ro.checkpoint_dir =
-            cfg.checkpoint_root + strprintf("/job-%d", js.rec.id);
+      xgyro::EnsembleInput batch;
+      for (const int id : js.rec.request_ids) {
+        batch.members.push_back(reqs[static_cast<size_t>(id)].input);
       }
-      ro.checkpoint_every = 1;
-      ro.max_recoveries = js.recoveries_left;
-      ro.resume = js.has_checkpoint;
-      ro.faults = js.faults;
-      ro.check_invariants = cfg.check_invariants;
-      ro.enable_traffic = !cfg.report_dir.empty();
-      ro.coll_selector = cfg.coll_selector;
-      ro.sharing = xgyro::SharingPolicy::kSingleGroup;
-
+      xgyro::JobOptions o;
+      o.n_report_intervals = js.slice_target;
+      o.mode = cfg.mode;
+      if (sliced()) {
+        o.checkpoint_dir =
+            cfg.checkpoint_root + strprintf("/job-%d", js.rec.id);
+        o.resume = js.intervals_done > 0;
+      }
+      o.max_recoveries = js.recoveries_left;
+      o.faults = js.faults;
+      o.check_invariants = cfg.check_invariants;
+      o.enable_traffic = !cfg.report_dir.empty();
+      o.coll_selector = cfg.coll_selector;
       try {
-        xgyro::JobResult r =
-            run_job_elastic(js.batch, js.machine, js.rec.ranks_per_sim,
-                            js.slice_target, cfg.mode, ro);
-        duration = r.run.makespan_s;
-        js.slice_ok = true;
-        js.slice = std::move(r);
+        js.slice = xgyro::run_job(batch, machine_with(js.rec.nodes),
+                                  js.rec.ranks_per_sim, o);
+        duration = js.slice.run.makespan_s;
       } catch (const JobAborted& e) {
-        js.slice_ok = false;
-        js.slice_error = e.what();
-        js.abort_recoveries = e.recoveries();
-        js.abort_snapshots_committed = e.snapshots_committed();
-        js.abort_snapshots_rejected = e.snapshots_rejected();
+        js.abort = e;
         duration = std::max(e.virtual_time_s(), 0.0);
       }
     }
     ++js.rec.slices;
-    busy_node_seconds += double(js.nodes_held) * duration;
+    busy_node_seconds += double(js.rec.nodes) * duration;
     js.slice_end_s = now + duration;
     running_jobs.insert(j);
     schedule(now + duration, EvKind::kSliceDone, j);
@@ -1043,19 +995,13 @@ struct Engine {
     // Modeled jobs have no DES run to report on — only audited (and
     // classic) jobs produce the per-job traffic/phase breakdown.
     if (cfg.report_dir.empty() || js.rec.modeled) return;
-    const net::Placement placement(js.machine);
+    const net::Placement placement(machine_with(js.rec.nodes));
     telemetry::RunReport report = telemetry::build_run_report(
         js.slice.run, placement, xgyro::solver_phases(),
         strprintf("service-job-%d", js.rec.id), js.rec.k,
         /*with_metrics=*/true);
     report.have_recovery = true;
-    for (const auto& ev : js.rec.recoveries) {
-      report.recoveries.push_back({ev.kind, ev.world_rank, ev.virtual_time_s,
-                                   ev.phase, ev.resumed_interval,
-                                   ev.nodes_before, ev.nodes_after,
-                                   ev.ranks_per_sim_before,
-                                   ev.ranks_per_sim_after});
-    }
+    report.recoveries = js.rec.recoveries;
     telemetry::write_run_report(
         cfg.report_dir + strprintf("/job-%d.report.json", js.rec.id), report);
   }
@@ -1063,34 +1009,31 @@ struct Engine {
   void on_slice_done(int j) {
     JobState& js = jobs[static_cast<size_t>(j)];
     running_jobs.erase(j);
-    if (!js.slice_ok) {
+    if (js.abort.has_value()) {
       // The elastic executor gave up: surviving nodes come back, the dead
       // ones are gone, the member requests fail.
-      int surviving = js.nodes_held;
-      for (const auto& ev : js.abort_recoveries) {
+      int surviving = js.rec.nodes;
+      for (const auto& ev : js.abort->recoveries()) {
         js.rec.recoveries.push_back(ev);
         js.rec.recoveries.back().job = js.rec.id;
         surviving -= ev.nodes_before - ev.nodes_after;
       }
       surviving -= 1;  // the final, unrecovered failure takes its node too
       if (surviving < 0) surviving = 0;
-      cluster_nodes -= js.nodes_held - surviving;
+      cluster_nodes -= js.rec.nodes - surviving;
       free_nodes += surviving;
-      js.rec.failure = js.slice_error;
+      js.rec.failure = js.abort->what();
       js.rec.finish_s = now;
-      js.done = true;
-      set_backlog(js, 0.0);
+      update_backlog(js);
       metrics.add_counter("service.jobs_failed");
-      metrics.add_counter("service.recoveries", js.abort_recoveries.size());
+      metrics.add_counter("service.recoveries", js.abort->recoveries().size());
       finish_requests(js, /*completed=*/false);
       try_schedule();
       return;
     }
 
     xgyro::JobResult& r = js.slice;
-    const int lost = js.nodes_held - r.machine.n_nodes;
-    cluster_nodes -= lost;
-    js.machine = r.machine;
+    cluster_nodes -= js.rec.nodes - r.machine.n_nodes;
     js.rec.nodes = r.machine.n_nodes;
     js.rec.ranks_per_sim = r.ranks_per_sim;
     js.rec.busy_s += r.run.makespan_s;
@@ -1105,13 +1048,11 @@ struct Engine {
     }
     js.faults = js.faults.pruned_to(js.rec.k * js.rec.ranks_per_sim);
     js.intervals_done = js.slice_target;
-    js.has_checkpoint = sliced();
-    set_backlog(js, job_remaining_ns(js));
+    update_backlog(js);
 
     if (js.intervals_done >= cfg.n_report_intervals) {
       js.rec.finish_s = now;
-      js.done = true;
-      free_nodes += js.machine.n_nodes;
+      free_nodes += js.rec.nodes;
       metrics.add_counter("service.jobs_completed");
       metrics.histogram("service.job_span_s", wait_bounds())
           .observe(now - js.rec.ready_s);
@@ -1140,12 +1081,12 @@ struct Engine {
     // Mid-job slice boundary: the one place a higher-priority job can take
     // the nodes (the boundary snapshot makes the handoff lossless).
     bool preempt = false;
-    if (js.has_checkpoint) {
+    if (sliced()) {
       for (const int w : ready) {
         const JobState& waiting = jobs[static_cast<size_t>(w)];
         if (waiting.rec.priority > js.rec.priority &&
-            waiting.machine.n_nodes > free_nodes &&
-            waiting.machine.n_nodes <= free_nodes + js.machine.n_nodes) {
+            waiting.rec.nodes > free_nodes &&
+            waiting.rec.nodes <= free_nodes + js.rec.nodes) {
           preempt = true;
           break;
         }
@@ -1154,7 +1095,7 @@ struct Engine {
     if (preempt) {
       ++js.rec.preemptions;
       metrics.add_counter("service.preemptions");
-      free_nodes += js.machine.n_nodes;
+      free_nodes += js.rec.nodes;
       js.queue_since = now;
       for (const int id : js.rec.request_ids) {
         advance(id, EventKind::kRequestPreempted, [&](Json& rec) {
@@ -1180,8 +1121,6 @@ struct Engine {
                "service: nodes_per_job exceeds the cluster");
     XG_REQUIRE(cfg.audit_frac >= 0.0 && cfg.audit_frac <= 1.0,
                "service: audit_frac must be in [0,1]");
-    XG_REQUIRE(cfg.audit_tolerance >= 0.0,
-               "service: audit_tolerance must be >= 0");
     if (cfg.window_auto) {
       XG_REQUIRE(
           cfg.batching && cfg.batching_window_s > 0.0 && cfg.max_batch > 1,
@@ -1333,7 +1272,7 @@ struct Engine {
     res.makespan_s = makespan;
     int jobs_completed = 0;
     for (const auto& js : jobs) {
-      if (js.rec.failure.empty() && js.done) ++jobs_completed;
+      if (js.rec.failure.empty() && js.rec.finish_s >= 0.0) ++jobs_completed;
     }
     if (makespan > 0.0) {
       res.jobs_per_hour = jobs_completed * 3600.0 / makespan;
@@ -1360,10 +1299,8 @@ struct Engine {
         res.jobs_audited += js.rec.audited ? 1 : 0;
         res.audits_forced += js.rec.audit_forced ? 1 : 0;
       }
-      const perfmodel::AuditGate gate = perfmodel::audit_fast_path(
-          audit_price, audit_measured,
-          cfg.audit_tolerance > 0.0 ? cfg.audit_tolerance
-                                    : perfmodel::kDefaultAuditTolerance);
+      const perfmodel::AuditGate gate =
+          perfmodel::audit_fast_path(audit_price, audit_measured);
       res.fast_path =
           fast_path_json(res.jobs_modeled, res.jobs_audited, res.audits_forced)
               .set("audit", audit_gate_json(gate));

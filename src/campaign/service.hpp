@@ -27,8 +27,8 @@
 // tests in tests/service_test.cpp pin this down).
 //
 // Everything runs under the deterministic DES: the service clock is
-// virtual, job durations come from actually running each job (slice) with
-// mpi::run_simulation — or, on the modeled fast path, directly from the
+// virtual, job durations come from actually running each job (slice)
+// through xgyro::run_job — or, on the modeled fast path, directly from the
 // perfmodel closed forms, with a seeded sample of jobs still DES-executed
 // as audits so the model cannot silently drift (ServiceConfig::fast_path).
 // Identical streams + config reproduce identical results bit for bit in
@@ -145,8 +145,6 @@ struct ServiceConfig {
   bool fast_path = false;
   double audit_frac = 0.05;      ///< fraction of jobs sampled for DES audit
   std::uint64_t audit_seed = 1;  ///< seeds the per-job audit draw
-  /// Audit-gate ratio tolerance; 0 = perfmodel::kDefaultAuditTolerance.
-  double audit_tolerance = 0.0;
   /// Placement policy; kFirstFit reproduces the PR-7 greedy behavior.
   PlacementPolicy placement = PlacementPolicy::kFirstFit;
   /// Auto-tune the batching window per signature from the observed

@@ -174,7 +174,7 @@ RunReport report_from_json(const Json& doc) {
     rep.snapshots_rejected = static_cast<std::uint64_t>(
         recovery->at("snapshots_rejected").as_int());
     for (const auto& e : recovery->at("events").elems()) {
-      RunReport::RecoveryRecord ev;
+      RecoveryEvent ev;
       ev.kind = e.at("kind").as_string();
       ev.world_rank = static_cast<int>(e.at("world_rank").as_int());
       ev.virtual_time_s = e.at("virtual_time_s").as_double();

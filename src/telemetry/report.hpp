@@ -16,6 +16,21 @@
 
 namespace xg::telemetry {
 
+/// One successful elastic recovery of a job: what failed, where the run
+/// resumed from, and how the allocation and decomposition changed. The job
+/// runner records it (xgyro::RecoveryEvent is this type); a RunReport
+/// serializes every field but `job` under its optional "recovery" object.
+struct RecoveryEvent {
+  std::string kind;             ///< "rank_failure" or "deadlock"
+  int job = -1;                 ///< campaign job index (-1 standalone)
+  int world_rank = -1;          ///< failed rank
+  double virtual_time_s = 0.0;  ///< virtual time of the failure
+  std::string phase;            ///< solver phase at failure
+  std::int64_t resumed_interval = 0;  ///< 0 = restarted from scratch
+  int nodes_before = 0, nodes_after = 0;
+  int ranks_per_sim_before = 0, ranks_per_sim_after = 0;
+};
+
 struct RunReport {
   static constexpr int kSchemaVersion = 1;
 
@@ -39,25 +54,13 @@ struct RunReport {
   std::uint64_t spans = 0;
   double max_collective_skew_s = 0.0;    ///< worst straggler lag
 
-  /// One elastic-recovery event (see campaign::RecoveryEvent, from which
-  /// the CLI converts). Serialized under the optional "recovery" object.
-  struct RecoveryRecord {
-    std::string kind;             ///< "rank_failure" or "deadlock"
-    int world_rank = -1;
-    double virtual_time_s = 0.0;
-    std::string phase;
-    std::int64_t resumed_interval = 0;  ///< 0 = restarted from scratch
-    int nodes_before = 0, nodes_after = 0;
-    int ranks_per_sim_before = 0, ranks_per_sim_after = 0;
-  };
-
   /// Elastic checkpoint/recovery accounting. have_recovery is true when the
   /// run used the elastic executor (even with zero events); reports written
   /// before this section existed parse with have_recovery = false.
   bool have_recovery = false;
   std::uint64_t snapshots_committed = 0;
   std::uint64_t snapshots_rejected = 0;
-  std::vector<RecoveryRecord> recoveries;
+  std::vector<RecoveryEvent> recoveries;
 
   /// Embedded metrics snapshot (null when metrics were not collected).
   Json metrics;

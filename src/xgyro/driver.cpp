@@ -66,12 +66,6 @@ std::string abort_summary(const std::string& kind, const std::string& reason,
 
 }  // namespace
 
-std::optional<gyro::Decomposition> fit_decomposition(
-    const gyro::Input& input, const net::MachineSpec& machine, int k,
-    int ranks_per_sim) {
-  return fit_shape(input, machine, k, ranks_per_sim, {k, k});
-}
-
 JobAborted::JobAborted(std::string kind, std::string reason, int world_rank,
                        double virtual_time_s, std::string phase,
                        std::vector<RecoveryEvent> recoveries,

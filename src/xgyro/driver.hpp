@@ -16,6 +16,7 @@
 #include "gyro/simulation.hpp"
 #include "simmpi/runtime.hpp"
 #include "simnet/machine.hpp"
+#include "telemetry/report.hpp"
 #include "util/error.hpp"
 #include "xgyro/ensemble.hpp"
 
@@ -57,18 +58,8 @@ struct JobOptions {
   int max_recoveries = 0;
 };
 
-/// One successful recovery of the runner: what failed, where the run
-/// resumed from, and how the allocation/decomposition changed.
-struct RecoveryEvent {
-  std::string kind;             ///< "rank_failure" or "deadlock"
-  int job = -1;                 ///< campaign job index (-1 standalone)
-  int world_rank = -1;          ///< failed rank (rank_failure only)
-  double virtual_time_s = 0.0;  ///< virtual time of the failure
-  std::string phase;            ///< solver phase at failure
-  std::int64_t resumed_interval = 0;  ///< 0 = restarted from scratch
-  int nodes_before = 0, nodes_after = 0;
-  int ranks_per_sim_before = 0, ranks_per_sim_after = 0;
-};
+/// One successful recovery of the runner, in the form a RunReport carries.
+using RecoveryEvent = telemetry::RecoveryEvent;
 
 /// Structured terminal failure of a job: thrown when the recovery budget is
 /// exhausted or the surviving allocation cannot host the job. Carries the
@@ -139,17 +130,11 @@ struct JobResult {
 /// stripped from the fault plan (kills armed for other ranks stay live and
 /// can fire in later attempts), and the job resumes from the newest valid
 /// snapshot (or from scratch without checkpointing). DeadlockError retries
-/// on the same allocation, with the fault plan's hang clauses removed. After max_recoveries failures — or when the
-/// survivors cannot host the job — a JobAborted is thrown.
+/// on the same allocation, with the fault plan's hang clauses removed.
+/// After max_recoveries failures — or when the survivors cannot host the
+/// job — a JobAborted is thrown.
 JobResult run_job(const EnsembleInput& batch, const net::MachineSpec& machine,
                   int ranks_per_sim, const JobOptions& options = {});
-
-/// The decomposition of `k` members sharing cmat at `ranks_per_sim` ranks
-/// each on `machine`; nothing when the ranks do not fit, no (pv, pt) suits
-/// the grid, or the per-rank memory overflows.
-std::optional<gyro::Decomposition> fit_decomposition(
-    const gyro::Input& input, const net::MachineSpec& machine, int k,
-    int ranks_per_sim);
 
 /// One CGYRO job: a single simulation on `nranks` ranks of `machine`
 /// (paper baseline: each nl03c variant runs alone on all 32 nodes).

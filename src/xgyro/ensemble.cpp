@@ -146,16 +146,16 @@ gyro::CommLayout make_xgyro_layout_grouped(const mpi::Comm& world,
   return layout;
 }
 
-EnsembleDriver::EnsembleDriver(EnsembleInput input,
+EnsembleDriver::EnsembleDriver(const EnsembleInput& input,
                                gyro::Decomposition per_sim_decomp,
                                mpi::Proc& proc, gyro::Mode mode,
                                SharingPolicy policy)
-    : input_(std::move(input)), proc_(&proc) {
-  std::vector<int> group_of_sim(static_cast<size_t>(input_.n_sims()), 0);
+    : proc_(&proc) {
+  std::vector<int> group_of_sim(static_cast<size_t>(input.n_sims()), 0);
   if (policy == SharingPolicy::kSingleGroup) {
-    input_.validate_shared_cmat();
+    input.validate_shared_cmat();
   } else {
-    const auto groups = input_.sharing_groups();
+    const auto groups = input.sharing_groups();
     for (size_t g = 0; g < groups.size(); ++g) {
       for (const int s : groups[g]) group_of_sim[s] = static_cast<int>(g);
     }
@@ -167,7 +167,7 @@ EnsembleDriver::EnsembleDriver(EnsembleInput input,
   proc.set_trace_member(sim_index_);
   group_ = group_of_sim[sim_index_];
   group_size_ = layout.n_sims_sharing;
-  sim_ = std::make_unique<gyro::Simulation>(input_.members[sim_index_],
+  sim_ = std::make_unique<gyro::Simulation>(input.members[sim_index_],
                                             per_sim_decomp, std::move(layout),
                                             proc, mode);
 }
@@ -178,7 +178,7 @@ void EnsembleDriver::initialize() {
   // on the fingerprint before the tensor is built. Catches inputs edited
   // between static validation and job launch.
   proc_->set_phase("init");
-  const std::uint64_t mine = input_.members[sim_index_].cmat_fingerprint();
+  const std::uint64_t mine = sim_->input_cmat_fingerprint();
   std::uint64_t fp[2] = {mine, ~mine};
   // min-reduce: fp[0] stays `mine` everywhere iff all fingerprints agree.
   sim_->coll_comm().allreduce(std::span<std::uint64_t>(fp, 2),

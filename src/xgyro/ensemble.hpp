@@ -91,7 +91,10 @@ enum class SharingPolicy {
 /// shared-cmat layout, with fingerprint validation across the ensemble.
 class EnsembleDriver {
  public:
-  EnsembleDriver(EnsembleInput input, gyro::Decomposition per_sim_decomp,
+  /// Reads `input` only while constructing: the rank keeps a copy of its
+  /// own member inside its Simulation, not of the whole batch.
+  EnsembleDriver(const EnsembleInput& input,
+                 gyro::Decomposition per_sim_decomp,
                  mpi::Proc& proc, gyro::Mode mode,
                  SharingPolicy policy = SharingPolicy::kSingleGroup);
 
@@ -109,7 +112,6 @@ class EnsembleDriver {
   [[nodiscard]] int group_size() const { return group_size_; }
 
  private:
-  EnsembleInput input_;
   mpi::Proc* proc_;
   int sim_index_ = -1;
   int group_ = 0;

@@ -1059,12 +1059,14 @@ TEST(Golden, ServiceEventLogAndReportBytes) {
   EXPECT_EQ(fnv(doc.dump(2)), 0x2e761c2507f004a2ull);
 }
 
-// The DES side of the engine: sliced jobs, preemption, recovery from
-// injected kills (with their per-job reports), stranded and unplaceable
-// jobs, and the nodes_per_job pin under strict FIFO placement on the fast
-// path. The fifteen stress seeds and one pinned fast-path stream fix the
-// bytes of every artifact, so a rewrite of the engine's job bookkeeping,
-// placement sweep or planner calls that moves one byte fails here.
+// The DES side of the engine: sliced jobs, recovery from injected kills
+// (with their per-job reports) and the batches a shrunken cluster can no
+// longer place, and the nodes_per_job pin under strict FIFO placement on
+// the fast path. The fifteen stress seeds and one pinned fast-path stream
+// fix the bytes of every artifact, so a rewrite of the engine's job
+// bookkeeping, placement sweep or planner calls that moves one byte fails
+// here. ServiceShrinkBytes below covers preemption, replanning and
+// stranding, which no stress seed reaches.
 TEST(Golden, ServiceStressBytes) {
   // An empty report directory digests to the FNV offset basis.
   static constexpr std::uint64_t kNoReports = 0xcbf29ce484222325ull;
@@ -1119,6 +1121,51 @@ TEST(Golden, ServiceStressBytes) {
   EXPECT_EQ(got.log, 0x475835dd14bbf52cull);
   EXPECT_EQ(got.doc, 0x44af06e08ea0f755ull);
   EXPECT_EQ(got.reports, 0x8165587bd515a44dull);
+}
+
+// The paths the randomized seeds do not reach. A high-priority arrival
+// preempts a running job at a slice boundary; two kills with no recovery
+// budget each take a node for good; queued jobs pinned to two nodes are
+// replanned onto the survivor; once no node is left the rest are stranded.
+// With the last three requests arriving late, the preempted job resumes on
+// the survivor from its snapshot instead of being stranded while preempted.
+TEST(Golden, ServiceShrinkBytes) {
+  const auto shrink_stream = [](double late_s) {
+    std::vector<Request> stream;
+    for (int i = 0; i < 6; ++i) {
+      gyro::Input in = gyro::Input::small_test(1);
+      in.species[0].a_ln_t = 2.0 + 0.25 * i;
+      in.tag = strprintf("req%d", i);
+      stream.push_back(make_request((i >= 3 ? late_s : 0.0) + 1e-4 * i, in,
+                                    strprintf("t%d", i % 2),
+                                    i == 1 ? 5 : (i == 2 ? 1 : 0)));
+    }
+    stream[2].faults.add_kill(1, 1e-6);
+    stream[3].faults.add_kill(1, 1e-6);
+    return stream;
+  };
+  static constexpr ServiceDigests kShrink[] = {
+      {0x6db548f16b3e5722ull, 0xabf0f2c25c865510ull, 0xa098f90122ce5ba6ull},
+      {0x0dac83479c41485bull, 0x78536def10d7bb15ull, 0xf4d8a4dab8bb5ccdull},
+  };
+  const double lates[] = {0.0, 0.003};
+  for (int v = 0; v < 2; ++v) {
+    const TempDir ckpt("golden_shrink_" + std::to_string(v));
+    const TempDir reports("golden_shrink_reports_" + std::to_string(v));
+    ServiceConfig cfg;
+    cfg.cluster = net::testbox(2, 2);
+    cfg.batching = false;
+    cfg.nodes_per_job = 2;
+    cfg.n_report_intervals = 3;
+    cfg.checkpoint_root = ckpt.path;
+    cfg.max_recoveries = 0;
+    cfg.report_dir = reports.path;
+    const ServiceDigests got =
+        run_digests(cfg, shrink_stream(lates[v]), reports.path);
+    EXPECT_EQ(got.log, kShrink[v].log) << "variant " << v;
+    EXPECT_EQ(got.doc, kShrink[v].doc) << "variant " << v;
+    EXPECT_EQ(got.reports, kShrink[v].reports) << "variant " << v;
+  }
 }
 
 // Every lifecycle path the record grammar allows, as request record kinds
