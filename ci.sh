@@ -26,7 +26,10 @@
 #      kernel tests. The benchmark's serve_stream runs the service engine
 #      at -O3 too, so service_test and campaign_test are built there and
 #      their Golden.* (event log, report and job-report bytes) and
-#      Planner.* cases run
+#      Planner.* cases run; its ensemble_real writes and validates
+#      snapshots at -O3, so checkpoint_test is built there and its
+#      Checkpoint.* (payload digest, corruption and format-version
+#      refusal) and CheckpointRoundTrip.* cases run
 #   4. end-to-end determinism check (identical-seed runs bitwise equal)
 #   5. example output check (the job-driving examples' stdout and exit
 #      codes equal the recorded ones under tests/data/examples)
@@ -74,16 +77,18 @@ UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \
   ./build-sanitize/tests/service_test --gtest_brief=1 \
   --gtest_filter='Golden.*:Lifecycle.*:ServicePreemption.*:Seeds/ServiceStress.*'
 
-echo "=== [3/11] Release (-O3) build + solver and service goldens, FFT and kernel tests ==="
+echo "=== [3/11] Release (-O3) build + solver and service goldens, FFT, kernel and checkpoint tests ==="
 cmake --preset release
 cmake --build --preset release -j "$JOBS" --target xgyro_test fft_test gyro_test \
-  service_test campaign_test
+  service_test campaign_test checkpoint_test
 ./build-release/tests/xgyro_test --gtest_filter='Golden.*' --gtest_brief=1
 ./build-release/tests/fft_test --gtest_brief=1
 ./build-release/tests/gyro_test --gtest_brief=1
 for t in service_test campaign_test; do
   "./build-release/tests/$t" --gtest_filter='Golden.*:Planner.*' --gtest_brief=1
 done
+./build-release/tests/checkpoint_test \
+  --gtest_filter='Checkpoint.*:CheckpointRoundTrip.*' --gtest_brief=1
 
 echo "=== [4/11] determinism check ==="
 bash scripts/check_determinism.sh build

@@ -218,6 +218,9 @@ struct JobState {
   double queue_since = 0.0;  ///< last time the job (re)entered the ready set
   double backlog_contrib = 0.0;  ///< this job's share of the backlog total
   double slice_end_s = 0.0;      ///< when the slice in flight ends
+  /// Snapshot counters summed over the job's finished slices.
+  std::uint64_t snapshots_committed = 0;
+  std::uint64_t snapshots_rejected = 0;
 
   // Result of the slice in flight, applied when its kSliceDone event fires.
   int slice_target = 0;
@@ -1002,6 +1005,8 @@ struct Engine {
         /*with_metrics=*/true);
     report.have_recovery = true;
     report.recoveries = js.rec.recoveries;
+    report.snapshots_committed = js.snapshots_committed;
+    report.snapshots_rejected = js.snapshots_rejected;
     telemetry::write_run_report(
         cfg.report_dir + strprintf("/job-%d.report.json", js.rec.id), report);
   }
@@ -1037,6 +1042,8 @@ struct Engine {
     js.rec.nodes = r.machine.n_nodes;
     js.rec.ranks_per_sim = r.ranks_per_sim;
     js.rec.busy_s += r.run.makespan_s;
+    js.snapshots_committed += r.snapshots_committed;
+    js.snapshots_rejected += r.snapshots_rejected;
     js.recoveries_left -= static_cast<int>(r.recoveries.size());
     metrics.add_counter("service.recoveries", r.recoveries.size());
     for (const auto& ev : r.recoveries) {

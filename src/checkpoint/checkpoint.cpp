@@ -19,13 +19,12 @@ namespace fs = std::filesystem;
 namespace {
 
 constexpr std::uint64_t kShardMagic = 0x3130545048434758ull;  // "XGCKPT01"
-constexpr std::uint32_t kShardVersion = 1;
 
 /// Fixed 64-byte shard header; explicit padding keeps the on-disk bytes
 /// deterministic across compilers.
 struct ShardHeader {
   std::uint64_t magic = kShardMagic;
-  std::uint32_t version = kShardVersion;
+  std::uint32_t version = kFormatVersion;
   std::int32_t member = 0;
   std::int32_t iv0 = 0, nv_loc = 0, nc = 0, it0 = 0, nt_loc = 0;
   std::uint32_t pad = 0;
@@ -36,9 +35,7 @@ struct ShardHeader {
 static_assert(sizeof(ShardHeader) == 64, "shard header must be packed");
 
 std::uint64_t hash_payload(std::span<const cplx> data) {
-  Hasher h;
-  h.span_c64(data);
-  return h.digest();
+  return word_digest(data.data(), data.size_bytes());
 }
 
 std::uint64_t parse_hex64(const std::string& s, const std::string& what) {
@@ -90,9 +87,11 @@ std::vector<cplx> read_shard_file(const std::string& path,
     throw CheckpointError(strprintf("checkpoint: '%s' is not a shard file",
                                     path.c_str()));
   }
-  if (hd.version != kShardVersion) {
-    throw CheckpointError(strprintf("checkpoint: '%s': unsupported version %u",
-                                    path.c_str(), hd.version));
+  if (hd.version != static_cast<std::uint32_t>(kFormatVersion)) {
+    throw CheckpointError(strprintf(
+        "checkpoint: '%s': unsupported shard version %u (this build reads "
+        "version %d)",
+        path.c_str(), hd.version, kFormatVersion));
   }
   const Slice& s = info.slice;
   if (hd.member != s.member || hd.iv0 != s.iv0 || hd.nv_loc != s.nv_loc ||
@@ -145,7 +144,7 @@ telemetry::Json manifest_to_json(const Manifest& man) {
   }
   return Json::object()
       .set("schema", Json("xgyro.checkpoint"))
-      .set("schema_version", Json(Manifest::kSchemaVersion))
+      .set("schema_version", Json(kFormatVersion))
       .set("interval", Json(man.interval))
       .set("members", std::move(members))
       .set("shards", std::move(shards));
@@ -159,10 +158,12 @@ Manifest manifest_from_json(const telemetry::Json& doc,
     throw CheckpointError(strprintf(
         "checkpoint: %s: missing or wrong 'schema'", path.c_str()));
   }
-  if (doc.at("schema_version").as_int() != Manifest::kSchemaVersion) {
+  const std::int64_t version = doc.at("schema_version").as_int();
+  if (version != kFormatVersion) {
     throw CheckpointError(strprintf(
-        "checkpoint: %s: unsupported schema_version %lld", path.c_str(),
-        static_cast<long long>(doc.at("schema_version").as_int())));
+        "checkpoint: %s: unsupported schema_version %lld (this build reads "
+        "version %d)",
+        path.c_str(), static_cast<long long>(version), kFormatVersion));
   }
   Manifest man;
   man.interval = doc.at("interval").as_int();

@@ -27,7 +27,8 @@
 //
 // A snapshot directory without a manifest is an aborted commit; a manifest
 // whose shard hashes do not verify is corruption. Both are skipped by
-// find_latest_valid in favor of the previous valid snapshot.
+// find_latest_valid in favor of the previous valid snapshot, and so is a
+// snapshot of another format version (kFormatVersion).
 #pragma once
 
 #include <complex>
@@ -48,6 +49,12 @@ class Input;
 namespace xg::ckpt {
 
 using cplx = std::complex<double>;
+
+/// On-disk format version, written as the manifest's schema_version and as
+/// every shard header's version. Version 2 hashes each payload with the
+/// word-wise xg::word_digest over its raw bits; version 1 (byte-wise FNV-1a
+/// over -0.0-normalized doubles) is refused, never misread.
+inline constexpr int kFormatVersion = 2;
 
 /// Structured failure for missing/truncated/corrupt/incompatible snapshots.
 /// Never raised for "no snapshot exists" (that is an empty optional).
@@ -87,11 +94,10 @@ struct ShardInfo {
   Slice slice;
   std::int64_t steps = 0;
   std::uint64_t payload_bytes = 0;
-  std::uint64_t payload_hash = 0;  ///< FNV-1a over the complex payload
+  std::uint64_t payload_hash = 0;  ///< xg::word_digest of the payload bytes
 };
 
 struct Manifest {
-  static constexpr int kSchemaVersion = 1;
   std::int64_t interval = 0;  ///< completed report intervals at snapshot time
   std::vector<MemberMeta> members;  ///< indexed by member
   std::vector<ShardInfo> shards;

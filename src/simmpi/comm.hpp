@@ -27,6 +27,7 @@
 
 #include "simmpi/runtime.hpp"
 #include "util/error.hpp"
+#include "util/hash.hpp"
 
 namespace xg::mpi {
 
@@ -477,36 +478,6 @@ class VirtualBlockBuf final : public BlockBuf {
   std::uint64_t bytes_;
 };
 
-/// Digest of a typed collective's result for the invariant monitor, which
-/// compares it across the members of one collective instance. The state
-/// starts from the byte length and folds the buffer one 8-byte word at a
-/// time, the tail zero-padded. Each fold (xor the word, multiply by an odd
-/// constant, xor-shift) is a bijection of the state, so two equal-length
-/// buffers that differ in exactly one word always digest differently. The
-/// byte-wise FNV-1a xg::Hasher, ≈5× slower, stays for fingerprints and
-/// state hashes, whose values are pinned.
-inline std::uint64_t result_digest(const void* data, size_t n) {
-  constexpr std::uint64_t kMul = 0x9e3779b97f4a7c15ull;
-  const auto* p = static_cast<const unsigned char*>(data);
-  std::uint64_t h = (n ^ 0x2545f4914f6cdd1dull) * kMul;
-  const auto fold = [&h](std::uint64_t w) {
-    h = (h ^ w) * kMul;
-    h ^= h >> 29;
-  };
-  size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    std::uint64_t w;
-    std::memcpy(&w, p + i, 8);
-    fold(w);
-  }
-  if (i < n) {
-    std::uint64_t w = 0;
-    std::memcpy(&w, p + i, n - i);
-    fold(w);
-  }
-  return h;
-}
-
 }  // namespace detail
 
 // --- template method definitions -------------------------------------------
@@ -519,7 +490,7 @@ void Comm::allreduce(std::span<T> data, Op op, CollAlg alg) {
   const CollAlg ran = detail::allreduce_impl(*this, buf, alg);
   finish_collective(TraceEvent::Kind::kAllReduce, ran, data.size_bytes(), t0,
                     seq, /*has_hash=*/true,
-                    detail::result_digest(data.data(), data.size_bytes()));
+                    word_digest(data.data(), data.size_bytes()));
 }
 
 template <typename T, typename Op>
@@ -542,7 +513,7 @@ void Comm::bcast(std::span<T> data, int root, CollAlg alg) {
   const CollAlg ran = detail::bcast_impl(*this, buf, root, alg);
   finish_collective(TraceEvent::Kind::kBcast, ran, data.size_bytes(), t0, seq,
                     /*has_hash=*/true,
-                    detail::result_digest(data.data(), data.size_bytes()));
+                    word_digest(data.data(), data.size_bytes()));
 }
 
 template <typename T>
@@ -571,7 +542,7 @@ void Comm::allgather(std::span<const T> mine, std::span<T> all, CollAlg alg) {
   const CollAlg ran = detail::allgather_impl(*this, buf, alg);
   finish_collective(TraceEvent::Kind::kAllGather, ran, mine.size_bytes(), t0,
                     seq, /*has_hash=*/true,
-                    detail::result_digest(all.data(), all.size_bytes()));
+                    word_digest(all.data(), all.size_bytes()));
 }
 
 template <typename T, typename Op>

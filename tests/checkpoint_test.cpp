@@ -1,14 +1,17 @@
 // Checkpoint/restart property tests:
 //  * snapshot → restore → N more steps is bit-identical to an uninterrupted
 //    2N-step run, across different decompositions and ensemble sizes;
-//  * truncated and bit-flipped shards are rejected with a structured error
-//    and find_latest_valid falls back to the previous valid snapshot;
+//  * truncated and bit-flipped shards (every single payload bit, the sign
+//    of a zero included) and snapshots of another format version are
+//    rejected with a structured error, and find_latest_valid falls back to
+//    the previous valid snapshot;
 //  * the elastic executor survives an injected rank kill, replans on the
 //    surviving nodes, and reproduces the fault-free physics.
 #include <gtest/gtest.h>
 
 #include <complex>
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <string>
@@ -20,8 +23,10 @@
 #include "simmpi/fault.hpp"
 #include "simmpi/runtime.hpp"
 #include "simnet/machine.hpp"
+#include "telemetry/json.hpp"
 #include "util/error.hpp"
 #include "util/format.hpp"
+#include "util/hash.hpp"
 #include "xgyro/driver.hpp"
 #include "xgyro/ensemble.hpp"
 
@@ -169,6 +174,19 @@ TEST(Checkpoint, TruncatedShardFallsBackToOlderSnapshot) {
             std::string::npos);
 }
 
+/// XOR `mask` into the byte at `offset` of `path`.
+void xor_byte(const fs::path& path, std::streamoff offset,
+              unsigned char mask) {
+  std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
+  f.seekg(offset);
+  char c = 0;
+  f.read(&c, 1);
+  c = static_cast<char>(c ^ static_cast<char>(mask));
+  f.seekp(offset);
+  f.write(&c, 1);
+  ASSERT_TRUE(f.good()) << path;
+}
+
 TEST(Checkpoint, BitFlippedPayloadRejected) {
   const TempDir dir("bitflip");
   CheckpointWriter writer(dir.path, 2);
@@ -176,18 +194,142 @@ TEST(Checkpoint, BitFlippedPayloadRejected) {
   const fs::path snap = fs::path(dir.path) / snapshot_dirname(1);
   for (const auto& e : fs::directory_iterator(snap)) {
     if (e.path().extension() == ".shard") {
-      std::fstream f(e.path(), std::ios::in | std::ios::out |
-                                   std::ios::binary);
-      f.seekg(70);  // inside the payload, past the 64-byte header
-      char c = 0;
-      f.read(&c, 1);
-      c = static_cast<char>(c ^ 0x40);
-      f.seekp(70);
-      f.write(&c, 1);
+      xor_byte(e.path(), 70, 0x40);  // inside the payload, past the header
       break;
     }
   }
   EXPECT_THROW(validate_snapshot(snap.string()), CheckpointError);
+  const auto scan = find_latest_valid(dir.path);
+  EXPECT_FALSE(scan.latest_valid.has_value());
+  EXPECT_EQ(scan.rejected.size(), 1u);
+}
+
+constexpr std::streamoff kShardHeaderBytes = 64;
+
+// Payload hashes are persisted in every manifest and shard header, so the
+// digest's bits are part of the on-disk format: a change to them must come
+// with a kFormatVersion bump. The buffer holds +0.0, -0.0, a NaN with a
+// payload and a 3-byte tail, all hashed as raw bits.
+TEST(Checkpoint, WordDigestKnownAnswer) {
+  const std::uint64_t words[] = {0x0000000000000000ull, 0x8000000000000000ull,
+                                 0x7ff8000000000123ull, 0x3ff8000000000000ull};
+  std::vector<unsigned char> buf(sizeof words + 3);
+  std::memcpy(buf.data(), words, sizeof words);
+  buf[32] = 0x01;
+  buf[33] = 0x02;
+  buf[34] = 0x03;
+  EXPECT_EQ(word_digest(buf.data(), buf.size()), 0xf2b7b936bd526d17ull);
+  EXPECT_EQ(word_digest(words, sizeof words), 0x556a59cb88aa1991ull);
+  const double zeros[] = {0.0, -0.0};
+  EXPECT_NE(word_digest(&zeros[0], 8), word_digest(&zeros[1], 8));
+}
+
+TEST(Checkpoint, EveryPayloadBitFlipRejected) {
+  // A one-rank, two-element shard: 256 payload bits, each flipped alone.
+  // Its first element's real part is +0.0, so one of the flips makes -0.0.
+  const TempDir dir("every_bit");
+  CheckpointWriter writer(dir.path, 1);
+  MemberMeta meta = synthetic_meta(5);
+  meta.nv = 1;
+  meta.nc = 1;
+  meta.nt = 2;
+  const Slice s{0, 0, 1, 1, 0, 2};
+  writer.add_shard(1, s, meta, slice_payload(s));
+  const fs::path snap = fs::path(dir.path) / snapshot_dirname(1);
+  const fs::path shard = snap / "m0.v0.t0.shard";
+  ASSERT_NO_THROW(validate_snapshot(snap.string()));
+  const auto bytes = static_cast<std::streamoff>(s.elems() * sizeof(cplx));
+  for (std::streamoff byte = 0; byte < bytes; ++byte) {
+    for (int bit = 0; bit < 8; ++bit) {
+      const auto mask = static_cast<unsigned char>(1u << bit);
+      xor_byte(shard, kShardHeaderBytes + byte, mask);
+      EXPECT_THROW(validate_snapshot(snap.string()), CheckpointError)
+          << "byte " << byte << " bit " << bit;
+      xor_byte(shard, kShardHeaderBytes + byte, mask);
+    }
+  }
+  EXPECT_NO_THROW(validate_snapshot(snap.string()));
+}
+
+TEST(Checkpoint, NegativeZeroPayloadRejected) {
+  // cell_value(0, 0, 0) has real part +0.0; its sign bit is the top bit of
+  // the shard's eighth payload byte.
+  const TempDir dir("negzero");
+  CheckpointWriter writer(dir.path, 2);
+  commit_synthetic(writer, 1);
+  const fs::path snap = fs::path(dir.path) / snapshot_dirname(1);
+  xor_byte(snap / "m0.v0.t0.shard", kShardHeaderBytes + 7, 0x80);
+  EXPECT_THROW(validate_snapshot(snap.string()), CheckpointError);
+  const auto scan = find_latest_valid(dir.path);
+  EXPECT_FALSE(scan.latest_valid.has_value());
+  EXPECT_EQ(scan.rejected.size(), 1u);
+}
+
+/// The CheckpointError message `fn` throws ("" when it does not throw).
+template <typename Fn>
+std::string refusal(Fn&& fn) {
+  try {
+    fn();
+  } catch (const CheckpointError& e) {
+    return e.what();
+  }
+  return {};
+}
+
+void expect_names_both_versions(const std::string& msg,
+                                const std::string& path) {
+  EXPECT_NE(msg.find(path), std::string::npos) << msg;
+  EXPECT_NE(msg.find("version 1"), std::string::npos) << msg;
+  EXPECT_NE(msg.find(strprintf("version %d", kFormatVersion)),
+            std::string::npos)
+      << msg;
+}
+
+TEST(Checkpoint, OldManifestVersionRefused) {
+  const TempDir dir("old_manifest");
+  CheckpointWriter writer(dir.path, 2);
+  commit_synthetic(writer, 1);
+  const fs::path snap = fs::path(dir.path) / snapshot_dirname(1);
+  const std::string manifest_path = (snap / "manifest.json").string();
+  auto doc = telemetry::load_json_file(manifest_path);
+  doc.set("schema_version", telemetry::Json(1));
+  telemetry::write_json_file(manifest_path, doc);
+
+  expect_names_both_versions(refusal([&] { load_manifest(snap.string()); }),
+                             manifest_path);
+  expect_names_both_versions(
+      refusal([&] { validate_snapshot(snap.string()); }), manifest_path);
+  const auto scan = find_latest_valid(dir.path);
+  EXPECT_FALSE(scan.latest_valid.has_value());
+  EXPECT_EQ(scan.rejected.size(), 1u);
+}
+
+TEST(Checkpoint, OldShardVersionRefused) {
+  const TempDir dir("old_shard");
+  CheckpointWriter writer(dir.path, 2);
+  commit_synthetic(writer, 1);
+  const fs::path snap = fs::path(dir.path) / snapshot_dirname(1);
+  const fs::path shard = snap / "m0.v0.t0.shard";
+  {
+    // The version is the 32-bit word after the 8-byte magic.
+    std::fstream f(shard, std::ios::in | std::ios::out | std::ios::binary);
+    const std::uint32_t old_version = 1;
+    f.seekp(8);
+    f.write(reinterpret_cast<const char*>(&old_version), sizeof old_version);
+    ASSERT_TRUE(f.good());
+  }
+  expect_names_both_versions(
+      refusal([&] { validate_snapshot(snap.string()); }), shard.string());
+  // The manifest alone still parses; restoring from it reads the shard and
+  // refuses it, so no state is ever filled from the old shard.
+  const auto manifest = load_manifest(snap.string());
+  const Slice want{0, 0, 2, 3, 0, 4};
+  std::vector<cplx> out(want.elems());
+  expect_names_both_versions(refusal([&] {
+                               restore_slice(snap.string(), manifest, want,
+                                             0xfeedbeefu, out);
+                             }),
+                             shard.string());
   const auto scan = find_latest_valid(dir.path);
   EXPECT_FALSE(scan.latest_valid.has_value());
   EXPECT_EQ(scan.rejected.size(), 1u);

@@ -22,6 +22,7 @@
 #include "simmpi/runtime.hpp"
 #include "simnet/machine.hpp"
 #include "util/error.hpp"
+#include "util/hash.hpp"
 #include "xgyro/ensemble.hpp"
 
 namespace xg::mpi {
@@ -656,7 +657,7 @@ void observe_allgather_results(size_t flip) {
     auto r = allreduce_report(kCtx, 41, rank);
     r.kind = TraceEvent::Kind::kAllGather;
     r.payload_bytes = sizeof(Entry);
-    r.result_hash = detail::result_digest(bytes.data(), bytes.size());
+    r.result_hash = word_digest(bytes.data(), bytes.size());
     m.observe(r);
   }
   m.final_check();

@@ -26,6 +26,7 @@
 #include "campaign/monitor.hpp"
 #include "campaign/service.hpp"
 #include "telemetry/events.hpp"
+#include "telemetry/report.hpp"
 #include "cluster/memory.hpp"
 #include "gyro/simulation.hpp"
 #include "perfmodel/perfmodel.hpp"
@@ -247,6 +248,28 @@ TEST(ServicePreemption, HigherPriorityPreemptsAtSliceBoundaryBitIdentically) {
   expect_bit_identical(
       res.outcomes[1].diagnostics,
       standalone_diagnostics(high_in, high.ranks_per_sim, 3), "high");
+}
+
+// A sliced job's report counts the snapshots of every slice, not only the
+// last one's.
+TEST(ServiceReports, SlicedJobReportCountsEverySlicesSnapshots) {
+  const TempDir ckpt("report_snapshots");
+  const TempDir reports("report_snapshots_reports");
+  ServiceConfig cfg;
+  cfg.cluster = net::testbox(1, 2);
+  cfg.checkpoint_root = ckpt.path;
+  cfg.report_dir = reports.path;
+  cfg.n_report_intervals = 2;
+  const auto res =
+      CampaignService(cfg).run({make_request(0.0, gyro::Input::small_test(1))});
+  ASSERT_EQ(res.completed, 1);
+  ASSERT_EQ(res.jobs.size(), 1u);
+  EXPECT_EQ(res.jobs[0].slices, 2);
+  const auto report = telemetry::load_run_report(
+      reports.path + strprintf("/job-%d.report.json", res.jobs[0].id));
+  EXPECT_TRUE(report.have_recovery);
+  EXPECT_EQ(report.snapshots_committed, 2u);
+  EXPECT_EQ(report.snapshots_rejected, 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -1074,15 +1097,15 @@ TEST(Golden, ServiceStressBytes) {
       {0x14fd70bd67811c30ull, 0xc57df1f23a6e2d32ull, kNoReports},
       {0xd4c3eecf4b0222e9ull, 0x8656b368dbdc6432ull, kNoReports},
       {0xc1cfefa7c56e6668ull, 0x88aa64c894bca76eull, kNoReports},
-      {0xb7772f2c496f36b5ull, 0xcffc3861d1a67b99ull, 0x5028d502dd411517ull},
+      {0xb7772f2c496f36b5ull, 0xcffc3861d1a67b99ull, 0xe82839dbe072cbbfull},
       {0xf7600d258cf2aa24ull, 0xbfb83333c42586dbull, kNoReports},
       {0x8c4535bfce545b94ull, 0x6246851a8d1210c6ull, kNoReports},
       {0x02b67601601d93b1ull, 0x5adfe7f255be3656ull, kNoReports},
-      {0x13a60edf16673a55ull, 0x33afc1cc668a591bull, 0xe36fca8ea7eb9fc5ull},
+      {0x13a60edf16673a55ull, 0x33afc1cc668a591bull, 0xf991509d81f7b5b5ull},
       {0xd5b36336560b3a39ull, 0x18e80b598c7193e6ull, kNoReports},
       {0x51d317b51e6dd9efull, 0x2b14308c68661ee5ull, kNoReports},
       {0x859f2ae8e7b9aa69ull, 0x6b1867abfe48c9e2ull, kNoReports},
-      {0xaa33b6dbbfa2dae9ull, 0x2ed0c704d0e6c672ull, 0x94242b423df68098ull},
+      {0xaa33b6dbbfa2dae9ull, 0x2ed0c704d0e6c672ull, 0x34226404c6f9921eull},
       {0x878bb7723e26ea87ull, 0x3686528685ab8db0ull, kNoReports},
       {0xed9012dd32f3585dull, 0xe59792f7d0d55adcull, kNoReports},
       {0x0b7ee4a9654fe0e8ull, 0x11b8eaa3cd902031ull, kNoReports},
@@ -1145,8 +1168,8 @@ TEST(Golden, ServiceShrinkBytes) {
     return stream;
   };
   static constexpr ServiceDigests kShrink[] = {
-      {0x6db548f16b3e5722ull, 0xabf0f2c25c865510ull, 0xa098f90122ce5ba6ull},
-      {0x0dac83479c41485bull, 0x78536def10d7bb15ull, 0xf4d8a4dab8bb5ccdull},
+      {0x6db548f16b3e5722ull, 0xabf0f2c25c865510ull, 0xf1f9695dc44c53e1ull},
+      {0x0dac83479c41485bull, 0x78536def10d7bb15ull, 0xca22b83359037149ull},
   };
   const double lates[] = {0.0, 0.003};
   for (int v = 0; v < 2; ++v) {

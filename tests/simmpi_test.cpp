@@ -24,6 +24,7 @@
 #include "simmpi/traffic.hpp"
 #include "simnet/machine.hpp"
 #include "util/error.hpp"
+#include "util/hash.hpp"
 #include "util/rng.hpp"
 
 namespace xg::mpi {
@@ -52,7 +53,7 @@ TEST(ResultDigest, AnySingleWordChangeChangesDigest) {
   for (const size_t n : {size_t{8}, size_t{36}, size_t{203}, size_t{1024}}) {
     std::vector<unsigned char> buf(n);
     for (auto& b : buf) b = static_cast<unsigned char>(rng.next_u64());
-    const std::uint64_t base = detail::result_digest(buf.data(), n);
+    const std::uint64_t base = word_digest(buf.data(), n);
     for (size_t w = 0; w < n; w += 8) {
       const size_t len = std::min<size_t>(8, n - w);
       for (int trial = 0; trial < 16; ++trial) {
@@ -63,7 +64,7 @@ TEST(ResultDigest, AnySingleWordChangeChangesDigest) {
         } while (std::equal(other.begin() + static_cast<std::ptrdiff_t>(w),
                             other.begin() + static_cast<std::ptrdiff_t>(w + len),
                             buf.begin() + static_cast<std::ptrdiff_t>(w)));
-        EXPECT_NE(detail::result_digest(other.data(), n), base)
+        EXPECT_NE(word_digest(other.data(), n), base)
             << "n=" << n << " word " << w / 8 << " trial " << trial;
       }
     }
@@ -71,7 +72,7 @@ TEST(ResultDigest, AnySingleWordChangeChangesDigest) {
   const std::vector<unsigned char> zeros(16, 0);
   std::set<std::uint64_t> by_length;
   for (size_t n = 0; n <= zeros.size(); ++n) {
-    by_length.insert(detail::result_digest(zeros.data(), n));
+    by_length.insert(word_digest(zeros.data(), n));
   }
   EXPECT_EQ(by_length.size(), zeros.size() + 1);
 }
