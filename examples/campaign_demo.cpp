@@ -2,7 +2,8 @@
 // workflow end-to-end. Eight gradient-scan members on 32 Frontier-like
 // nodes: the planner discovers that batching all eight into one XGYRO job
 // (one shared cmat) is both the only memory-feasible batched option and the
-// cheapest, then the simulated machine executes the plan.
+// cheapest, then the simulated machine runs the plan one xgyro::run_job per
+// job.
 //
 //   $ ./examples/campaign_demo [--steps N]
 #include <cstdio>
@@ -13,6 +14,30 @@
 #include "perfmodel/perfmodel.hpp"
 #include "util/format.hpp"
 #include "xgyro/driver.hpp"
+
+namespace {
+
+/// Run every job of `plan` in model mode, one after another, and return the
+/// campaign cost: Σ over jobs of seconds per reporting step (the Fig. 2
+/// quantity; init time excluded, as in the paper).
+double run_plan(const xg::campaign::CampaignSpec& spec,
+                const xg::campaign::CampaignPlan& plan) {
+  xg::xgyro::JobOptions options;
+  options.mode = xg::gyro::Mode::kModel;
+  double total = 0.0;
+  for (const auto& job : plan.jobs) {
+    xg::xgyro::EnsembleInput batch;
+    for (const int m : job.member_indices) {
+      batch.members.push_back(spec.members.members[m]);
+    }
+    const auto r =
+        xg::xgyro::run_job(batch, spec.machine, job.ranks_per_sim, options);
+    total += xg::xgyro::report_step_seconds(r.run);
+  }
+  return total;
+}
+
+}  // namespace
 
 int main(int argc, char** argv) {
   using namespace xg;
@@ -38,10 +63,10 @@ int main(int argc, char** argv) {
   std::printf("%s\n", plan.describe().c_str());
 
   std::printf("executing on the simulated machine (model mode)...\n");
-  const auto result = campaign::run_campaign(spec, plan, gyro::Mode::kModel);
+  const double measured = run_plan(spec, plan);
   std::printf("measured campaign cost: %.3f s per reporting step "
               "(predicted %.3f s)\n\n",
-              result.total_report_seconds(), plan.predicted_total_seconds);
+              measured, plan.predicted_total_seconds);
 
   // What would sequential CGYRO have cost?
   campaign::CampaignPlan sequential;
@@ -52,10 +77,9 @@ int main(int argc, char** argv) {
     job.decomp = gyro::Decomposition::choose(base, job.ranks_per_sim, 1);
     sequential.jobs.push_back(job);
   }
-  const auto seq = campaign::run_campaign(spec, sequential, gyro::Mode::kModel);
+  const double seq = run_plan(spec, sequential);
   std::printf("sequential CGYRO baseline: %.3f s per reporting step -> "
               "campaign speedup %.2fx (paper: 1.5x)\n",
-              seq.total_report_seconds(),
-              seq.total_report_seconds() / result.total_report_seconds());
+              seq, seq / measured);
   return 0;
 }

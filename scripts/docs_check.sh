@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # docs_check.sh BUILD_DIR
 #
-# Keeps docs/USER_GUIDE.md and the binaries consistent, both ways:
+# Keeps docs/USER_GUIDE.md and the binaries consistent, both ways, and
+# EXPERIMENTS.md's campaign_demo claims tied to the pinned output:
 #
 #   1. Flag parity: every --flag printed by `xgyro_cli --help` must appear
 #      in the guide's marked reference block, and every --flag in the block
@@ -21,6 +22,10 @@
 #      xgyro_serve additionally exits 2 (not 1) when admitted requests
 #      fail, per its documented 0/1/2 convention, and xgyro_servemon
 #      exits 1 on missing/corrupt logs and bad SLO grammar.
+#   4. Every decimal number in EXPERIMENTS.md's campaign_demo section
+#      appears as a number in tests/data/examples/campaign_demo.stdout (the
+#      output examples_stdout_check pins), so the quoted prediction,
+#      measurement and speedup cannot drift from what the program prints.
 #
 # Registered with ctest as `docs_consistency_check` and run as gate 5 of
 # ci.sh. Run from the repository root.
@@ -281,4 +286,19 @@ expect_servemon_error "unknown flag"      --events a --bogus
 
 "$SERVEMON" --help > /dev/null || fail "xgyro_servemon --help must exit 0"
 
-echo "docs_check: $N_FENCES guide fences and all six flag references verified"
+# --- 4. campaign_demo numbers in EXPERIMENTS.md ----------------------------
+
+DEMO_OUT=tests/data/examples/campaign_demo.stdout
+awk '/^## End-to-end — examples\/campaign_demo/{f=1;next} /^## /{f=0} f' \
+  EXPERIMENTS.md > "$WORK/demo.md"
+[[ -s "$WORK/demo.md" ]] || fail "EXPERIMENTS.md: no campaign_demo section"
+{ grep -oE '[0-9]+\.[0-9]+' "$WORK/demo.md" || true; } | sort -u \
+  > "$WORK/demo.nums"
+[[ -s "$WORK/demo.nums" ]] || fail "EXPERIMENTS.md: campaign_demo section quotes no numbers"
+while read -r num; do
+  grep -qE "(^|[^0-9.])${num//./\\.}([^0-9]|\$)" "$DEMO_OUT" \
+    || fail "EXPERIMENTS.md quotes $num for campaign_demo; $DEMO_OUT does not print it"
+done < "$WORK/demo.nums"
+
+echo "docs_check: $N_FENCES guide fences, all six flag references and" \
+  "$(wc -l < "$WORK/demo.nums") campaign_demo numbers verified"

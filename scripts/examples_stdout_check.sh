@@ -2,13 +2,15 @@
 # examples_stdout_check.sh BUILD_DIR
 #
 # Pins the output of the job-driving example programs: runs quickstart,
-# ensemble_sweep, grouped_campaign, linear_growth, resolution_convergence
-# and resolution_convergence --smoke, and compares each one's stdout and
-# exit code byte for byte with tests/data/examples/<run>.stdout and
-# <run>.exit (recorded from the programs' hand-written rank bodies, before
-# they moved onto xgyro::run_job). Every run is deterministic (virtual
-# clock, seeded physics), so any difference is a change in what the
-# program computes or prints. Registered with ctest as
+# ensemble_sweep, grouped_campaign, linear_growth, campaign_demo,
+# resolution_convergence and resolution_convergence --smoke, and compares
+# each one's stdout and exit code byte for byte with
+# tests/data/examples/<run>.stdout and <run>.exit (recorded from the
+# programs' hand-written rank bodies, before they moved onto
+# xgyro::run_job; campaign_demo's from its run through the removed offline
+# campaign executor, before it looped run_job itself). Every run is
+# deterministic (virtual clock, seeded physics), so any difference is a
+# change in what the program computes or prints. Registered with ctest as
 # `examples_stdout_check`.
 set -euo pipefail
 
@@ -21,6 +23,7 @@ RUNS=(
   "ensemble_sweep examples/ensemble_sweep"
   "grouped_campaign examples/grouped_campaign"
   "linear_growth examples/linear_growth"
+  "campaign_demo examples/campaign_demo"
   "resolution_convergence bench/resolution_convergence"
   "resolution_convergence_smoke bench/resolution_convergence --smoke"
 )

@@ -98,72 +98,4 @@ xgyro::JobResult run_job_elastic(const xgyro::EnsembleInput& batch,
   return xgyro::run_job(batch, machine, ranks_per_sim, options);
 }
 
-CampaignResult run_campaign_elastic(const CampaignSpec& spec,
-                                    const CampaignPlan& plan, gyro::Mode mode,
-                                    const RecoveryOptions& opts) {
-  CampaignResult result;
-  result.plan = plan;
-  for (size_t j = 0; j < plan.jobs.size(); ++j) {
-    const auto& job = plan.jobs[j];
-    xgyro::EnsembleInput batch;
-    for (const int m : job.member_indices) {
-      batch.members.push_back(spec.members.members[m]);
-    }
-    RecoveryOptions jopts = opts;
-    if (!opts.checkpoint_dir.empty()) {
-      jopts.checkpoint_dir =
-          opts.checkpoint_dir + strprintf("/job-%zu", j);
-    }
-    xgyro::JobResult r;
-    try {
-      r = run_job_elastic(batch, spec.machine, job.ranks_per_sim,
-                          spec.n_report_intervals, mode, jopts);
-    } catch (const JobAborted& e) {
-      // Keep the failed job's recovery history and move on: the caller gets
-      // a partial CampaignResult instead of losing the whole campaign.
-      JobFailure f;
-      f.job = static_cast<int>(j);
-      f.kind = e.kind();
-      f.reason = e.reason();
-      f.world_rank = e.world_rank();
-      f.virtual_time_s = e.virtual_time_s();
-      f.phase = e.phase();
-      f.message = e.what();
-      result.failures.push_back(std::move(f));
-      for (auto ev : e.recoveries()) {
-        ev.job = static_cast<int>(j);
-        result.recoveries.push_back(std::move(ev));
-      }
-      result.snapshots_committed += e.snapshots_committed();
-      result.snapshots_rejected += e.snapshots_rejected();
-      continue;
-    }
-    result.job_runs.push_back(std::move(r.run));
-    for (size_t i = 0; i < batch.members.size(); ++i) {
-      result.members.push_back(
-          {job.member_indices[i], static_cast<int>(j), r.diagnostics[i]});
-    }
-    for (auto& ev : r.recoveries) {
-      ev.job = static_cast<int>(j);
-      result.recoveries.push_back(std::move(ev));
-    }
-    result.snapshots_committed += r.snapshots_committed;
-    result.snapshots_rejected += r.snapshots_rejected;
-  }
-  return result;
-}
-
-CampaignResult run_campaign(const CampaignSpec& spec, const CampaignPlan& plan,
-                            gyro::Mode mode) {
-  return run_campaign_elastic(spec, plan, mode, {});
-}
-
-double CampaignResult::total_report_seconds() const {
-  double total = 0.0;
-  for (const auto& run : job_runs) {
-    total += xgyro::report_step_seconds(run);
-  }
-  return total;
-}
-
 }  // namespace xg::campaign

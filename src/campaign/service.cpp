@@ -247,8 +247,6 @@ struct Engine {
   int pending_requests = 0;  ///< admitted but job not yet started
   std::map<std::string, int> tenant_inflight;  ///< admitted, not finished
   double busy_node_seconds = 0.0;
-  double wait_abs_err_sum = 0.0;
-  int wait_err_n = 0;
 
   // Production-stream bookkeeping. A 10⁵-request stream makes any
   // per-arrival O(#jobs) work quadratic, so the backlog is maintained
@@ -274,7 +272,8 @@ struct Engine {
   telemetry::EventSink* sink = nullptr;
   std::unique_ptr<ServiceMonitor> monitor;
   long ev_seq = 0;
-  std::map<std::string, std::vector<double>> tenant_waits;  ///< unsorted
+  /// Predicted and realized queue wait of each placed request, in placement
+  /// order (the calibration sums them in that order).
   std::vector<double> pred_waits, real_waits;
 
   Engine(const ServiceConfig& c, const std::vector<Request>& r)
@@ -881,12 +880,6 @@ struct Engine {
         const double wait = now - oc.arrival_s;
         metrics.histogram("service.queue_wait_s", wait_bounds())
             .observe(wait);
-        wait_abs_err_sum += std::abs(wait - oc.predicted_wait_s);
-        ++wait_err_n;
-        // Appended raw; finalize() sorts each tenant's sample once. The
-        // old insert-sorted scheme was O(n) per placement — quadratic
-        // over a production stream.
-        tenant_waits[oc.tenant].push_back(wait);
         pred_waits.push_back(oc.predicted_wait_s);
         real_waits.push_back(wait);
         advance(id, EventKind::kRequestPlaced, [&](Json& rec) {
@@ -1015,7 +1008,7 @@ struct Engine {
     JobState& js = jobs[static_cast<size_t>(j)];
     running_jobs.erase(j);
     if (js.abort.has_value()) {
-      // The elastic executor gave up: surviving nodes come back, the dead
+      // The job runner gave up: surviving nodes come back, the dead
       // ones are gone, the member requests fail.
       int surviving = js.rec.nodes;
       for (const auto& ev : js.abort->recoveries()) {
@@ -1263,8 +1256,12 @@ struct Engine {
       res.failed += state == EventKind::kRequestFailed;
     }
     res.admitted = res.completed + res.failed;
-    // One sort per tenant at the end of the run; the global view is then
-    // a merge of sorted runs.
+    // Each placed request's wait, grouped by tenant and sorted once at the
+    // end of the run; the global view is then a merge of sorted runs.
+    std::map<std::string, std::vector<double>> tenant_waits;
+    for (const auto& oc : outcomes) {
+      if (oc.start_s >= 0.0) tenant_waits[oc.tenant].push_back(oc.wait_s());
+    }
     std::vector<double> waits;
     for (auto& [tenant, tw] : tenant_waits) {
       std::sort(tw.begin(), tw.end());
@@ -1291,15 +1288,15 @@ struct Engine {
     metrics.set_gauge("service.jobs_per_hour", res.jobs_per_hour);
     metrics.set_gauge("service.requests_per_hour", res.requests_per_hour);
     metrics.set_gauge("service.node_busy_frac", res.node_busy_frac);
-    metrics.set_gauge("service.queue_wait_mae_s",
-                      wait_err_n > 0 ? wait_abs_err_sum / wait_err_n : 0.0);
+    const perfmodel::WaitCalibration calibration =
+        perfmodel::calibrate_queue_wait(pred_waits, real_waits);
+    metrics.set_gauge("service.queue_wait_mae_s", calibration.mae_s);
     std::map<std::string, int> completed_by_tenant;
     for (const auto& oc : outcomes) {
       completed_by_tenant[oc.tenant] += oc.completed ? 1 : 0;
     }
     res.fairness_jain = jain_index(completed_by_tenant);
-    res.wait_calibration = wait_calibration_json(
-        perfmodel::calibrate_queue_wait(pred_waits, real_waits));
+    res.wait_calibration = wait_calibration_json(calibration);
     if (cfg.fast_path) {
       for (const auto& js : jobs) {
         res.jobs_modeled += js.rec.modeled ? 1 : 0;

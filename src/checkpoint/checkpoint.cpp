@@ -434,8 +434,8 @@ ScanResult find_latest_valid(const std::string& dir) {
 
   for (const auto& [interval, path] : candidates) {
     try {
-      (void)validate_snapshot(path);
-      result.latest_valid = SnapshotRef{path, interval};
+      result.latest_valid =
+          SnapshotRef{path, interval, validate_snapshot(path)};
       break;
     } catch (const Error& e) {
       result.rejected.push_back(strprintf("%s: %s", path.c_str(), e.what()));

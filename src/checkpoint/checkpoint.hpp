@@ -77,6 +77,7 @@ struct Slice {
   [[nodiscard]] std::uint64_t elems() const {
     return static_cast<std::uint64_t>(nv_loc) * nc * nt_loc;
   }
+  bool operator==(const Slice&) const = default;
 };
 
 /// Per-member metadata recorded in the manifest (consistency-checked when
@@ -86,6 +87,7 @@ struct MemberMeta {
   std::uint64_t cmat_fingerprint = 0;
   int nv = 0, nc = 0, nt = 0;  ///< global dims
   std::int64_t steps = 0;      ///< timesteps taken at snapshot time
+  bool operator==(const MemberMeta&) const = default;
 };
 
 /// One shard entry of the manifest.
@@ -95,12 +97,14 @@ struct ShardInfo {
   std::int64_t steps = 0;
   std::uint64_t payload_bytes = 0;
   std::uint64_t payload_hash = 0;  ///< xg::word_digest of the payload bytes
+  bool operator==(const ShardInfo&) const = default;
 };
 
 struct Manifest {
   std::int64_t interval = 0;  ///< completed report intervals at snapshot time
   std::vector<MemberMeta> members;  ///< indexed by member
   std::vector<ShardInfo> shards;
+  bool operator==(const Manifest&) const = default;
 };
 
 /// "ckpt-00000003" for interval 3 (fixed width so lexicographic order is
@@ -143,6 +147,7 @@ class CheckpointWriter {
 struct SnapshotRef {
   std::string path;           ///< committed snapshot directory
   std::int64_t interval = 0;  ///< parsed from the directory name
+  Manifest manifest;          ///< as validated, so a restore parses it once
 };
 
 struct ScanResult {
@@ -154,7 +159,7 @@ struct ScanResult {
 
 /// Scan `dir` for snapshots, newest first; fully validate each (manifest
 /// schema, shard presence, sizes, payload hashes) and return the newest one
-/// that passes. An absent or empty directory yields no snapshot and no
+/// that passes, with its manifest. An absent or empty directory yields no snapshot and no
 /// rejections.
 ScanResult find_latest_valid(const std::string& dir);
 

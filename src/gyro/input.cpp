@@ -179,15 +179,6 @@ std::uint64_t Input::cmat_fingerprint() const {
   return h.digest();
 }
 
-std::vector<std::string> Input::cmat_relevant_keys() {
-  return {"N_RADIAL",  "N_THETA",   "N_TOROIDAL", "N_ENERGY",
-          "N_XI",      "E_MAX",     "DELTA_T",    "NU_EE",
-          "COLLISION_PITCH", "COLLISION_ENERGY", "COLLISION_FLR",
-          "COLLISION_CONSERVE", "COLLISION_XSPECIES",
-          "Q", "S", "RHO_STAR", "BOX_SIZE",
-          "N_SPECIES", "Z_*",      "MASS_*",     "DENS_*", "TEMP_*"};
-}
-
 Input Input::small_test(int ns) {
   Input in;
   in.n_radial = 4;
@@ -244,10 +235,6 @@ Input Input::nl03c_like() {
   return in;
 }
 
-bool cmat_compatible(const Input& base, const Input& sweep) {
-  return base.cmat_fingerprint() == sweep.cmat_fingerprint();
-}
-
 bool is_cmat_relevant_key(const std::string& key) {
   static const std::vector<std::string> kExact{
       "N_RADIAL",  "N_THETA", "N_TOROIDAL", "N_ENERGY", "N_XI",
@@ -279,18 +266,6 @@ std::vector<ParamDiff> diff_inputs(const Input& a, const Input& b) {
     const std::string vb = kb.has(k) ? kb.get_string(k) : "<absent>";
     if (va == vb) continue;
     out.push_back({k, va, vb, is_cmat_relevant_key(k)});
-  }
-  return out;
-}
-
-std::string render_diff(const std::vector<ParamDiff>& diffs) {
-  if (diffs.empty()) return "(inputs identical)\n";
-  std::string out;
-  for (const auto& d : diffs) {
-    out += strprintf("%-20s %s -> %s  %s\n", d.key.c_str(), d.value_a.c_str(),
-                     d.value_b.c_str(),
-                     d.cmat_relevant ? "[cmat-relevant: BLOCKS sharing]"
-                                     : "[sweep-safe]");
   }
   return out;
 }

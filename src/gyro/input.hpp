@@ -84,9 +84,6 @@ struct Input {
   /// refuses ensembles that mix fingerprints.
   [[nodiscard]] std::uint64_t cmat_fingerprint() const;
 
-  /// Human-readable list of the parameters the fingerprint covers.
-  static std::vector<std::string> cmat_relevant_keys();
-
   // --- presets ----------------------------------------------------------------
   /// Tiny grid for unit/integration tests (real mode).
   static Input small_test(int n_species = 1);
@@ -94,9 +91,6 @@ struct Input {
   /// are calibrated to the published nl03c properties; see DESIGN.md §2.
   static Input nl03c_like();
 };
-
-/// True when `sweep` may join an ensemble that shares cmat with `base`.
-bool cmat_compatible(const Input& base, const Input& sweep);
 
 /// One differing parameter between two inputs.
 struct ParamDiff {
@@ -112,8 +106,5 @@ std::vector<ParamDiff> diff_inputs(const Input& a, const Input& b);
 
 /// Is this serialized key part of the cmat-relevant subset?
 bool is_cmat_relevant_key(const std::string& key);
-
-/// Human-readable rendering of a diff ("NU_EE: 0.1 -> 0.2  [cmat]").
-std::string render_diff(const std::vector<ParamDiff>& diffs);
 
 }  // namespace xg::gyro

@@ -161,10 +161,6 @@ class Simulation {
   void apply_collisions_range(int a_lo, int a_hi);
   void rk4_step();
 
-  // model-mode internals
-  void model_initialize();
-  void model_step();
-
   // shared helpers
   [[nodiscard]] int it_global(int it_loc) const;
   [[nodiscard]] int global_ic_of_coll_cell(int a) const;

@@ -12,9 +12,6 @@ LuFactorization::LuFactorization(MatrixD a) : lu_(std::move(a)) {
   const int n = lu_.rows();
   pivot_.resize(n);
 
-  double max_a = 0.0;
-  for (const double v : lu_.data()) max_a = std::max(max_a, std::abs(v));
-
   for (int k = 0; k < n; ++k) {
     // Partial pivoting: pick the largest magnitude in column k at/below k.
     int piv = k;
@@ -45,12 +42,6 @@ LuFactorization::LuFactorization(MatrixD a) : lu_(std::move(a)) {
       for (int j = k + 1; j < n; ++j) ri[j] -= lik * rk[j];
     }
   }
-
-  double max_u = 0.0;
-  for (int i = 0; i < n; ++i) {
-    for (int j = i; j < n; ++j) max_u = std::max(max_u, std::abs(lu_(i, j)));
-  }
-  growth_ = (max_a > 0.0) ? max_u / max_a : 1.0;
 }
 
 void LuFactorization::solve_in_place(std::span<double> x) const {

@@ -35,16 +35,12 @@ class LuFactorization {
   /// det(A) from the factorization (sign included).
   [[nodiscard]] double determinant() const;
 
-  /// Growth-factor style conditioning hint: max|U| / max|A|.
-  [[nodiscard]] double growth_factor() const { return growth_; }
-
  private:
   void solve_in_place(std::span<double> x) const;
 
   MatrixD lu_;
   std::vector<int> pivot_;
   int pivot_sign_ = 1;
-  double growth_ = 1.0;
 };
 
 /// Convenience: x = A⁻¹ b without keeping the factorization.

@@ -91,13 +91,6 @@ struct PlanPoint {
   cluster::Feasibility fit;
   PhaseEstimate per_report;
 
-  /// Campaign cost to run `n_sims` simulations: per-report time × number of
-  /// sequential jobs (CGYRO runs members one after another; XGYRO runs the
-  /// whole ensemble at once).
-  [[nodiscard]] double campaign_seconds_per_report() const {
-    return per_report.total() * (n_sims == 1 ? 1.0 : 1.0);
-  }
-
   [[nodiscard]] std::string describe() const;
 };
 

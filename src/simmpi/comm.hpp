@@ -145,7 +145,6 @@ class Comm {
   [[nodiscard]] std::uint64_t context() const { return group_->context; }
   [[nodiscard]] const std::string& label() const { return group_->label; }
   [[nodiscard]] const std::vector<int>& members() const { return group_->members; }
-  [[nodiscard]] int world_rank_of(int local) const { return group_->members[local]; }
   [[nodiscard]] Proc& proc() const { return *proc_; }
 
   // --- point to point (local ranks; user tags must be >= 0) ---------------

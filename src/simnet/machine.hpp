@@ -64,9 +64,6 @@ struct MachineSpec {
   bool gpu_aware_mpi = true;     ///< NIC reads/writes device memory directly
 
   [[nodiscard]] int total_ranks() const { return n_nodes * ranks_per_node; }
-  [[nodiscard]] double node_memory_bytes() const {
-    return rank_memory_bytes * ranks_per_node;
-  }
 };
 
 /// Frontier-like preset: 8 GCD ranks per node, 64 GB HBM per rank,

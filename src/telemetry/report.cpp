@@ -71,7 +71,7 @@ Json report_to_json(const RunReport& report) {
                   .set("intra_bytes", Json(report.intra_bytes))
                   .set("inter_bytes", Json(report.inter_bytes));
   }
-  Json recovery;  // null unless the run used the elastic executor
+  Json recovery;  // null unless the run had recovery or snapshots on
   if (report.have_recovery) {
     Json events = Json::array();
     for (const auto& ev : report.recoveries) {
@@ -165,7 +165,7 @@ RunReport report_from_json(const Json& doc) {
   rep.spans = static_cast<std::uint64_t>(trace.at("spans").as_int());
   rep.max_collective_skew_s = trace.at("max_collective_skew_s").as_double();
   // Optional since schema additions stay backward compatible: reports
-  // written before the elastic executor existed simply lack the key.
+  // written before the recovery section existed simply lack the key.
   const Json* recovery = doc.find("recovery");
   if (recovery != nullptr && !recovery->is_null()) {
     rep.have_recovery = true;

@@ -22,7 +22,7 @@ namespace xg::telemetry {
 /// serializes every field but `job` under its optional "recovery" object.
 struct RecoveryEvent {
   std::string kind;             ///< "rank_failure" or "deadlock"
-  int job = -1;                 ///< campaign job index (-1 standalone)
+  int job = -1;                 ///< service job id (-1 standalone)
   int world_rank = -1;          ///< failed rank
   double virtual_time_s = 0.0;  ///< virtual time of the failure
   std::string phase;            ///< solver phase at failure
@@ -55,7 +55,7 @@ struct RunReport {
   double max_collective_skew_s = 0.0;    ///< worst straggler lag
 
   /// Elastic checkpoint/recovery accounting. have_recovery is true when the
-  /// run used the elastic executor (even with zero events); reports written
+  /// run had recovery or snapshots on (even with zero events); reports written
   /// before this section existed parse with have_recovery = false.
   bool have_recovery = false;
   std::uint64_t snapshots_committed = 0;

@@ -155,10 +155,6 @@ Json chrome_trace_json(const mpi::RunResult& result) {
   return trace_document(std::move(events));
 }
 
-std::string render_chrome_trace(const mpi::RunResult& result) {
-  return chrome_trace_json(result).dump(2) + "\n";
-}
-
 void write_chrome_trace(const std::string& path, const mpi::RunResult& result) {
   write_json_file(path, chrome_trace_json(result));
 }

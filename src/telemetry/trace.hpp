@@ -54,9 +54,6 @@ Json trace_document(Json trace_events);
 /// become "X" rows named "mpi.<kind>" with args {comm, seq, bytes, ...}.
 Json chrome_trace_json(const mpi::RunResult& result);
 
-/// chrome_trace_json(...).dump(2) + newline.
-std::string render_chrome_trace(const mpi::RunResult& result);
-
 /// Write the trace document to `path`. Throws xg::Error on I/O failure.
 void write_chrome_trace(const std::string& path, const mpi::RunResult& result);
 

@@ -56,10 +56,8 @@ class EnsembleTransposer {
 
   [[nodiscard]] int n_sims() const { return k_; }
   [[nodiscard]] int pv() const { return pv_; }
-  [[nodiscard]] int coll_comm_size() const { return q_; }
   [[nodiscard]] int nc_loc() const { return nc_loc_; }
   [[nodiscard]] int nv_loc() const { return nv_loc_; }
-  [[nodiscard]] size_t block_elems() const { return block_; }
 
   /// Shape check helpers for the two layouts.
   [[nodiscard]] Tensor3<T> make_str_tensor() const {

@@ -136,15 +136,14 @@ JobResult run_job(const EnsembleInput& batch, const net::MachineSpec& machine,
                                                         nranks);
     }
     std::optional<ckpt::SnapshotRef> snapshot;
-    ckpt::Manifest manifest;
     std::int64_t start_interval = 0;
     if (resume) {
       auto scan = ckpt::find_latest_valid(options.checkpoint_dir);
       out.snapshots_rejected += scan.rejected.size();
       if (scan.latest_valid.has_value()) {
-        snapshot = scan.latest_valid;
-        manifest = ckpt::load_manifest(snapshot->path);
-        start_interval = std::min<std::int64_t>(manifest.interval, n_intervals);
+        snapshot = std::move(scan.latest_valid);
+        start_interval =
+            std::min<std::int64_t>(snapshot->manifest.interval, n_intervals);
       }
     }
     if (just_recovered) {
@@ -180,7 +179,8 @@ JobResult run_job(const EnsembleInput& batch, const net::MachineSpec& machine,
             }
             if (snapshot.has_value()) {
               mpi::ScopedSpan span(proc, "checkpoint.restore");
-              ckpt::restore_rank(snapshot->path, manifest, *sim, member);
+              ckpt::restore_rank(snapshot->path, snapshot->manifest, *sim,
+                                 member);
             }
             gyro::Diagnostics d;
             if (start_interval >= n_intervals) {

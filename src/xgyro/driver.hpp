@@ -1,10 +1,10 @@
 // The job runner: run a CGYRO simulation or an XGYRO ensemble as one
 // simulated HPC job and return the timing/traffic result. Every job in the
-// library — the CGYRO/XGYRO drivers, the campaign executor, the campaign
-// service and the CLI — goes through run_job, which owns the one rank body:
-// layout choice, snapshot restore, the report-interval loop, periodic
-// snapshots, per-member diagnostics, and elastic recovery from rank failures
-// and deadlocks.
+// library — the CGYRO/XGYRO drivers, the campaign service, the CLI and the
+// examples that run a campaign plan — goes through run_job, which owns the
+// one rank body: layout choice, snapshot restore, the report-interval loop,
+// periodic snapshots, per-member diagnostics, and elastic recovery from rank
+// failures and deadlocks.
 #pragma once
 
 #include <cstdint>

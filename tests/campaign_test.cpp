@@ -1,5 +1,6 @@
-// Campaign planner/executor tests: batching choices under memory pressure,
-// group handling, and end-to-end correctness of the executed jobs.
+// Campaign planner tests: batching choices under memory pressure, group
+// handling, and the planned batching's cost once its jobs run through
+// xgyro::run_job.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -14,7 +15,6 @@ namespace xg::campaign {
 namespace {
 
 using gyro::Input;
-using gyro::Mode;
 
 CampaignSpec small_spec(int k, int nodes, int rpn) {
   CampaignSpec spec;
@@ -166,19 +166,19 @@ TEST(Planner, PlanGroupPicksTheCheapestDivisor) {
   }
 }
 
-TEST(Executor, RunsPlanAndReportsEveryMember) {
-  const auto spec = small_spec(4, 2, 8);
-  const auto plan = plan_campaign(spec);
-  const auto result = run_campaign(spec, plan, Mode::kReal);
-  ASSERT_EQ(result.members.size(), 4u);
-  ASSERT_EQ(result.job_runs.size(), plan.jobs.size());
-  for (const auto& m : result.members) {
-    EXPECT_GE(m.member, 0);
-    EXPECT_LT(m.member, 4);
-    EXPECT_GT(m.diagnostics.phi_rms, 0.0);
-    EXPECT_EQ(m.diagnostics.steps, spec.members.members[0].n_steps_per_report);
+/// Campaign cost of running every job of `plan` through xgyro::run_job in
+/// model mode: Σ over jobs of seconds per reporting step.
+double run_plan(const CampaignSpec& spec, const CampaignPlan& plan) {
+  double total = 0.0;
+  for (const auto& job : plan.jobs) {
+    xgyro::EnsembleInput batch;
+    for (const int m : job.member_indices) {
+      batch.members.push_back(spec.members.members[m]);
+    }
+    total += xgyro::report_step_seconds(
+        xgyro::run_job(batch, spec.machine, job.ranks_per_sim).run);
   }
-  EXPECT_GT(result.total_report_seconds(), 0.0);
+  return total;
 }
 
 TEST(Executor, BatchedCampaignBeatsSequentialOnFrontier) {
@@ -194,7 +194,6 @@ TEST(Executor, BatchedCampaignBeatsSequentialOnFrontier) {
   spec.machine = net::testbox(8, 4);  // 32 ranks, CGYRO pv=8 spans 2 nodes
 
   const auto plan = plan_campaign(spec);
-  const auto batched = run_campaign(spec, plan, Mode::kModel);
 
   CampaignPlan sequential;
   for (int m = 0; m < 4; ++m) {
@@ -204,61 +203,8 @@ TEST(Executor, BatchedCampaignBeatsSequentialOnFrontier) {
     job.decomp = gyro::Decomposition::choose(base, job.ranks_per_sim, 1);
     sequential.jobs.push_back(job);
   }
-  const auto seq = run_campaign(spec, sequential, Mode::kModel);
 
-  EXPECT_LT(batched.total_report_seconds(), seq.total_report_seconds());
-}
-
-TEST(Executor, RecoveryExhaustionYieldsPartialResultWithHistory) {
-  // Two sharing groups -> two jobs with very different makespans: the kill
-  // times land inside the heavy job but beyond the light one, so only the
-  // heavy job burns its recovery budget. The campaign must come back as a
-  // partial CampaignResult — the structured failure AND the recovery that
-  // did succeed on record, and the light job's member still reported.
-  CampaignSpec spec;
-  Input heavy = Input::small_test(2);
-  heavy.n_steps_per_report = 8;
-  Input light = Input::small_test(2);
-  light.n_steps_per_report = 1;
-  light.collision.nu_ee *= 2.0;  // distinct fingerprint -> its own job
-  spec.members.members = {heavy, light};
-  spec.machine = net::testbox(2, 4);
-  const auto plan = plan_campaign(spec);
-  ASSERT_EQ(plan.jobs.size(), 2u);
-  int heavy_job = plan.jobs[0].member_indices[0] == 0 ? 0 : 1;
-
-  // Calibrate against a clean run: kills fire mid-heavy-job, after the
-  // light job would already be done.
-  const auto clean = run_campaign(spec, plan, Mode::kReal);
-  const double t_heavy = clean.job_runs[heavy_job].makespan_s;
-  const double t_light = clean.job_runs[1 - heavy_job].makespan_s;
-  ASSERT_GT(t_heavy, 1.2 * t_light);
-  const double t_kill = 0.5 * (t_heavy + t_light);
-
-  RecoveryOptions opts;
-  opts.max_recoveries = 1;
-  opts.faults.add_kill(0, t_kill);
-  // Armed for the retry: after the first recovery drops rank 0's node the
-  // survivors replan (slower), so this fires in the second attempt and
-  // exhausts the budget.
-  opts.faults.add_kill(1, t_kill * 1.01);
-  const auto res = run_campaign_elastic(spec, plan, Mode::kReal, opts);
-
-  EXPECT_FALSE(res.complete());
-  ASSERT_EQ(res.failures.size(), 1u);
-  EXPECT_EQ(res.failures[0].job, heavy_job);
-  EXPECT_EQ(res.failures[0].kind, "rank_failure");
-  EXPECT_FALSE(res.failures[0].reason.empty());
-  ASSERT_EQ(res.recoveries.size(), 1u);
-  EXPECT_EQ(res.recoveries[0].job, heavy_job);
-  EXPECT_EQ(res.recoveries[0].kind, "rank_failure");
-  EXPECT_EQ(res.recoveries[0].world_rank, 0);
-
-  // The surviving job still ran to completion.
-  ASSERT_EQ(res.job_runs.size(), 1u);
-  ASSERT_EQ(res.members.size(), 1u);
-  EXPECT_EQ(res.members[0].member, 1);  // the light member
-  EXPECT_EQ(res.members[0].diagnostics.steps, 1);
+  EXPECT_LT(run_plan(spec, plan), run_plan(spec, sequential));
 }
 
 }  // namespace

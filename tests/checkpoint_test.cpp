@@ -5,7 +5,7 @@
 //    of a zero included) and snapshots of another format version are
 //    rejected with a structured error, and find_latest_valid falls back to
 //    the previous valid snapshot;
-//  * the elastic executor survives an injected rank kill, replans on the
+//  * the job runner survives an injected rank kill, replans on the
 //    surviving nodes, and reproduces the fault-free physics.
 #include <gtest/gtest.h>
 
@@ -109,6 +109,21 @@ TEST(Checkpoint, WriterCommitsAtomicallyAndPrunes) {
   ASSERT_TRUE(scan.latest_valid.has_value());
   EXPECT_EQ(scan.latest_valid->interval, 3);
   EXPECT_TRUE(scan.rejected.empty());
+}
+
+TEST(Checkpoint, ScanKeepsTheValidatedManifest) {
+  // A resume reads the manifest from the scan instead of parsing it again,
+  // so the scan's copy must be exactly what load_manifest returns.
+  const TempDir dir("scan_manifest");
+  CheckpointWriter writer(dir.path, /*n_ranks=*/2);
+  commit_synthetic(writer, 1);
+  commit_synthetic(writer, 2);
+  const auto scan = find_latest_valid(dir.path);
+  ASSERT_TRUE(scan.latest_valid.has_value());
+  const Manifest& scanned = scan.latest_valid->manifest;
+  EXPECT_EQ(scanned.interval, 2);
+  EXPECT_EQ(scanned.shards.size(), 2u);
+  EXPECT_EQ(scanned, load_manifest(scan.latest_valid->path));
 }
 
 TEST(Checkpoint, EmptyDirHasNoSnapshot) {
@@ -591,6 +606,35 @@ TEST(ElasticRecovery, ExhaustedRecoveriesRaiseStructuredAbort) {
   }
 }
 
+TEST(ElasticRecovery, BudgetExhaustedAfterARecoveryKeepsItsHistory) {
+  // Two kills, one recovery allowed: the first kill is recovered (rank 0's
+  // node dropped, the job replanned and restarted on the survivor), the
+  // second fires in the slower retry and exhausts the budget. The abort
+  // still carries the recovery that did succeed.
+  xgyro::EnsembleInput batch;
+  batch.members.push_back(Input::small_test(2));
+  batch.members[0].n_steps_per_report = 8;
+  const auto machine = net::testbox(2, 4);
+  xgyro::JobOptions opts;
+  opts.mode = Mode::kReal;
+  const double t_clean = xgyro::run_job(batch, machine, 8, opts).run.makespan_s;
+
+  opts.max_recoveries = 1;
+  opts.faults.add_kill(0, 0.6 * t_clean);
+  opts.faults.add_kill(1, 0.6 * t_clean * 1.01);
+  try {
+    xgyro::run_job(batch, machine, 8, opts);
+    FAIL() << "expected JobAborted";
+  } catch (const xgyro::JobAborted& e) {
+    EXPECT_EQ(e.kind(), "rank_failure");
+    EXPECT_EQ(e.reason(), "recovery budget exhausted");
+    EXPECT_EQ(e.world_rank(), 1);
+    ASSERT_EQ(e.recoveries().size(), 1u);
+    EXPECT_EQ(e.recoveries()[0].kind, "rank_failure");
+    EXPECT_EQ(e.recoveries()[0].world_rank, 0);
+  }
+}
+
 TEST(ElasticRecovery, CheckpointingRequiresRealMode) {
   // Model mode carries no solver state, so there is nothing to snapshot.
   const TempDir dir("elastic_model");
@@ -653,24 +697,25 @@ TEST(ElasticRecovery, DeadlockAbortNamesTheHungRank) {
   }
 }
 
-TEST(ElasticRecovery, CampaignFailureMessageCarriesTheDeadlockReport) {
-  campaign::CampaignSpec spec;
-  spec.members.members = {Input::small_test(1)};
-  spec.machine = net::testbox(1, 4);
-  const auto plan = campaign::plan_campaign(spec);
-  ASSERT_EQ(plan.jobs.size(), 1u);
-  campaign::RecoveryOptions opts;
-  opts.max_recoveries = 0;
+TEST(ElasticRecovery, DeadlockAbortMessageCountsTheBlockedRanks) {
+  // what() carries the runtime's report: a "N rank(s) blocked" count that
+  // matches its per-rank lines, the hung rank 0 among them.
+  xgyro::JobOptions opts;
+  opts.mode = Mode::kReal;
   opts.faults = mpi::FaultPlan::parse("seed=1;hang=0@1e-9");
-  const auto res = campaign::run_campaign_elastic(spec, plan, Mode::kReal, opts);
-  ASSERT_EQ(res.failures.size(), 1u);
-  const auto& f = res.failures[0];
-  EXPECT_EQ(f.kind, "deadlock");
-  const size_t blocked = count_of(f.message, "\n  rank ");
-  EXPECT_GE(blocked, 1u);
-  EXPECT_NE(f.message.find(strprintf("%zu rank(s) blocked", blocked)),
-            std::string::npos);
-  EXPECT_NE(f.message.find("\n  rank 0: "), std::string::npos);
+  try {
+    xgyro::run_job(xgyro::EnsembleInput{{Input::small_test(1)}},
+                   net::testbox(1, 4), 4, opts);
+    FAIL() << "expected JobAborted";
+  } catch (const xgyro::JobAborted& e) {
+    EXPECT_EQ(e.kind(), "deadlock");
+    const std::string message = e.what();
+    const size_t blocked = count_of(message, "\n  rank ");
+    EXPECT_GE(blocked, 1u);
+    EXPECT_NE(message.find(strprintf("%zu rank(s) blocked", blocked)),
+              std::string::npos);
+    EXPECT_NE(message.find("\n  rank 0: "), std::string::npos);
+  }
 }
 
 TEST(ElasticRecovery, HangIsTransientLikeAKill) {

@@ -54,7 +54,6 @@ TEST(Input, SweepSafeParametersDoNotTouchCmatFingerprint) {
   sweep.n_steps_per_report = 50;
   sweep.tag = "variant";
   EXPECT_EQ(sweep.cmat_fingerprint(), base.cmat_fingerprint());
-  EXPECT_TRUE(cmat_compatible(base, sweep));
 }
 
 TEST(Input, CmatRelevantParametersChangeFingerprint) {
@@ -120,9 +119,6 @@ TEST(Input, DiffClassifiesChanges) {
   }
   EXPECT_EQ(relevant, 1);
   EXPECT_EQ(safe, 2);
-  const auto text = render_diff(diffs);
-  EXPECT_NE(text.find("NU_EE"), std::string::npos);
-  EXPECT_NE(text.find("BLOCKS sharing"), std::string::npos);
   EXPECT_TRUE(diff_inputs(a, a).empty());
 }
 

@@ -665,24 +665,30 @@ TEST(Golden, JobRunnerSignatures) {
             "3f3a774f97c2d482:3ef93755f9ff01b2:3f5b638e757ee2e4:124:656000:"
             "388");
 
-  // Two cmat-sharing groups -> a two-job plan.
+  // Two cmat-sharing groups -> a two-job plan, one run_job per job.
   campaign::CampaignSpec spec;
   Input other = cg;
   other.collision.nu_ee *= 2.0;
   other.tag = "other";
   spec.members.members = {ens.members[0], other};
   spec.machine = box;
-  spec.n_report_intervals = 2;
   const auto plan = campaign::plan_campaign(spec);
   ASSERT_EQ(plan.jobs.size(), 2u);
-  const auto camp = campaign::run_campaign(spec, plan, Mode::kReal);
-  std::string camp_sig;
-  for (const auto& run : camp.job_runs) camp_sig += run_signature(run) + "/";
-  for (const auto& m : camp.members) {
-    camp_sig += strprintf("|m%d.j%d", m.member, m.job) +
-                diag_signature(m.diagnostics);
+  std::string camp_sig, member_sig;
+  for (size_t j = 0; j < plan.jobs.size(); ++j) {
+    const auto& job = plan.jobs[j];
+    EnsembleInput batch;
+    for (const int m : job.member_indices) {
+      batch.members.push_back(spec.members.members[m]);
+    }
+    const auto r = run_job(batch, spec.machine, job.ranks_per_sim, real);
+    camp_sig += run_signature(r.run) + "/";
+    for (size_t i = 0; i < r.diagnostics.size(); ++i) {
+      member_sig += strprintf("|m%d.j%zu", job.member_indices[i], j) +
+                    diag_signature(r.diagnostics[i]);
+    }
   }
-  EXPECT_EQ(camp_sig,
+  EXPECT_EQ(camp_sig + member_sig,
             "3f72051d17b54acf:3f62ecb91dbac864:0000000000000000:"
             "0000000000000000:0000000000000000:3f45798ee2308c3b:"
             "0000000000000000:3f093755f9ff01f1:3f55213e2cfb2493:56:960:427/"
