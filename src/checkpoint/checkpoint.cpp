@@ -6,6 +6,7 @@
 #include <fstream>
 #include <map>
 #include <mutex>
+#include <tuple>
 
 #include "gyro/simulation.hpp"
 #include "telemetry/json.hpp"
@@ -265,40 +266,47 @@ bool CheckpointWriter::add_shard(std::int64_t interval, const Slice& slice,
                                  std::span<const cplx> data) {
   XG_REQUIRE(data.size() == slice.elems(),
              "CheckpointWriter: slice/data size mismatch");
-  const std::scoped_lock lock(impl_->mu);
-  const std::string tmp =
-      impl_->dir + "/" + snapshot_dirname(interval) + ".tmp";
-  auto& p = impl_->pending[interval];
-  if (p.registered == 0) {
-    std::error_code ec;
-    fs::remove_all(tmp, ec);  // leftovers from an aborted identical interval
-    fs::create_directories(tmp, ec);
-    if (ec) {
-      throw CheckpointError(strprintf(
-          "checkpoint: cannot create staging dir '%s': %s", tmp.c_str(),
-          ec.message().c_str()));
-    }
-    p.manifest.interval = interval;
-  }
-
   if (slice.member < 0) {
     throw CheckpointError("checkpoint: negative member index");
   }
-  auto& members = p.manifest.members;
-  if (static_cast<size_t>(slice.member) >= members.size()) {
-    members.resize(static_cast<size_t>(slice.member) + 1);
-  }
-  auto& existing = members[static_cast<size_t>(slice.member)];
-  if (existing.nv == 0) {
-    existing = meta;
-  } else if (existing.cmat_fingerprint != meta.cmat_fingerprint ||
-             existing.nv != meta.nv || existing.nc != meta.nc ||
-             existing.nt != meta.nt || existing.steps != meta.steps) {
-    throw CheckpointError(strprintf(
-        "checkpoint: ranks disagree on member %d metadata at interval %lld",
-        slice.member, static_cast<long long>(interval)));
+  const std::string tmp =
+      impl_->dir + "/" + snapshot_dirname(interval) + ".tmp";
+  {
+    // The first rank to reach an interval stages its directory; every rank
+    // checks its member's metadata against the first report of it.
+    const std::scoped_lock lock(impl_->mu);
+    const auto [it, first] = impl_->pending.try_emplace(interval);
+    Pending& p = it->second;
+    if (first) {
+      std::error_code ec;
+      fs::remove_all(tmp, ec);  // leftovers from an aborted identical interval
+      fs::create_directories(tmp, ec);
+      if (ec) {
+        impl_->pending.erase(it);
+        throw CheckpointError(strprintf(
+            "checkpoint: cannot create staging dir '%s': %s", tmp.c_str(),
+            ec.message().c_str()));
+      }
+      p.manifest.interval = interval;
+    }
+    auto& members = p.manifest.members;
+    if (static_cast<size_t>(slice.member) >= members.size()) {
+      members.resize(static_cast<size_t>(slice.member) + 1);
+    }
+    auto& existing = members[static_cast<size_t>(slice.member)];
+    if (existing.nv == 0) {
+      existing = meta;
+    } else if (existing.cmat_fingerprint != meta.cmat_fingerprint ||
+               existing.nv != meta.nv || existing.nc != meta.nc ||
+               existing.nt != meta.nt || existing.steps != meta.steps) {
+      throw CheckpointError(strprintf(
+          "checkpoint: ranks disagree on member %d metadata at interval %lld",
+          slice.member, static_cast<long long>(interval)));
+    }
   }
 
+  // Hash and write outside the lock, so the ranks' shards go to disk
+  // concurrently.
   ShardInfo info;
   info.file = shard_filename(slice);
   info.slice = slice;
@@ -317,10 +325,19 @@ bool CheckpointWriter::add_shard(std::int64_t interval, const Slice& slice,
   hd.cmat_fingerprint = meta.cmat_fingerprint;
   hd.payload_hash = info.payload_hash;
   write_shard_file(tmp + "/" + info.file, hd, data);
-  p.manifest.shards.push_back(std::move(info));
 
+  const std::scoped_lock lock(impl_->mu);
+  Pending& p = impl_->pending.at(interval);
+  p.manifest.shards.push_back(std::move(info));
   if (++p.registered < impl_->n_ranks) return false;
 
+  // Ranks register in host order; list the shards in slice order so the
+  // manifest's bytes do not depend on the schedule.
+  std::sort(p.manifest.shards.begin(), p.manifest.shards.end(),
+            [](const ShardInfo& a, const ShardInfo& b) {
+              return std::tie(a.slice.member, a.slice.iv0, a.slice.it0) <
+                     std::tie(b.slice.member, b.slice.iv0, b.slice.it0);
+            });
   // Last registrant commits: manifest written last, then one atomic rename
   // flips the whole snapshot from invisible to valid.
   telemetry::write_json_file(tmp + "/manifest.json",

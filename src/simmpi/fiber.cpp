@@ -9,8 +9,10 @@
 #include <cstdint>
 #include <mutex>
 #include <thread>
+#include <utility>
 
 #include "util/error.hpp"
+#include "util/rng.hpp"
 
 #if defined(__SANITIZE_ADDRESS__)
 #define XG_ASAN_FIBERS 1
@@ -311,6 +313,7 @@ struct alignas(64) FiberScheduler::Worker {
   std::vector<int> remote;  ///< guarded by mu: wakes from other threads
   bool sleeping = false;    ///< guarded by mu
   int unfinished = 0;       ///< this worker's fibers not yet returned
+  Rng rng{0};               ///< shuffles ready batches under a schedule seed
   Context ctx;              ///< where parked/returning fibers switch back to
   const void* asan_stack_bottom = nullptr;
   std::size_t asan_stack_size = 0;
@@ -327,13 +330,23 @@ std::uint64_t FiberScheduler::stacks_mapped() {
 }
 
 FiberScheduler::FiberScheduler(int nfibers, std::function<void(int)> body,
-                               std::function<void()> on_stall)
-    : body_(std::move(body)), on_stall_(std::move(on_stall)) {
+                               std::function<void()> on_stall,
+                               std::uint64_t schedule_seed)
+    : body_(std::move(body)),
+      on_stall_(std::move(on_stall)),
+      shuffle_(schedule_seed != 0) {
   XG_REQUIRE(nfibers >= 1, "FiberScheduler: need at least one fiber");
-  const int nworkers = workers_for(nfibers);
+  std::uint64_t seed_state = schedule_seed;
+  int nworkers = workers_for(nfibers);
+  if (shuffle_) {
+    nworkers = 1 + static_cast<int>(
+                       Rng(splitmix64(seed_state))
+                           .next_below(static_cast<std::uint64_t>(nworkers)));
+  }
   workers_.reserve(static_cast<size_t>(nworkers));
   for (int w = 0; w < nworkers; ++w) {
     workers_.push_back(std::make_unique<Worker>());
+    if (shuffle_) workers_.back()->rng = Rng(splitmix64(seed_state));
   }
   fibers_.reserve(static_cast<size_t>(nfibers));
   for (int i = 0; i < nfibers; ++i) {
@@ -430,6 +443,11 @@ void FiberScheduler::worker_loop(Worker& w) {
       }
       batch.insert(batch.end(), w.remote.begin(), w.remote.end());
       w.remote.clear();
+    }
+    if (shuffle_) {
+      for (size_t i = batch.size(); i > 1; --i) {
+        std::swap(batch[i - 1], batch[w.rng.next_below(i)]);
+      }
     }
     for (const int id : batch) resume(w, *fibers_[static_cast<size_t>(id)]);
     batch.clear();

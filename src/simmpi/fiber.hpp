@@ -36,9 +36,12 @@ class FiberScheduler {
   /// `body(i)` runs as fiber i and must not throw. `on_stall()` runs on a
   /// worker thread, outside any fiber, when every unfinished fiber is
   /// parked; to let the run finish it must wake every parked fiber (and
-  /// make them return).
+  /// make them return). A nonzero `schedule_seed` perturbs the host
+  /// schedule: it picks the worker count from [1, workers_for(nfibers)] and
+  /// shuffles each ready batch before resuming it.
   FiberScheduler(int nfibers, std::function<void(int)> body,
-                 std::function<void()> on_stall);
+                 std::function<void()> on_stall,
+                 std::uint64_t schedule_seed = 0);
   /// Returns the fibers' stacks to the pool.
   ~FiberScheduler();
   FiberScheduler(const FiberScheduler&) = delete;
@@ -71,6 +74,7 @@ class FiberScheduler {
 
   std::function<void(int)> body_;
   std::function<void()> on_stall_;
+  bool shuffle_ = false;  ///< a nonzero schedule seed was given
   std::vector<std::unique_ptr<Fiber>> fibers_;
   std::vector<std::unique_ptr<Worker>> workers_;
   /// Fibers that are ready or running; 0 with unfinished fibers = stall.

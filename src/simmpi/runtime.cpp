@@ -346,7 +346,7 @@ RunResult Runtime::run(const std::function<void(Proc&)>& body) {
           fail(std::current_exception());
         }
       },
-      [this, &procs] { report_deadlock(procs); });
+      [this, &procs] { report_deadlock(procs); }, opts_.schedule_seed);
   for (int r = 0; r < nranks_; ++r) {
     mailboxes_[r]->begin_run(&sched, r,
                              faults_on && opts_.faults.perturbs_messages());

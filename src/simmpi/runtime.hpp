@@ -223,6 +223,13 @@ struct RuntimeOptions {
   /// CollSelector::legacy() for the fixed pre-selector behavior, or a table
   /// loaded from an xgyro_colltune JSON file.
   std::shared_ptr<const CollSelector> coll_selector;
+  /// Host-schedule perturbation, for tests. 0 runs the fixed order. A
+  /// nonzero seed picks the worker count from [1, min(nranks, nproc)] and
+  /// shuffles each worker's ready batch before resuming it. Every virtual
+  /// result must be the same under any seed; a rank body run with a seed
+  /// must not block its OS thread on a host primitive (the worker count
+  /// may be 1).
+  std::uint64_t schedule_seed = 0;
 };
 
 /// Owns mailboxes and rank fibers for one simulated job.

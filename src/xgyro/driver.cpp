@@ -120,6 +120,7 @@ JobResult run_job(const EnsembleInput& batch, const net::MachineSpec& machine,
   ropts.faults = options.faults;
   ropts.check_invariants = options.check_invariants;
   ropts.coll_selector = options.coll_selector;
+  ropts.schedule_seed = options.schedule_seed;
   bool resume = options.resume && ckpt_enabled;
   int recoveries_left = options.max_recoveries;
   bool just_recovered = false;

@@ -56,6 +56,9 @@ struct JobOptions {
   /// Recoveries allowed before a RankFailure or DeadlockError ends the job
   /// as a JobAborted. 0 = the first failure aborts.
   int max_recoveries = 0;
+  /// Host-schedule perturbation forwarded to the runtime (see
+  /// mpi::RuntimeOptions::schedule_seed); 0 = the fixed order. Tests only.
+  std::uint64_t schedule_seed = 0;
 };
 
 /// One successful recovery of the runner, in the form a RunReport carries.

@@ -6,7 +6,9 @@
 //    rejected with a structured error, and find_latest_valid falls back to
 //    the previous valid snapshot;
 //  * the job runner survives an injected rank kill, replans on the
-//    surviving nodes, and reproduces the fault-free physics.
+//    surviving nodes, and reproduces the fault-free physics;
+//  * snapshot bytes, recoveries and RunResult bits do not depend on the
+//    host schedule (every schedule-perturbation seed gives the same).
 #include <gtest/gtest.h>
 
 #include <complex>
@@ -14,6 +16,8 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -27,6 +31,7 @@
 #include "util/error.hpp"
 #include "util/format.hpp"
 #include "util/hash.hpp"
+#include "run_digest.hpp"
 #include "xgyro/driver.hpp"
 #include "xgyro/ensemble.hpp"
 
@@ -751,6 +756,105 @@ TEST(ElasticRecovery, PlainJobAbortsOnFirstKill) {
     EXPECT_EQ(e.world_rank(), 1);
     EXPECT_GT(e.virtual_time_s(), 0.0);
     EXPECT_FALSE(e.phase().empty());
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Schedule perturbation: host scheduling moves no byte of a snapshot, no
+// recovery and no RunResult bit.
+
+/// Every file under `dir`, by path relative to it, with its bytes.
+std::map<std::string, std::string> files_under(const std::string& dir) {
+  std::map<std::string, std::string> out;
+  for (const auto& entry : fs::recursive_directory_iterator(dir)) {
+    if (!entry.is_regular_file()) continue;
+    std::ifstream in(entry.path(), std::ios::binary);
+    out[fs::relative(entry.path(), dir).string()] =
+        std::string(std::istreambuf_iterator<char>(in), {});
+  }
+  return out;
+}
+
+xgyro::EnsembleInput two_member_batch() {
+  return xgyro::EnsembleInput::sweep(Input::small_test(1), 2,
+                                     [](Input& in, int i) {
+                                       in.seed = 3 + i;
+                                       in.tag = "e" + std::to_string(i);
+                                     });
+}
+
+/// A k = 2 real-mode job, 2 ranks per member on 4 nodes x 2 ranks, with a
+/// snapshot every interval. `kill_at` > 0 kills rank 1 then, and one
+/// recovery on the surviving nodes is allowed.
+struct CheckpointedRun {
+  std::uint64_t digest = 0;  ///< RunResult, diagnostics, recoveries, counters
+  std::size_t recoveries = 0;
+  std::map<std::string, std::string> files;  ///< the checkpoint directory
+};
+
+CheckpointedRun run_checkpointed(double kill_at, std::uint64_t schedule_seed) {
+  const TempDir dir("perturbed_run");
+  xgyro::JobOptions opts;
+  opts.mode = Mode::kReal;
+  opts.n_report_intervals = 4;
+  opts.checkpoint_dir = dir.path;
+  opts.schedule_seed = schedule_seed;
+  if (kill_at > 0.0) {
+    opts.max_recoveries = 1;
+    opts.faults.seed = 11;
+    opts.faults.add_kill(1, kill_at);
+  }
+  const auto res = xgyro::run_job(two_member_batch(), net::testbox(4, 2), 2,
+                                  opts);
+  Hasher h;
+  h.u64(testing::run_digest(res.run));
+  for (const auto& d : res.diagnostics) {
+    h.i64(d.steps);
+    for (const double v : {d.time, d.phi_rms, d.flux_proxy, d.free_energy}) {
+      testing::hash_bits(h, v);
+    }
+  }
+  for (const auto& ev : res.recoveries) {
+    h.str(ev.kind).i64(ev.world_rank).str(ev.phase).i64(ev.resumed_interval);
+    testing::hash_bits(h, ev.virtual_time_s);
+    h.i64(ev.nodes_before).i64(ev.nodes_after);
+    h.i64(ev.ranks_per_sim_before).i64(ev.ranks_per_sim_after);
+  }
+  h.u64(res.snapshots_committed).u64(res.snapshots_rejected);
+  h.i64(res.ranks_per_sim).i64(res.machine.n_nodes);
+  return {h.digest(), res.recoveries.size(), files_under(dir.path)};
+}
+
+TEST(Checkpoint, ManifestBytesIndependentOfSchedule) {
+  // Ranks reach the writer in host order; the manifest lists shards in
+  // slice order, so every schedule writes the same bytes.
+  const auto want = run_checkpointed(0.0, 0).files;
+  ASSERT_TRUE(want.count("ckpt-00000004/manifest.json"));
+  for (std::uint64_t seed = 1; seed <= testing::kScheduleSeeds; ++seed) {
+    const auto got = run_checkpointed(0.0, seed).files;
+    for (const char* m : {"ckpt-00000003/manifest.json",
+                          "ckpt-00000004/manifest.json"}) {
+      ASSERT_TRUE(got.count(m)) << m << " schedule_seed=" << seed;
+      EXPECT_EQ(got.at(m), want.at(m)) << m << " schedule_seed=" << seed;
+    }
+  }
+}
+
+TEST(SchedulePerturbation, RecoveredKillBitIdenticalUnderEverySeed) {
+  xgyro::JobOptions clean;
+  clean.mode = Mode::kReal;
+  clean.n_report_intervals = 4;
+  const double makespan =
+      xgyro::run_job(two_member_batch(), net::testbox(4, 2), 2, clean)
+          .run.makespan_s;
+  // Late enough that a snapshot has committed, so the recovery resumes.
+  const auto want = run_checkpointed(0.75 * makespan, 0);
+  ASSERT_EQ(want.recoveries, 1u);
+  ASSERT_FALSE(want.files.empty());
+  for (std::uint64_t seed = 1; seed <= testing::kScheduleSeeds; ++seed) {
+    const auto got = run_checkpointed(0.75 * makespan, seed);
+    EXPECT_EQ(got.digest, want.digest) << "schedule_seed=" << seed;
+    EXPECT_TRUE(got.files == want.files) << "schedule_seed=" << seed;
   }
 }
 

@@ -2,9 +2,10 @@
 // (simmpi/coll.*): every selectable algorithm of every governed collective
 // must produce bit-identical typed results to the linear/serial reference on
 // power-of-two AND awkward rank counts, with and without fault injection
-// (stragglers and message jitter change timing, never data). Plus selector
-// semantics (rule matching, tuned vs legacy, JSON round-trip via telemetry)
-// and trace-row algorithm recording.
+// (stragglers and message jitter change timing, never data), and with the
+// same results, RunResult and trace bits under every schedule-perturbation
+// seed. Plus selector semantics (rule matching, tuned vs legacy, JSON
+// round-trip via telemetry) and trace-row algorithm recording.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -21,8 +22,10 @@
 #include "simmpi/comm.hpp"
 #include "simmpi/runtime.hpp"
 #include "simnet/machine.hpp"
+#include "run_digest.hpp"
 #include "telemetry/colltable.hpp"
 #include "util/error.hpp"
+#include "util/hash.hpp"
 
 namespace xg::mpi {
 namespace {
@@ -280,6 +283,101 @@ TEST(CollDifferential, AllToAllAllAlgorithmsMatchPersonalizedExchange) {
 
 TEST(CollDifferential, AllToAllBitExactUnderFaults) {
   check_alltoall("seed=23;straggler=1x3.0;jitter=0x0.4");
+}
+
+// ---------------------------------------------------------------------------
+// Schedule perturbation: the whole algorithm matrix, under stragglers and
+// jitter, gives bit-identical buffers, RunResult and sorted trace at every
+// schedule seed. The payloads are fractional, so a reduction order that
+// followed the host schedule would show in the bits.
+
+std::vector<double> fractional_payload(int rank, int n, int salt) {
+  auto v = rank_payload(rank, n, salt);
+  for (double& x : v) x = x / 7.0 + 0.1;
+  return v;
+}
+
+// One collective of `kind` run with `alg`; returns this rank's buffer.
+std::vector<double> run_one_collective(Proc& proc, Kind kind, CollAlg alg) {
+  auto world = proc.world();
+  const int me = world.rank();
+  const int p = world.size();
+  const int block = 12;
+  switch (kind) {
+    case Kind::kAllReduce: {
+      auto data = fractional_payload(me, 40, 0);
+      world.allreduce_sum(std::span<double>(data), alg);
+      return data;
+    }
+    case Kind::kReduce: {
+      auto data = fractional_payload(me, 40, 3);
+      world.reduce(
+          std::span<double>(data), [](double a, double b) { return a + b; },
+          p - 1, alg);
+      return data;
+    }
+    case Kind::kBcast: {
+      auto data = fractional_payload(me, 40, 5);
+      world.bcast(std::span<double>(data), p / 2, alg);
+      return data;
+    }
+    case Kind::kAllGather: {
+      const auto mine = fractional_payload(me, block, 9);
+      std::vector<double> all(static_cast<std::size_t>(block * p), -1.0);
+      world.allgather(std::span<const double>(mine), std::span<double>(all),
+                      alg);
+      return all;
+    }
+    case Kind::kAllToAll: {
+      std::vector<double> send;
+      for (int d = 0; d < p; ++d) {
+        const auto v = fractional_payload(me, block, 100 + d);
+        send.insert(send.end(), v.begin(), v.end());
+      }
+      std::vector<double> recv(static_cast<std::size_t>(block * p), -1.0);
+      world.alltoall(std::span<const double>(send), std::span<double>(recv),
+                     alg);
+      return recv;
+    }
+    default:
+      throw Error("run_one_collective: not a governed kind");
+  }
+}
+
+TEST(SchedulePerturbation, AlgorithmMatrixBitIdenticalUnderStragglerAndJitter) {
+  const auto faults = FaultPlan::parse(
+      "seed=7;straggler=1x3.0;jitter=0x0.5;delay=0.4x2e-6");
+  for (const Kind kind : {Kind::kAllReduce, Kind::kReduce, Kind::kBcast,
+                          Kind::kAllGather, Kind::kAllToAll}) {
+    for (const int p : kRankCounts) {
+      for (const CollAlg alg : selectable_algs(kind)) {
+        const auto digest = [&](std::uint64_t seed) {
+          RuntimeOptions ropts;
+          ropts.faults = faults;
+          ropts.enable_trace = true;
+          ropts.schedule_seed = seed;
+          std::vector<std::vector<double>> out(static_cast<std::size_t>(p));
+          const auto res = run_simulation(
+              spanning_machine(p), p,
+              [&](Proc& proc) {
+                out[static_cast<std::size_t>(proc.world_rank())] =
+                    run_one_collective(proc, kind, alg);
+              },
+              ropts);
+          Hasher h;
+          h.u64(testing::run_digest(res));
+          for (const auto& v : out) h.bytes(v.data(), v.size() * sizeof(double));
+          return h.digest();
+        };
+        const std::uint64_t want = digest(0);
+        for (std::uint64_t seed = 1; seed <= testing::kScheduleSeeds; ++seed) {
+          EXPECT_EQ(digest(seed), want)
+              << trace_kind_name(kind) << " " << coll_alg_name(alg)
+              << " p=" << p << " schedule_seed=" << seed;
+        }
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -1,18 +1,21 @@
 // Fault-injection + invariant-monitor tests: FaultPlan spec parsing, the
 // differential allreduce check (bit-identical results across algorithms on
 // power-of-two and awkward rank counts), deterministic replay of injected
-// faults, rank-kill → structured RankFailure, exact deadlock detection, and
-// the per-collective invariant monitor catching deliberately broken
-// collectives that a clean run never trips, with the full text of each kind
-// of violation pinned.
+// faults, rank-kill → structured RankFailure, exact deadlock detection (the
+// same blocked set under every schedule-perturbation seed, and no false
+// stall on healthy cross-worker runs), and the per-collective invariant
+// monitor catching deliberately broken collectives that a clean run never
+// trips, with the full text of each kind of violation pinned.
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cstdint>
 #include <cstring>
 #include <functional>
 #include <map>
 #include <mutex>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "gyro/simulation.hpp"
@@ -22,6 +25,8 @@
 #include "simmpi/runtime.hpp"
 #include "simnet/machine.hpp"
 #include "util/error.hpp"
+#include "run_digest.hpp"
+#include "util/format.hpp"
 #include "util/hash.hpp"
 #include "xgyro/ensemble.hpp"
 
@@ -340,7 +345,8 @@ TEST(RankKill, ManyFibersPerWorkerSurfaceTheSameReplayableFailure) {
 
 // ---------------------------------------------------------------------------
 // Deadlock detection: a stuck virtual schedule becomes a diagnosable report
-// the moment the last runnable rank blocks — no timeout involved.
+// the moment the last worker with a fiber left to run goes idle — no
+// timeout involved.
 
 double wall_seconds_since(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
@@ -383,86 +389,233 @@ TEST(Watchdog, QuietOnHealthyRuns) {
   }));
 }
 
-TEST(Deadlock, ReportsTwoRankReceiveCycle) {
-  // Each rank receives from the other before sending: a cycle across two
-  // ranks, which sit on different workers whenever the host has 2+ cores.
-  const auto t0 = std::chrono::steady_clock::now();
-  try {
-    run_simulation(net::testbox(1, 2), 2, [](Proc& p) {
-      p.set_phase("cycle");
-      auto world = p.world();
-      const int peer = 1 - p.world_rank();
-      int v = p.world_rank();
-      world.recv(std::span<int>(&v, 1), peer, /*tag=*/4);
-      world.send(std::span<const int>(&v, 1), peer, /*tag=*/4);
-    });
-    ADD_FAILURE() << "receive cycle did not raise DeadlockError";
-  } catch (const DeadlockError& d) {
-    EXPECT_LT(wall_seconds_since(t0), 1.0);
-    ASSERT_EQ(d.blocked().size(), 2u);
-    for (int r = 0; r < 2; ++r) {
-      const auto& b = d.blocked()[static_cast<size_t>(r)];
-      EXPECT_EQ(b.world_rank, r);
-      EXPECT_EQ(b.waiting_src_world, 1 - r);
-      EXPECT_EQ(b.waiting_tag, 4);
-      EXPECT_EQ(b.phase, "cycle");
-      EXPECT_EQ(b.mailbox_pending, 0u);
+// Each rank receives from the other before sending: a cycle across two
+// ranks, which sit on different workers whenever the host has 2+ cores.
+void run_two_rank_cycle(std::uint64_t schedule_seed) {
+  RuntimeOptions opts;
+  opts.schedule_seed = schedule_seed;
+  run_simulation(net::testbox(1, 2), 2, [](Proc& p) {
+    p.set_phase("cycle");
+    auto world = p.world();
+    const int peer = 1 - p.world_rank();
+    int v = p.world_rank();
+    world.recv(std::span<int>(&v, 1), peer, /*tag=*/4);
+    world.send(std::span<const int>(&v, 1), peer, /*tag=*/4);
+  }, opts);
+}
+
+// 64 ranks: many fibers per worker. Rank 37 waits forever for a message
+// rank 5 never sends; the other 63 ranks do real work and finish.
+void run_orphaned_receive(std::uint64_t schedule_seed) {
+  RuntimeOptions opts;
+  opts.schedule_seed = schedule_seed;
+  run_simulation(net::testbox(4, 16), 64, [](Proc& p) {
+    auto world = p.world();
+    p.set_phase("work");
+    std::vector<double> v(4, 1.0);
+    world.allreduce_sum(std::span<double>(v));
+    if (p.world_rank() == 37) {
+      p.set_phase("orphan_recv");
+      int x = 0;
+      world.recv(std::span<int>(&x, 1), /*src=*/5, /*tag=*/77);
     }
+  }, opts);
+}
+
+// Rank 2 hangs at its first observation point after t = 0.5; the others
+// then wait on it in the next allreduce.
+void run_hung_rank(std::uint64_t schedule_seed) {
+  RuntimeOptions opts;
+  opts.faults = FaultPlan::parse("seed=3;hang=2@0.5");
+  opts.schedule_seed = schedule_seed;
+  Runtime(net::testbox(1, 4), 4, opts).run([](Proc& p) {
+    p.set_phase("work");
+    for (int i = 0; i < 4; ++i) {
+      p.advance(0.2);
+      std::vector<double> v(4, 1.0);
+      p.world().allreduce_sum(std::span<double>(v));
+    }
+  });
+}
+
+// 8 ranks: every rank but `a` and `b` returns at once, and those two each
+// receive from the other before sending. The workers whose fibers have all
+// returned stay idle for good while the pair stalls.
+void run_pair_stall(int a, int b, std::uint64_t schedule_seed) {
+  RuntimeOptions opts;
+  opts.schedule_seed = schedule_seed;
+  run_simulation(net::testbox(2, 4), 8, [a, b](Proc& p) {
+    const int me = p.world_rank();
+    if (me != a && me != b) return;
+    p.set_phase("pair");
+    auto world = p.world();
+    const int peer = me == a ? b : a;
+    int v = me;
+    world.recv(std::span<int>(&v, 1), peer, /*tag=*/6);
+    world.send(std::span<const int>(&v, 1), peer, /*tag=*/6);
+  }, opts);
+}
+
+// Ranks 6 and 7 share the last worker.
+void run_pair_stall_one_worker(std::uint64_t schedule_seed) {
+  run_pair_stall(6, 7, schedule_seed);
+}
+
+// Ranks 0 and 7 sit on the first and the last worker whenever there are
+// two or more.
+void run_pair_stall_two_workers(std::uint64_t schedule_seed) {
+  run_pair_stall(0, 7, schedule_seed);
+}
+
+DeadlockError expect_deadlock(const std::function<void()>& run) {
+  try {
+    run();
+  } catch (const DeadlockError& d) {
+    return d;
+  }
+  ADD_FAILURE() << "stuck schedule did not raise DeadlockError";
+  return DeadlockError("", {});
+}
+
+TEST(Deadlock, ReportsTwoRankReceiveCycle) {
+  const auto t0 = std::chrono::steady_clock::now();
+  const auto d = expect_deadlock([] { run_two_rank_cycle(0); });
+  EXPECT_LT(wall_seconds_since(t0), 1.0);
+  ASSERT_EQ(d.blocked().size(), 2u);
+  for (int r = 0; r < 2; ++r) {
+    const auto& b = d.blocked()[static_cast<size_t>(r)];
+    EXPECT_EQ(b.world_rank, r);
+    EXPECT_EQ(b.waiting_src_world, 1 - r);
+    EXPECT_EQ(b.waiting_tag, 4);
+    EXPECT_EQ(b.phase, "cycle");
+    EXPECT_EQ(b.mailbox_pending, 0u);
   }
 }
 
 TEST(Deadlock, NamesTheOneStuckRankAmongManyFibersPerWorker) {
-  // 64 ranks: many fibers per worker. Rank 37 waits forever for a message
-  // rank 5 never sends; the other 63 ranks do real work and finish.
-  constexpr int kRanks = 64;
   const auto t0 = std::chrono::steady_clock::now();
-  try {
-    run_simulation(net::testbox(4, 16), kRanks, [](Proc& p) {
-      auto world = p.world();
-      p.set_phase("work");
-      std::vector<double> v(4, 1.0);
-      world.allreduce_sum(std::span<double>(v));
-      if (p.world_rank() == 37) {
-        p.set_phase("orphan_recv");
-        int x = 0;
-        world.recv(std::span<int>(&x, 1), /*src=*/5, /*tag=*/77);
-      }
-    });
-    ADD_FAILURE() << "orphaned receive did not raise DeadlockError";
-  } catch (const DeadlockError& d) {
-    EXPECT_LT(wall_seconds_since(t0), 1.0);
-    ASSERT_EQ(d.blocked().size(), 1u);
-    const auto& b = d.blocked().front();
-    EXPECT_EQ(b.world_rank, 37);
-    EXPECT_EQ(b.waiting_src_world, 5);
-    EXPECT_EQ(b.waiting_tag, 77);
-    EXPECT_EQ(b.phase, "orphan_recv");
-  }
+  const auto d = expect_deadlock([] { run_orphaned_receive(0); });
+  EXPECT_LT(wall_seconds_since(t0), 1.0);
+  ASSERT_EQ(d.blocked().size(), 1u);
+  const auto& b = d.blocked().front();
+  EXPECT_EQ(b.world_rank, 37);
+  EXPECT_EQ(b.waiting_src_world, 5);
+  EXPECT_EQ(b.waiting_tag, 77);
+  EXPECT_EQ(b.phase, "orphan_recv");
 }
 
 TEST(Deadlock, HungRankStallsItsPeersIntoOneReport) {
-  // Rank 2 hangs at its first observation point after t = 0.5; the others
-  // then wait on it in the next allreduce. Every rank is in the report, the
-  // hung one parked on its own channel.
+  // Every rank is in the report, the hung one parked on its own channel.
+  const auto d = expect_deadlock([] { run_hung_rank(0); });
+  ASSERT_EQ(d.blocked().size(), 4u);
+  const auto& hung = d.blocked()[2];
+  EXPECT_EQ(hung.world_rank, 2);
+  EXPECT_EQ(hung.waiting_src_world, 2);
+  EXPECT_GE(hung.virtual_time_s, 0.5);
+  EXPECT_EQ(hung.phase, "work");
+}
+
+void expect_pair_report(const DeadlockError& d, int a, int b) {
+  ASSERT_EQ(d.blocked().size(), 2u);
+  EXPECT_EQ(d.blocked()[0].world_rank, a);
+  EXPECT_EQ(d.blocked()[0].waiting_src_world, b);
+  EXPECT_EQ(d.blocked()[1].world_rank, b);
+  EXPECT_EQ(d.blocked()[1].waiting_src_world, a);
+  for (const auto& info : d.blocked()) {
+    EXPECT_EQ(info.waiting_tag, 6);
+    EXPECT_EQ(info.phase, "pair");
+  }
+}
+
+TEST(Deadlock, PairStallsAfterEveryOtherRankReturned) {
+  const auto t0 = std::chrono::steady_clock::now();
+  const auto d = expect_deadlock([] { run_pair_stall_one_worker(0); });
+  EXPECT_LT(wall_seconds_since(t0), 1.0);
+  expect_pair_report(d, 6, 7);
+}
+
+TEST(Deadlock, PairStallsAcrossWorkersAfterEveryOtherRankReturned) {
+  const auto t0 = std::chrono::steady_clock::now();
+  const auto d = expect_deadlock([] { run_pair_stall_two_workers(0); });
+  EXPECT_LT(wall_seconds_since(t0), 1.0);
+  expect_pair_report(d, 0, 7);
+}
+
+// 20 back-to-back healthy 64-rank runs in which every receive names a rank
+// 16 or more places away, i.e. on another worker whenever there are two or
+// more: each wake crosses workers, and none of the runs may stall.
+void run_cross_worker_rings(std::uint64_t schedule_seed) {
+  constexpr int kRanks = 64;
   RuntimeOptions opts;
-  opts.faults = FaultPlan::parse("seed=3;hang=2@0.5");
-  try {
-    Runtime(net::testbox(1, 4), 4, opts).run([](Proc& p) {
-      p.set_phase("work");
-      for (int i = 0; i < 4; ++i) {
-        p.advance(0.2);
-        std::vector<double> v(4, 1.0);
-        p.world().allreduce_sum(std::span<double>(v));
+  opts.schedule_seed = schedule_seed;
+  for (int run = 0; run < 20; ++run) {
+    std::vector<int> got(kRanks, 0);
+    run_simulation(net::testbox(4, 16), kRanks, [&got](Proc& p) {
+      auto world = p.world();
+      const int me = p.world_rank();
+      int sum = 0;
+      for (const int shift : {16, 33, 48}) {
+        const int out = me;
+        int in = -1;
+        world.send(std::span<const int>(&out, 1), (me + shift) % kRanks,
+                   shift);
+        world.recv(std::span<int>(&in, 1), (me + kRanks - shift) % kRanks,
+                   shift);
+        sum += in;
       }
-    });
-    ADD_FAILURE() << "hung rank did not raise DeadlockError";
-  } catch (const DeadlockError& d) {
-    ASSERT_EQ(d.blocked().size(), 4u);
-    const auto& hung = d.blocked()[2];
-    EXPECT_EQ(hung.world_rank, 2);
-    EXPECT_EQ(hung.waiting_src_world, 2);
-    EXPECT_GE(hung.virtual_time_s, 0.5);
-    EXPECT_EQ(hung.phase, "work");
+      got[static_cast<size_t>(me)] = sum;
+    }, opts);
+    for (int me = 0; me < kRanks; ++me) {
+      int want = 0;
+      for (const int shift : {16, 33, 48}) want += (me + kRanks - shift) % kRanks;
+      EXPECT_EQ(got[static_cast<size_t>(me)], want) << "run " << run;
+    }
+  }
+}
+
+TEST(Watchdog, QuietOnBackToBackCrossWorkerRuns) {
+  EXPECT_NO_THROW(run_cross_worker_rings(0));
+}
+
+// ---------------------------------------------------------------------------
+// Schedule perturbation: each stuck schedule above reports the same blocked
+// set at every schedule seed, and the healthy cross-worker runs never stall.
+
+std::string blocked_set(const DeadlockError& d) {
+  std::string out;
+  for (const auto& b : d.blocked()) {
+    out += strprintf("rank %d t=%a phase=%s src=%d tag=%d ctx=%016llx "
+                     "hung=%d pending=%zu\n",
+                     b.world_rank, b.virtual_time_s, b.phase.c_str(),
+                     b.waiting_src_world, b.waiting_tag,
+                     static_cast<unsigned long long>(b.waiting_context),
+                     b.hung ? 1 : 0, b.mailbox_pending);
+  }
+  return out;
+}
+
+TEST(SchedulePerturbation, DeadlockReportsKeepTheirBlockedSets) {
+  const std::vector<std::pair<const char*, void (*)(std::uint64_t)>> cases = {
+      {"two_rank_cycle", &run_two_rank_cycle},
+      {"orphaned_receive", &run_orphaned_receive},
+      {"hung_rank", &run_hung_rank},
+      {"pair_stall_one_worker", &run_pair_stall_one_worker},
+      {"pair_stall_two_workers", &run_pair_stall_two_workers},
+  };
+  for (const auto& [name, run] : cases) {
+    const auto want = blocked_set(expect_deadlock([run = run] { run(0); }));
+    EXPECT_FALSE(want.empty()) << name;
+    for (std::uint64_t seed = 1; seed <= testing::kScheduleSeeds; ++seed) {
+      EXPECT_EQ(blocked_set(expect_deadlock([run = run, seed] { run(seed); })),
+                want)
+          << name << " schedule_seed=" << seed;
+    }
+  }
+}
+
+TEST(SchedulePerturbation, NoFalseStallOnCrossWorkerRuns) {
+  for (std::uint64_t seed = 1; seed <= testing::kScheduleSeeds; ++seed) {
+    EXPECT_NO_THROW(run_cross_worker_rings(seed)) << "schedule_seed=" << seed;
   }
 }
 

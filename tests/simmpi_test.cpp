@@ -18,6 +18,7 @@
 #include <thread>
 
 #include "alloc_count.hpp"
+#include "run_digest.hpp"
 #include "simmpi/comm.hpp"
 #include "simmpi/fiber.hpp"
 #include "simmpi/runtime.hpp"
@@ -1046,6 +1047,53 @@ TEST(Fiber, BackToBackRunsReusePooledStacks) {
     expect_same_result(stack_job(sizes[i]), first[i]);
   }
   EXPECT_EQ(detail::FiberScheduler::stacks_mapped(), mapped);
+}
+
+// ---------------------------------------------------------------------------
+// Schedule perturbation: a traced job with a split, real and virtual
+// payloads, compute charges and spans gives the same RunResult bits, the
+// sorted trace and spans included, at every schedule seed. The seed changes
+// only the host order in which fibers run.
+
+RunResult traced_mixed_job(int n, std::uint64_t schedule_seed) {
+  RuntimeOptions opts;
+  opts.enable_trace = true;
+  opts.enable_traffic = true;
+  opts.schedule_seed = schedule_seed;
+  return run_simulation(small_machine(n), n, [n](Proc& p) {
+    auto world = p.world();
+    const int me = p.world_rank();
+    p.set_phase("ring");
+    {
+      const ScopedSpan span(p, "ring");
+      auto out = rank_values(me, 16);
+      std::vector<double> in(16);
+      world.send(std::span<const double>(out), (me + 1) % n, /*tag=*/1);
+      world.recv(std::span<double>(in), (me + n - 1) % n, /*tag=*/1);
+      p.compute(1e5 * (1 + me % 5), 8.0 * in.size());
+    }
+    p.set_phase("split");
+    auto half = world.split(me % 2, me, "half");
+    auto v = rank_values(me, 24);
+    half.allreduce_sum(std::span<double>(v));
+    world.alltoall_virtual(256);
+    p.set_phase("world");
+    {
+      const ScopedSpan span(p, "world");
+      world.allreduce_sum(std::span<double>(v));
+      world.barrier();
+    }
+  }, opts);
+}
+
+TEST(SchedulePerturbation, TracedMixedJobBitIdenticalUnderEverySeed) {
+  for (const int n : {3, 17, 64}) {
+    const std::uint64_t want = testing::run_digest(traced_mixed_job(n, 0));
+    for (std::uint64_t seed = 1; seed <= testing::kScheduleSeeds; ++seed) {
+      EXPECT_EQ(testing::run_digest(traced_mixed_job(n, seed)), want)
+          << "n=" << n << " schedule_seed=" << seed;
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@
 #include "campaign/campaign.hpp"
 #include "gyro/simulation.hpp"
 #include "perfmodel/perfmodel.hpp"
+#include "run_digest.hpp"
 #include "simmpi/traffic.hpp"
 #include "simnet/machine.hpp"
 #include "util/format.hpp"
@@ -730,7 +731,7 @@ TEST(Golden, JobRunnerSignatures) {
 // ranks each, sharing cmat. Pins both jobs' makespan, per-phase and traffic
 // bits, so a change to rank start-up (grid, classification, communicator
 // splits, the invariant monitor) cannot move a paper-scale virtual result.
-TEST(Golden, Fig2ModelSignature) {
+void expect_fig2_model_signature(std::uint64_t schedule_seed) {
   constexpr int kVariants = 8;
   Input base = Input::nl03c_like();
   base.n_steps_per_report = 1;
@@ -741,18 +742,33 @@ TEST(Golden, Fig2ModelSignature) {
   const auto machine = perfmodel::nl03c_machine(32);
   const int nranks = machine.total_ranks();
   ASSERT_EQ(nranks, 256);
+  JobOptions options;
+  options.schedule_seed = schedule_seed;
   // Traffic sums to the traced fig2_model op: 128,512 messages,
   // 431,320,477,696 bytes, 1,974 checked collectives.
-  EXPECT_EQ(run_signature(run_cgyro_job(base, machine, nranks)),
+  EXPECT_EQ(run_signature(run_cgyro_job(base, machine, nranks, options)),
             "3fe3d0436421cc06:3f3b8745c4c2e82d:3f56a15aefc1ecb0:"
             "3f27be68d60a3cb5:3f8d3b44e7a02b1b:3f664c41c34e7735:"
             "3f5f4c2866127e72:3f168c1a6a63fdb1:3fe323b45b3a7472:72192:"
-            "58260498432:404");
-  EXPECT_EQ(run_signature(run_xgyro_job(ensemble, machine, nranks / kVariants)),
+            "58260498432:404")
+      << "schedule_seed=" << schedule_seed;
+  EXPECT_EQ(run_signature(run_xgyro_job(ensemble, machine, nranks / kVariants,
+                                        options)),
             "3fe6e44ba428dd9a:3f688be8c1b29278:3f30017d751fe55a:"
             "3f55e8a5c07656ba:3fb4730420777756:3f8645f7267232fc:"
             "3f961a0eeca65fa8:3f11af55f4a3b68e:3fe324b1c7917ea6:56320:"
-            "373059979264:1570");
+            "373059979264:1570")
+      << "schedule_seed=" << schedule_seed;
+}
+
+TEST(Golden, Fig2ModelSignature) { expect_fig2_model_signature(0); }
+
+// The same pair, with the same expected strings, under every schedule
+// seed: host scheduling moves no paper-scale virtual result.
+TEST(SchedulePerturbation, Fig2ModelSignatureUnderEverySeed) {
+  for (std::uint64_t seed = 1; seed <= testing::kScheduleSeeds; ++seed) {
+    expect_fig2_model_signature(seed);
+  }
 }
 
 }  // namespace
