@@ -311,7 +311,9 @@ struct alignas(64) FiberScheduler::Worker {
   std::mutex mu;
   std::condition_variable cv;
   std::vector<int> remote;  ///< guarded by mu: wakes from other threads
-  bool sleeping = false;    ///< guarded by mu
+  /// Guarded by mu. Set, together with this worker's idle_ increment, when
+  /// it sleeps; a remote wake clears it and takes the increment back.
+  bool sleeping = false;
   int unfinished = 0;       ///< this worker's fibers not yet returned
   Rng rng{0};               ///< shuffles ready batches under a schedule seed
   Context ctx;              ///< where parked/returning fibers switch back to
@@ -368,7 +370,6 @@ FiberScheduler::FiberScheduler(int nfibers, std::function<void(int)> body,
     w->local.reserve(static_cast<size_t>(w->unfinished));
     w->remote.reserve(static_cast<size_t>(w->unfinished));
   }
-  runnable_.store(nfibers);
   unfinished_.store(nfibers);
 }
 
@@ -399,9 +400,6 @@ void FiberScheduler::park(int id) {
 void FiberScheduler::wake(int id) {
   const Fiber& f = *fibers_[static_cast<size_t>(id)];
   Worker& w = *workers_[static_cast<size_t>(f.worker)];
-  // Count before publishing, so the woken fiber's eventual park can never
-  // take the count to zero ahead of this increment.
-  runnable_.fetch_add(1);
   if (t_worker == &w) {
     w.local.push_back(id);
     return;
@@ -410,7 +408,12 @@ void FiberScheduler::wake(int id) {
   {
     const std::scoped_lock lock(w.mu);
     w.remote.push_back(id);
-    notify = w.sleeping;
+    if (w.sleeping) {
+      // Out of the idle count before this waker's own worker can go idle.
+      w.sleeping = false;
+      idle_.fetch_sub(1);
+      notify = true;
+    }
   }
   if (notify) w.cv.notify_one();
 }
@@ -424,25 +427,32 @@ void FiberScheduler::resume(Worker& w, Fiber& f) {
     w.unfinished -= 1;
     unfinished_.fetch_sub(1);
   }
-  // The fiber parked or returned. Every wake comes from a running fiber (or
-  // from on_stall), so a count of zero means no wake can ever arrive.
-  if (runnable_.fetch_sub(1) == 1 && unfinished_.load() > 0) on_stall_();
 }
 
 void FiberScheduler::worker_loop(Worker& w) {
+  const int nworkers = static_cast<int>(workers_.size());
   std::vector<int> batch;
   batch.reserve(w.local.capacity());
-  while (w.unfinished > 0) {
+  for (;;) {
     batch.swap(w.local);
     {
       std::unique_lock lock(w.mu);
-      if (batch.empty()) {
-        w.sleeping = true;
-        w.cv.wait(lock, [&w] { return !w.remote.empty(); });
-        w.sleeping = false;
-      }
       batch.insert(batch.end(), w.remote.begin(), w.remote.end());
       w.remote.clear();
+      if (batch.empty()) {
+        if (idle_.fetch_add(1) + 1 == nworkers && unfinished_.load() > 0) {
+          // Every worker is idle and no wake is in flight: a stall. This
+          // worker is not idle while on_stall runs.
+          idle_.fetch_sub(1);
+          lock.unlock();
+          on_stall_();
+          continue;
+        }
+        if (w.unfinished == 0) return;  // idle for the rest of the run
+        w.sleeping = true;
+        w.cv.wait(lock, [&w] { return !w.sleeping; });
+        continue;  // the waker took this worker out of the idle count
+      }
     }
     if (shuffle_) {
       for (size_t i = batch.size(); i > 1; --i) {

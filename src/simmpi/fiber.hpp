@@ -1,8 +1,9 @@
 // Stackful fibers for simulated ranks, pinned to a small pool of worker
 // threads (internal to simmpi; user code sees only Runtime/Proc).
 //
-// Fiber i runs on worker ⌊i·W/n⌋, W = min(n, hardware_concurrency()); the
-// first worker is the thread that calls run(). Fibers never migrate, so only
+// Fiber i runs on worker ⌊i·W/n⌋, W = min(n, hardware_concurrency()) (a
+// nonzero schedule seed draws W from [1, that] instead); the first worker
+// is the thread that calls run(). Fibers never migrate, so only
 // the owning worker ever resumes a fiber. A wake issued on the target's own
 // worker goes to that worker's unlocked local queue; a wake from another
 // thread goes to its mutex-guarded remote queue. Each worker runs its ready
@@ -16,11 +17,30 @@
 // destroyed, so a job maps stacks only until the pool has enough of them.
 //
 // A fiber leaves the CPU only by park() or by returning; park() is matched
-// by exactly one wake(). The scheduler counts runnable fibers (ready plus
-// running). When that count drops to zero while some fibers are unfinished,
-// nothing can ever wake them except the stall callback, which the
-// scheduler then calls once per stall — deadlock detection is exact and
-// needs no timeout.
+// by exactly one wake(). Deadlock detection counts idle *workers*, not
+// runnable fibers, so a wake or a park touches no line shared by all
+// workers unless it crosses workers: a local wake is a plain push, and a
+// resume touches no atomic except the unfinished count when a fiber
+// returns. A worker is idle when its local and remote queues are both
+// empty. It then increments the idle count under its own mutex and sleeps;
+// a remote wake that finds it asleep clears its sleeping flag and
+// decrements the count under that mutex, before notifying; a worker whose
+// fibers have all returned counts as idle for the rest of the run. The
+// worker whose increment brings the count to W while fibers are unfinished
+// takes its increment back and calls the stall callback once, then looks at
+// its queues again (the callback may have woken its own fibers).
+//
+// Why the count is exact: a wake comes only from a running fiber or from
+// the stall callback, whose worker is not counted while it runs. A worker
+// counts itself idle only after finding both queues empty under its mutex,
+// and a remote wake takes a sleeping target out of the count before the
+// waker's own worker can go idle. So the count is W exactly when no fiber
+// runs and no wake is in flight: nothing but the stall callback can ever
+// wake the unfinished fibers, and detection needs no timeout. The
+// schedule-perturbation tests (SchedulePerturbation.* in simmpi_test,
+// fault_test, coll_test, checkpoint_test and xgyro_test) check that every
+// stall is still reported, with the same blocked set, under shuffled ready
+// batches and random worker counts.
 #pragma once
 
 #include <atomic>
@@ -77,8 +97,9 @@ class FiberScheduler {
   bool shuffle_ = false;  ///< a nonzero schedule seed was given
   std::vector<std::unique_ptr<Fiber>> fibers_;
   std::vector<std::unique_ptr<Worker>> workers_;
-  /// Fibers that are ready or running; 0 with unfinished fibers = stall.
-  std::atomic<int> runnable_{0};
+  /// Workers with nothing to run (asleep, or out of fibers for good); W
+  /// with unfinished fibers = stall.
+  std::atomic<int> idle_{0};
   std::atomic<int> unfinished_{0};
 };
 
