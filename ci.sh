@@ -28,8 +28,14 @@
 #      their Golden.* (event log, report and job-report bytes) and
 #      Planner.* cases run; its ensemble_real writes and validates
 #      snapshots at -O3, so checkpoint_test is built there and its
-#      Checkpoint.* (payload digest, corruption and format-version
-#      refusal) and CheckpointRoundTrip.* cases run
+#      Checkpoint.* (payload digest, corruption, format-version refusal,
+#      schedule-independent manifest bytes) and CheckpointRoundTrip.* cases
+#      run. The benchmark's fig2_model runs the fiber runtime at -O3 as
+#      well, so simmpi_test, fault_test and coll_test are built there and
+#      their Deadlock.*, Watchdog.* and SchedulePerturbation.* cases run
+#      (stall detection by idle workers, and bit-identical results under
+#      20 schedule seeds); xgyro_test's SchedulePerturbation.* runs the
+#      Fig. 2 model pair under the same seeds
 #   4. end-to-end determinism check (identical-seed runs bitwise equal)
 #   5. example output check (the job-driving examples' stdout and exit
 #      codes equal the recorded ones under tests/data/examples)
@@ -77,11 +83,12 @@ UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \
   ./build-sanitize/tests/service_test --gtest_brief=1 \
   --gtest_filter='Golden.*:Lifecycle.*:ServicePreemption.*:Seeds/ServiceStress.*'
 
-echo "=== [3/11] Release (-O3) build + solver and service goldens, FFT, kernel and checkpoint tests ==="
+echo "=== [3/11] Release (-O3) build + solver and service goldens, FFT, kernel, checkpoint and fiber-runtime tests ==="
 cmake --preset release
 cmake --build --preset release -j "$JOBS" --target xgyro_test fft_test gyro_test \
-  service_test campaign_test checkpoint_test
-./build-release/tests/xgyro_test --gtest_filter='Golden.*' --gtest_brief=1
+  service_test campaign_test checkpoint_test simmpi_test fault_test coll_test
+./build-release/tests/xgyro_test --gtest_filter='Golden.*:SchedulePerturbation.*' \
+  --gtest_brief=1
 ./build-release/tests/fft_test --gtest_brief=1
 ./build-release/tests/gyro_test --gtest_brief=1
 for t in service_test campaign_test; do
@@ -89,6 +96,10 @@ for t in service_test campaign_test; do
 done
 ./build-release/tests/checkpoint_test \
   --gtest_filter='Checkpoint.*:CheckpointRoundTrip.*' --gtest_brief=1
+for t in simmpi_test fault_test coll_test; do
+  "./build-release/tests/$t" \
+    --gtest_filter='Deadlock.*:Watchdog.*:SchedulePerturbation.*' --gtest_brief=1
+done
 
 echo "=== [4/11] determinism check ==="
 bash scripts/check_determinism.sh build

@@ -2,6 +2,7 @@
 
 #include <optional>
 
+#include "gyro/decomposition.hpp"
 #include "perfmodel/perfmodel.hpp"
 #include "util/error.hpp"
 #include "util/format.hpp"
@@ -14,11 +15,16 @@ std::optional<GroupBatch> plan_batch_exact(const gyro::Input& input, int k,
                                            const mpi::CollSelector* selector) {
   XG_REQUIRE(k >= 1, "plan_batch_exact: empty batch");
   if (machine.total_ranks() % k != 0) return std::nullopt;
+  // Most shapes a planner probes have no (pv, pt) for the grid: answer
+  // those without building a plan or throwing.
+  if (!gyro::Decomposition::find(input, machine.total_ranks() / k, k)) {
+    return std::nullopt;
+  }
   perfmodel::PlanPoint p;
   try {
     p = perfmodel::plan_xgyro(input, k, machine, selector);
   } catch (const Error&) {
-    return std::nullopt;  // no (pv, pt) suits the grid
+    return std::nullopt;  // e.g. a selector pick the model cannot price
   }
   if (!p.fit.fits) return std::nullopt;
   return GroupBatch{k, p.ranks_per_sim, p.decomp, p.per_report.total()};

@@ -1,5 +1,7 @@
 #include "gyro/decomposition.hpp"
 
+#include <algorithm>
+
 #include "util/error.hpp"
 #include "util/format.hpp"
 
@@ -22,19 +24,27 @@ void Decomposition::validate(const Input& input, int n_sims_sharing) const {
                        input.nc(), pt));
 }
 
+bool Decomposition::fits(const Input& input, int n_sims_sharing) const {
+  return pv >= 1 && pt >= 1 && input.n_toroidal % pt == 0 &&
+         input.nv() % pv == 0 && input.nc() % (pv * n_sims_sharing) == 0 &&
+         input.nc() % pt == 0;
+}
+
+std::optional<Decomposition> Decomposition::find(const Input& input,
+                                                 int nranks,
+                                                 int n_sims_sharing) {
+  for (int pt = std::min(nranks, input.n_toroidal); pt >= 1; --pt) {
+    if (nranks % pt != 0 || input.n_toroidal % pt != 0) continue;
+    const Decomposition d{nranks / pt, pt};
+    if (d.fits(input, n_sims_sharing)) return d;
+  }
+  return std::nullopt;
+}
+
 Decomposition Decomposition::choose(const Input& input, int nranks,
                                     int n_sims_sharing) {
   XG_REQUIRE(nranks >= 1, "Decomposition::choose: nranks must be >= 1");
-  for (int pt = std::min(nranks, input.n_toroidal); pt >= 1; --pt) {
-    if (nranks % pt != 0 || input.n_toroidal % pt != 0) continue;
-    Decomposition d{nranks / pt, pt};
-    try {
-      d.validate(input, n_sims_sharing);
-      return d;
-    } catch (const Error&) {
-      continue;
-    }
-  }
+  if (const auto d = find(input, nranks, n_sims_sharing)) return *d;
   throw DecompositionError(
       strprintf("no valid (pv, pt) decomposition of %d ranks for grid "
                 "nc=%d nv=%d nt=%d (k=%d)",

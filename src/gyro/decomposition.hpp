@@ -12,6 +12,8 @@
 //     (paper Fig. 3) — that separation is implemented in src/xgyro.
 #pragma once
 
+#include <optional>
+
 #include "gyro/input.hpp"
 #include "simmpi/comm.hpp"
 
@@ -27,11 +29,19 @@ struct Decomposition {
   /// the ensemble transpose needs nc % (k·pv) == 0).
   void validate(const Input& input, int n_sims_sharing = 1) const;
 
+  /// The rules validate() enforces, as a predicate that throws nothing.
+  [[nodiscard]] bool fits(const Input& input, int n_sims_sharing = 1) const;
+
   /// Pick the decomposition CGYRO-style: the largest pt dividing both
   /// n_toroidal and nranks such that the pv = nranks/pt slice satisfies the
   /// velocity/configuration divisibility rules. Throws if none exists.
   static Decomposition choose(const Input& input, int nranks,
                               int n_sims_sharing = 1);
+
+  /// choose()'s pick, or nullopt where choose() would throw. Throws
+  /// nothing, so planners can probe shapes without exceptions.
+  static std::optional<Decomposition> find(const Input& input, int nranks,
+                                           int n_sims_sharing = 1);
 };
 
 struct CommLayout {

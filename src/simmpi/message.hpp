@@ -5,7 +5,9 @@
 // A receive parks the receiving rank's *fiber* until a matching message
 // exists, then advances the receiver's *virtual clock* to max(local,
 // arrival). Virtual time is therefore independent of how fibers are
-// scheduled onto worker threads.
+// scheduled onto worker threads; the SchedulePerturbation.* tests check it
+// by comparing runs under shuffled schedules and random worker counts
+// (RuntimeOptions::schedule_seed) bit for bit against the fixed order.
 //
 // Hot-path cost: a virtual payload moves no bytes and allocates nothing. A
 // mailbox is a vector of pending messages whose capacity survives across

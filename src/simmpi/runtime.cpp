@@ -31,14 +31,22 @@ double Proc::charge_faulted(double dt) {
   return out;
 }
 
-void Proc::fault_check() {
+void Proc::rearm_faults() {
+  next_fault_at_ = std::numeric_limits<double>::infinity();
+  if (kill_at_ >= 0.0) next_fault_at_ = std::min(next_fault_at_, kill_at_);
+  if (hang_at_ >= 0.0) next_fault_at_ = std::min(next_fault_at_, hang_at_);
+}
+
+void Proc::fire_faults() {
   if (kill_at_ >= 0.0 && clock_ >= kill_at_) {
     // Disarm before throwing so error reporting can't re-trigger the kill.
     kill_at_ = -1.0;
+    rearm_faults();
     throw RankFailure(rank_, clock_, phase_);
   }
   if (hang_at_ >= 0.0 && clock_ >= hang_at_) {
     hang_at_ = -1.0;
+    rearm_faults();
     // Wait on a context no communicator uses: nothing ever matches, so the
     // rank parks until the runtime reports the stalled schedule as a
     // deadlock and aborts the run.
@@ -334,6 +342,7 @@ RunResult Runtime::run(const std::function<void(Proc&)>& body) {
       procs[r].jitter_frac_ = opts_.faults.jitter_frac(r);
       procs[r].kill_at_ = opts_.faults.kill_time_for(r);
       procs[r].hang_at_ = opts_.faults.hang_time_for(r);
+      procs[r].rearm_faults();
     }
   }
 

@@ -15,6 +15,7 @@
 #include <cstdint>
 #include <exception>
 #include <functional>
+#include <limits>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -161,8 +162,14 @@ class Proc {
   double charge_faulted(double dt);
 
   /// Throw RankFailure if this rank's fault-plan kill time has been reached;
-  /// park for good if its hang time has.
-  void fault_check();
+  /// park for good if its hang time has. Runs ≈3 times per message, so the
+  /// check is one branch that is never taken while nothing is armed.
+  void fault_check() {
+    if (clock_ >= next_fault_at_) fire_faults();
+  }
+  void fire_faults();
+  /// next_fault_at_ = the earliest armed kill or hang time (+inf: none).
+  void rearm_faults();
 
   Runtime* rt_ = nullptr;
   int rank_ = -1;
@@ -185,6 +192,7 @@ class Proc {
   double jitter_frac_ = 0.0;
   double kill_at_ = -1.0;  ///< virtual kill time; < 0 = immortal
   double hang_at_ = -1.0;  ///< virtual hang time; < 0 = never hangs
+  double next_fault_at_ = std::numeric_limits<double>::infinity();
   FaultStats fstats_;
 };
 
@@ -239,7 +247,9 @@ struct RuntimeOptions {
 /// threads; the first worker is the thread that calls run(). A fiber gives
 /// up its worker only when it blocks in a receive or returns. Virtual time
 /// depends only on message arrival stamps, so it is the same under any
-/// schedule.
+/// schedule: the SchedulePerturbation.* tests run jobs under 20
+/// RuntimeOptions::schedule_seed values (random worker counts, shuffled
+/// ready batches) and require bit-identical RunResults and traces.
 ///
 /// The fiber contract for rank bodies:
 ///  - A rank body may block its OS thread outside simmpi (a host mutex held
@@ -261,8 +271,8 @@ class Runtime {
   /// and the trace. Rethrows the first rank exception, if any — including
   /// RankFailure (fault-plan kill), DeadlockError (every unfinished rank is
   /// blocked in a receive no running rank can satisfy; raised as soon as
-  /// the last runnable rank blocks), and InvariantViolation (collective
-  /// disagreement).
+  /// the last worker with a rank left to run goes idle), and
+  /// InvariantViolation (collective disagreement).
   RunResult run(const std::function<void(Proc&)>& body);
 
   [[nodiscard]] int nranks() const { return nranks_; }

@@ -42,14 +42,10 @@ std::optional<gyro::Decomposition> fit_shape(const gyro::Input& input,
   if (ranks_per_sim < 1 || k * ranks_per_sim > machine.total_ranks()) {
     return std::nullopt;
   }
-  gyro::Decomposition d;
-  try {
-    d = gyro::Decomposition::choose(input, ranks_per_sim, shape.lcm);
-  } catch (const Error&) {
-    return std::nullopt;
-  }
+  const auto d = gyro::Decomposition::find(input, ranks_per_sim, shape.lcm);
+  if (!d) return std::nullopt;
   const auto fit = cluster::check_fit(
-      gyro::Simulation::memory_inventory(input, d, shape.smallest), machine);
+      gyro::Simulation::memory_inventory(input, *d, shape.smallest), machine);
   if (!fit.fits) return std::nullopt;
   return d;
 }

@@ -784,7 +784,8 @@ xgyro::EnsembleInput two_member_batch() {
 }
 
 /// A k = 2 real-mode job, 2 ranks per member on 4 nodes x 2 ranks, with a
-/// snapshot every interval. `kill_at` > 0 kills rank 1 then, and one
+/// snapshot every interval into a fresh `dir_name` (one per test: ctest
+/// runs tests in parallel). `kill_at` > 0 kills rank 1 then, and one
 /// recovery on the surviving nodes is allowed.
 struct CheckpointedRun {
   std::uint64_t digest = 0;  ///< RunResult, diagnostics, recoveries, counters
@@ -792,8 +793,9 @@ struct CheckpointedRun {
   std::map<std::string, std::string> files;  ///< the checkpoint directory
 };
 
-CheckpointedRun run_checkpointed(double kill_at, std::uint64_t schedule_seed) {
-  const TempDir dir("perturbed_run");
+CheckpointedRun run_checkpointed(const std::string& dir_name, double kill_at,
+                                 std::uint64_t schedule_seed) {
+  const TempDir dir(dir_name);
   xgyro::JobOptions opts;
   opts.mode = Mode::kReal;
   opts.n_report_intervals = 4;
@@ -828,10 +830,10 @@ CheckpointedRun run_checkpointed(double kill_at, std::uint64_t schedule_seed) {
 TEST(Checkpoint, ManifestBytesIndependentOfSchedule) {
   // Ranks reach the writer in host order; the manifest lists shards in
   // slice order, so every schedule writes the same bytes.
-  const auto want = run_checkpointed(0.0, 0).files;
+  const auto want = run_checkpointed("schedule_manifest", 0.0, 0).files;
   ASSERT_TRUE(want.count("ckpt-00000004/manifest.json"));
   for (std::uint64_t seed = 1; seed <= testing::kScheduleSeeds; ++seed) {
-    const auto got = run_checkpointed(0.0, seed).files;
+    const auto got = run_checkpointed("schedule_manifest", 0.0, seed).files;
     for (const char* m : {"ckpt-00000003/manifest.json",
                           "ckpt-00000004/manifest.json"}) {
       ASSERT_TRUE(got.count(m)) << m << " schedule_seed=" << seed;
@@ -848,11 +850,11 @@ TEST(SchedulePerturbation, RecoveredKillBitIdenticalUnderEverySeed) {
       xgyro::run_job(two_member_batch(), net::testbox(4, 2), 2, clean)
           .run.makespan_s;
   // Late enough that a snapshot has committed, so the recovery resumes.
-  const auto want = run_checkpointed(0.75 * makespan, 0);
+  const auto want = run_checkpointed("schedule_kill", 0.75 * makespan, 0);
   ASSERT_EQ(want.recoveries, 1u);
   ASSERT_FALSE(want.files.empty());
   for (std::uint64_t seed = 1; seed <= testing::kScheduleSeeds; ++seed) {
-    const auto got = run_checkpointed(0.75 * makespan, seed);
+    const auto got = run_checkpointed("schedule_kill", 0.75 * makespan, seed);
     EXPECT_EQ(got.digest, want.digest) << "schedule_seed=" << seed;
     EXPECT_TRUE(got.files == want.files) << "schedule_seed=" << seed;
   }

@@ -396,6 +396,53 @@ TEST(Decomposition, ChooseThrowsWhenImpossible) {
   EXPECT_THROW(Decomposition::choose(in, 7), DecompositionError);
 }
 
+TEST(Decomposition, FindAgreesWithChoose) {
+  for (const Input& in : {Input::small_test(), Input::nl03c_like()}) {
+    for (int k = 1; k <= 8; ++k) {
+      for (int nranks = 1; nranks <= 64; ++nranks) {
+        const auto found = Decomposition::find(in, nranks, k);
+        try {
+          const auto chosen = Decomposition::choose(in, nranks, k);
+          ASSERT_TRUE(found.has_value()) << nranks << " ranks, k=" << k;
+          EXPECT_EQ(found->pv, chosen.pv);
+          EXPECT_EQ(found->pt, chosen.pt);
+        } catch (const DecompositionError&) {
+          EXPECT_FALSE(found.has_value()) << nranks << " ranks, k=" << k;
+        }
+      }
+      for (int pv = 1; pv <= 16; ++pv) {
+        for (int pt = 1; pt <= 16; ++pt) {
+          const Decomposition d{pv, pt};
+          bool valid = true;
+          try {
+            d.validate(in, k);
+          } catch (const Error&) {
+            valid = false;
+          }
+          EXPECT_EQ(d.fits(in, k), valid) << pv << "x" << pt << " k=" << k;
+        }
+      }
+    }
+  }
+  // The errors keep their text.
+  try {
+    (void)Decomposition::choose(Input::small_test(), 7);
+    ADD_FAILURE() << "7 ranks should not decompose";
+  } catch (const DecompositionError& e) {
+    EXPECT_STREQ(e.what(),
+                 "no valid (pv, pt) decomposition of 7 ranks for grid nc=16 "
+                 "nv=16 nt=4 (k=1)");
+  }
+  try {
+    Decomposition{3, 1}.validate(Input::small_test());
+    ADD_FAILURE() << "pv=3 should not divide nv=16";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find(
+                  "Decomposition: nv=16 not divisible by pv=3"),
+              std::string::npos);
+  }
+}
+
 /// Run a CGYRO simulation in real mode and return (hash, diagnostics).
 std::pair<std::uint64_t, Diagnostics> run_real(const Input& in, int nranks,
                                                int n_intervals = 1) {
