@@ -7,6 +7,15 @@
 
 namespace xg::gyro {
 
+namespace {
+/// The rules validate() enforces, as a predicate that throws nothing.
+bool fits(const Decomposition& d, const Input& input, int n_sims_sharing) {
+  return d.pv >= 1 && d.pt >= 1 && input.n_toroidal % d.pt == 0 &&
+         input.nv() % d.pv == 0 && input.nc() % (d.pv * n_sims_sharing) == 0 &&
+         input.nc() % d.pt == 0;
+}
+}  // namespace
+
 void Decomposition::validate(const Input& input, int n_sims_sharing) const {
   XG_REQUIRE(pv >= 1 && pt >= 1, "Decomposition: pv, pt must be >= 1");
   XG_REQUIRE(input.n_toroidal % pt == 0,
@@ -24,19 +33,13 @@ void Decomposition::validate(const Input& input, int n_sims_sharing) const {
                        input.nc(), pt));
 }
 
-bool Decomposition::fits(const Input& input, int n_sims_sharing) const {
-  return pv >= 1 && pt >= 1 && input.n_toroidal % pt == 0 &&
-         input.nv() % pv == 0 && input.nc() % (pv * n_sims_sharing) == 0 &&
-         input.nc() % pt == 0;
-}
-
 std::optional<Decomposition> Decomposition::find(const Input& input,
                                                  int nranks,
                                                  int n_sims_sharing) {
   for (int pt = std::min(nranks, input.n_toroidal); pt >= 1; --pt) {
     if (nranks % pt != 0 || input.n_toroidal % pt != 0) continue;
     const Decomposition d{nranks / pt, pt};
-    if (d.fits(input, n_sims_sharing)) return d;
+    if (fits(d, input, n_sims_sharing)) return d;
   }
   return std::nullopt;
 }

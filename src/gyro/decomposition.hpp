@@ -29,9 +29,6 @@ struct Decomposition {
   /// the ensemble transpose needs nc % (k·pv) == 0).
   void validate(const Input& input, int n_sims_sharing = 1) const;
 
-  /// The rules validate() enforces, as a predicate that throws nothing.
-  [[nodiscard]] bool fits(const Input& input, int n_sims_sharing = 1) const;
-
   /// Pick the decomposition CGYRO-style: the largest pt dividing both
   /// n_toroidal and nranks such that the pv = nranks/pt slice satisfies the
   /// velocity/configuration divisibility rules. Throws if none exists.

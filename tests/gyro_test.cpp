@@ -5,12 +5,14 @@
 // bracket.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstring>
 #include <limits>
 #include <map>
 #include <numbers>
+#include <optional>
 #include <set>
 
 #include "alloc_count.hpp"
@@ -396,31 +398,42 @@ TEST(Decomposition, ChooseThrowsWhenImpossible) {
   EXPECT_THROW(Decomposition::choose(in, 7), DecompositionError);
 }
 
+// The search choose() made before find() existed: the largest pt whose
+// decomposition passes validate(), with each rejection thrown and caught.
+std::optional<Decomposition> choose_by_validate(const Input& in, int nranks,
+                                                int k) {
+  for (int pt = std::min(nranks, in.n_toroidal); pt >= 1; --pt) {
+    if (nranks % pt != 0 || in.n_toroidal % pt != 0) continue;
+    const Decomposition d{nranks / pt, pt};
+    try {
+      d.validate(in, k);
+      return d;
+    } catch (const Error&) {
+    }
+  }
+  return std::nullopt;
+}
+
 TEST(Decomposition, FindAgreesWithChoose) {
-  for (const Input& in : {Input::small_test(), Input::nl03c_like()}) {
+  Input odd = Input::small_test();
+  odd.n_toroidal = 6;  // a pt search that skips non-divisors of nt
+  for (const Input& in : {Input::small_test(), Input::nl03c_like(), odd}) {
     for (int k = 1; k <= 8; ++k) {
       for (int nranks = 1; nranks <= 64; ++nranks) {
+        const auto want = choose_by_validate(in, nranks, k);
         const auto found = Decomposition::find(in, nranks, k);
-        try {
-          const auto chosen = Decomposition::choose(in, nranks, k);
-          ASSERT_TRUE(found.has_value()) << nranks << " ranks, k=" << k;
-          EXPECT_EQ(found->pv, chosen.pv);
-          EXPECT_EQ(found->pt, chosen.pt);
-        } catch (const DecompositionError&) {
-          EXPECT_FALSE(found.has_value()) << nranks << " ranks, k=" << k;
+        ASSERT_EQ(found.has_value(), want.has_value())
+            << nranks << " ranks, k=" << k;
+        if (!want) {
+          EXPECT_THROW((void)Decomposition::choose(in, nranks, k),
+                       DecompositionError);
+          continue;
         }
-      }
-      for (int pv = 1; pv <= 16; ++pv) {
-        for (int pt = 1; pt <= 16; ++pt) {
-          const Decomposition d{pv, pt};
-          bool valid = true;
-          try {
-            d.validate(in, k);
-          } catch (const Error&) {
-            valid = false;
-          }
-          EXPECT_EQ(d.fits(in, k), valid) << pv << "x" << pt << " k=" << k;
-        }
+        EXPECT_EQ(found->pv, want->pv);
+        EXPECT_EQ(found->pt, want->pt);
+        const auto chosen = Decomposition::choose(in, nranks, k);
+        EXPECT_EQ(chosen.pv, want->pv);
+        EXPECT_EQ(chosen.pt, want->pt);
       }
     }
   }
