@@ -153,9 +153,9 @@ struct FaultStats {
   double straggler_added_s = 0.0;   ///< extra virtual time from slowdown+jitter
 };
 
-/// Structured failure raised when a FaultPlan kills a rank. The runtime
-/// aborts the remaining ranks and rethrows this from Runtime::run — the
-/// schedule never deadlocks on a dead rank.
+/// Structured failure raised when a FaultPlan kills a rank. The other ranks
+/// run on until they wait on the dead one; the runtime then aborts them and
+/// rethrows this from Runtime::run, so a dead rank never hangs the run.
 class RankFailure : public Error {
  public:
   RankFailure(int world_rank, double virtual_time_s, std::string phase);

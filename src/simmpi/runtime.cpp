@@ -273,17 +273,29 @@ Runtime::Runtime(net::MachineSpec spec, int nranks, RuntimeOptions opts)
 
 Runtime::~Runtime() = default;
 
+void Runtime::record_error(std::exception_ptr error) {
+  const std::scoped_lock lock(err_mu_);
+  if (!first_error_) first_error_ = std::move(error);
+}
+
+void Runtime::record_kill(const RankFailure& kill, std::exception_ptr error) {
+  const std::pair key(kill.virtual_time_s(), kill.world_rank());
+  const std::scoped_lock lock(err_mu_);
+  if (first_error_ && !(first_kill_ && key < *first_kill_)) return;
+  first_error_ = std::move(error);
+  first_kill_ = key;
+}
+
 void Runtime::fail(std::exception_ptr error) {
-  {
-    const std::scoped_lock lock(err_mu_);
-    if (!first_error_) first_error_ = std::move(error);
-  }
+  record_error(std::move(error));
   for (auto& mb : mailboxes_) mb->abort();
 }
 
 void Runtime::report_deadlock(const std::vector<Proc>& procs) {
   // Runs on a worker outside any fiber: whatever happens, the run must be
-  // failed so the parked ranks wake and unwind.
+  // failed so the parked ranks wake and unwind. After a rank kill the
+  // stall is expected (the survivors wait on the dead rank) and the kill
+  // stays the run's error.
   try {
     fail(std::make_exception_ptr(deadlock_error(procs)));
   } catch (...) {
@@ -325,6 +337,7 @@ DeadlockError Runtime::deadlock_error(const std::vector<Proc>& procs) const {
 
 RunResult Runtime::run(const std::function<void(Proc&)>& body) {
   first_error_ = nullptr;
+  first_kill_.reset();
   trace_.clear();
   spans_.clear();
   monitor_ = std::make_unique<InvariantMonitor>();
@@ -351,6 +364,12 @@ RunResult Runtime::run(const std::function<void(Proc&)>& body) {
       [this, &body, &procs](int r) {
         try {
           body(procs[r]);
+        } catch (const RankFailure& kill) {
+          // A killed rank just stops. The others run on until they wait on
+          // it, so how far they get (the snapshots they commit, say) is
+          // fixed by virtual time, not by the host schedule; the stall that
+          // follows ends the run.
+          record_kill(kill, std::current_exception());
         } catch (...) {
           fail(std::current_exception());
         }

@@ -19,6 +19,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -282,8 +283,13 @@ class Runtime {
   friend class Proc;
   friend class Comm;
 
-  /// Record `error` as the run's failure (first one wins) and wake every
-  /// blocked rank so the run unwinds.
+  /// Record `error` as the run's failure; the first one wins.
+  void record_error(std::exception_ptr error);
+  /// Record a rank kill (`error` holds `kill`). Of several kills the
+  /// earliest in virtual time (then the lowest rank) is the run's error, so
+  /// the report does not depend on which one the host ran first.
+  void record_kill(const RankFailure& kill, std::exception_ptr error);
+  /// record_error, then wake every blocked rank so the run unwinds.
   void fail(std::exception_ptr error);
   /// Called when every unfinished rank is parked: fail with a DeadlockError
   /// naming each blocked rank and what it waits for.
@@ -305,6 +311,8 @@ class Runtime {
 
   std::mutex err_mu_;
   std::exception_ptr first_error_;
+  /// (virtual time, rank) of the kill first_error_ holds, if it is one.
+  std::optional<std::pair<double, int>> first_kill_;
 };
 
 /// Convenience wrapper: build a Runtime and run one job.

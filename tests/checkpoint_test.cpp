@@ -788,7 +788,9 @@ xgyro::EnsembleInput two_member_batch() {
 /// runs tests in parallel). `kill_at` > 0 kills rank 1 then, and one
 /// recovery on the surviving nodes is allowed.
 struct CheckpointedRun {
-  std::uint64_t digest = 0;  ///< RunResult, diagnostics, recoveries, counters
+  /// RunResult digest, diagnostics bits, recoveries and counters, readable
+  /// so a mismatch shows which part moved.
+  std::string summary;
   std::size_t recoveries = 0;
   std::map<std::string, std::string> files;  ///< the checkpoint directory
 };
@@ -808,23 +810,28 @@ CheckpointedRun run_checkpointed(const std::string& dir_name, double kill_at,
   }
   const auto res = xgyro::run_job(two_member_batch(), net::testbox(4, 2), 2,
                                   opts);
-  Hasher h;
-  h.u64(testing::run_digest(res.run));
+  std::string summary =
+      strprintf("run %016llx\n", static_cast<unsigned long long>(
+                                     testing::run_digest(res.run)));
   for (const auto& d : res.diagnostics) {
-    h.i64(d.steps);
-    for (const double v : {d.time, d.phi_rms, d.flux_proxy, d.free_energy}) {
-      testing::hash_bits(h, v);
-    }
+    summary += strprintf("diag %d %a %a %a %a\n", d.steps, d.time, d.phi_rms,
+                         d.flux_proxy, d.free_energy);
   }
   for (const auto& ev : res.recoveries) {
-    h.str(ev.kind).i64(ev.world_rank).str(ev.phase).i64(ev.resumed_interval);
-    testing::hash_bits(h, ev.virtual_time_s);
-    h.i64(ev.nodes_before).i64(ev.nodes_after);
-    h.i64(ev.ranks_per_sim_before).i64(ev.ranks_per_sim_after);
+    summary += strprintf(
+        "recovery %s rank=%d t=%a phase=%s resumed=%lld nodes=%d->%d "
+        "ranks_per_sim=%d->%d\n",
+        ev.kind.c_str(), ev.world_rank, ev.virtual_time_s, ev.phase.c_str(),
+        static_cast<long long>(ev.resumed_interval), ev.nodes_before,
+        ev.nodes_after, ev.ranks_per_sim_before, ev.ranks_per_sim_after);
   }
-  h.u64(res.snapshots_committed).u64(res.snapshots_rejected);
-  h.i64(res.ranks_per_sim).i64(res.machine.n_nodes);
-  return {h.digest(), res.recoveries.size(), files_under(dir.path)};
+  summary += strprintf(
+      "snapshots committed=%llu rejected=%llu; final %d ranks/sim on %d "
+      "nodes\n",
+      static_cast<unsigned long long>(res.snapshots_committed),
+      static_cast<unsigned long long>(res.snapshots_rejected),
+      res.ranks_per_sim, res.machine.n_nodes);
+  return {summary, res.recoveries.size(), files_under(dir.path)};
 }
 
 TEST(Checkpoint, ManifestBytesIndependentOfSchedule) {
@@ -855,7 +862,7 @@ TEST(SchedulePerturbation, RecoveredKillBitIdenticalUnderEverySeed) {
   ASSERT_FALSE(want.files.empty());
   for (std::uint64_t seed = 1; seed <= testing::kScheduleSeeds; ++seed) {
     const auto got = run_checkpointed("schedule_kill", 0.75 * makespan, seed);
-    EXPECT_EQ(got.digest, want.digest) << "schedule_seed=" << seed;
+    EXPECT_EQ(got.summary, want.summary) << "schedule_seed=" << seed;
     EXPECT_TRUE(got.files == want.files) << "schedule_seed=" << seed;
   }
 }

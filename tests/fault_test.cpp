@@ -343,6 +343,67 @@ TEST(RankKill, ManyFibersPerWorkerSurfaceTheSameReplayableFailure) {
   EXPECT_EQ(report1, report2);
 }
 
+// Rank 0 dies at t = 0.5 while ranks 1 and 2 ping-pong 100 times without
+// it; then rank 1 waits on rank 0. The survivors must finish all 100 round
+// trips before the run ends with rank 0's RankFailure, whatever the host
+// ran first. `kills` is the fault spec; returns the reported failure and
+// the round trips rank 1 completed.
+std::pair<int, int> run_kill_with_independent_survivors(
+    const std::string& kills, std::uint64_t schedule_seed) {
+  RuntimeOptions opts;
+  opts.faults = FaultPlan::parse(kills);
+  opts.schedule_seed = schedule_seed;
+  int round_trips = 0;
+  try {
+    run_simulation(net::testbox(1, 3), 3, [&round_trips](Proc& p) {
+      auto world = p.world();
+      int v = 0;
+      if (p.world_rank() == 0) {
+        p.advance(1.0);
+        world.send(std::span<const int>(&v, 1), 1, /*tag=*/1);
+        return;
+      }
+      const int peer = 3 - p.world_rank();
+      for (int i = 0; i < 100; ++i) {
+        p.advance(0.01);
+        if (p.world_rank() == 1) {
+          world.send(std::span<const int>(&v, 1), peer, /*tag=*/2);
+          world.recv(std::span<int>(&v, 1), peer, /*tag=*/2);
+          round_trips = i + 1;
+        } else {
+          world.recv(std::span<int>(&v, 1), peer, /*tag=*/2);
+          world.send(std::span<const int>(&v, 1), peer, /*tag=*/2);
+        }
+      }
+      if (p.world_rank() == 1) world.recv(std::span<int>(&v, 1), 0, 1);
+    }, opts);
+  } catch (const RankFailure& f) {
+    return {f.world_rank(), round_trips};
+  }
+  ADD_FAILURE() << "rank kill did not surface a RankFailure";
+  return {-1, round_trips};
+}
+
+TEST(RankKill, SurvivorsRunOnUntilTheyWaitOnTheDeadRank) {
+  for (std::uint64_t seed = 0; seed <= testing::kScheduleSeeds; ++seed) {
+    EXPECT_EQ(run_kill_with_independent_survivors("seed=1;kill=0@0.5", seed),
+              std::make_pair(0, 100))
+        << "schedule_seed=" << seed;
+  }
+}
+
+TEST(RankKill, EarliestOfSeveralKillsIsReported) {
+  // Rank 2 dies at t = 0.3 in its ping-pong, rank 0 at 0.5: rank 2's kill
+  // is the run's error even when the host runs rank 0's first.
+  for (std::uint64_t seed = 0; seed <= testing::kScheduleSeeds; ++seed) {
+    EXPECT_EQ(run_kill_with_independent_survivors(
+                  "seed=1;kill=0@0.5;kill=2@0.3", seed)
+                  .first,
+              2)
+        << "schedule_seed=" << seed;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Deadlock detection: a stuck virtual schedule becomes a diagnosable report
 // the moment the last worker with a fiber left to run goes idle — no
