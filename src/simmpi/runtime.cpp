@@ -273,11 +273,6 @@ Runtime::Runtime(net::MachineSpec spec, int nranks, RuntimeOptions opts)
 
 Runtime::~Runtime() = default;
 
-void Runtime::record_error(std::exception_ptr error) {
-  const std::scoped_lock lock(err_mu_);
-  if (!first_error_) first_error_ = std::move(error);
-}
-
 void Runtime::record_kill(const RankFailure& kill, std::exception_ptr error) {
   const std::pair key(kill.virtual_time_s(), kill.world_rank());
   const std::scoped_lock lock(err_mu_);
@@ -287,7 +282,10 @@ void Runtime::record_kill(const RankFailure& kill, std::exception_ptr error) {
 }
 
 void Runtime::fail(std::exception_ptr error) {
-  record_error(std::move(error));
+  {
+    const std::scoped_lock lock(err_mu_);
+    if (!first_error_) first_error_ = std::move(error);
+  }
   for (auto& mb : mailboxes_) mb->abort();
 }
 

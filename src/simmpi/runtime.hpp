@@ -283,13 +283,12 @@ class Runtime {
   friend class Proc;
   friend class Comm;
 
-  /// Record `error` as the run's failure; the first one wins.
-  void record_error(std::exception_ptr error);
   /// Record a rank kill (`error` holds `kill`). Of several kills the
   /// earliest in virtual time (then the lowest rank) is the run's error, so
   /// the report does not depend on which one the host ran first.
   void record_kill(const RankFailure& kill, std::exception_ptr error);
-  /// record_error, then wake every blocked rank so the run unwinds.
+  /// Record `error` as the run's failure (first one wins) and wake every
+  /// blocked rank so the run unwinds.
   void fail(std::exception_ptr error);
   /// Called when every unfinished rank is parked: fail with a DeadlockError
   /// naming each blocked rank and what it waits for.
