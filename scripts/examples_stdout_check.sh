@@ -1,16 +1,20 @@
 #!/usr/bin/env bash
 # examples_stdout_check.sh BUILD_DIR
 #
-# Pins the output of the job-driving example programs: runs quickstart,
-# ensemble_sweep, grouped_campaign, linear_growth, campaign_demo,
-# resolution_convergence and resolution_convergence --smoke, and compares
-# each one's stdout and exit code byte for byte with
-# tests/data/examples/<run>.stdout and <run>.exit (recorded from the
-# programs' hand-written rank bodies, before they moved onto
-# xgyro::run_job; campaign_demo's from its run through the removed offline
-# campaign executor, before it looped run_job itself). Every run is
-# deterministic (virtual clock, seeded physics), so any difference is a
-# change in what the program computes or prints. Registered with ctest as
+# Pins the output of the job-driving example programs and of the programs
+# that print the paper's results: runs quickstart, ensemble_sweep,
+# grouped_campaign, linear_growth, campaign_demo, resolution_convergence
+# (full and --smoke), fig2_breakdown --steps 25, tab_memory,
+# ensemble_scaling --steps 5, node_scaling --steps 5, placement_ablation and
+# gpu_staging_ablation, and compares each one's stdout and exit code byte
+# for byte with tests/data/examples/<run>.stdout and <run>.exit. The
+# example runs were recorded from the programs' hand-written rank bodies,
+# before they moved onto xgyro::run_job (campaign_demo's from its run
+# through the removed offline campaign executor, before it looped run_job
+# itself); the paper-result runs were recorded before the unused options of
+# the runtime, service and gates were deleted. Every run is deterministic
+# (virtual clock, seeded physics), so any difference is a change in what
+# the program computes or prints. Registered with ctest as
 # `examples_stdout_check`.
 set -euo pipefail
 
@@ -26,6 +30,12 @@ RUNS=(
   "campaign_demo examples/campaign_demo"
   "resolution_convergence bench/resolution_convergence"
   "resolution_convergence_smoke bench/resolution_convergence --smoke"
+  "fig2_breakdown bench/fig2_breakdown --steps 25"
+  "tab_memory bench/tab_memory"
+  "ensemble_scaling bench/ensemble_scaling --steps 5"
+  "node_scaling bench/node_scaling --steps 5"
+  "placement_ablation bench/placement_ablation"
+  "gpu_staging_ablation bench/gpu_staging_ablation"
 )
 
 WORK=$(mktemp -d)
