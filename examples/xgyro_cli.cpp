@@ -455,9 +455,7 @@ int main(int argc, char** argv) {
           gyro::Decomposition::choose(analysis_input, ranks_per_sim, n_members);
       const analysis::DivergenceReport div = analysis::check_divergence(
           result, analysis_input, analysis_decomp, n_members, machine,
-          opt.intervals,
-          opt.perfmodel_tol, analysis::kDefaultSignificanceFrac,
-          selector.get());
+          opt.intervals, opt.perfmodel_tol, selector.get());
       std::printf("\n%s", analysis::format_divergence(div).c_str());
       divergence_doc = analysis::divergence_json(div);
       divergence_failed = !div.pass;

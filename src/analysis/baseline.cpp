@@ -222,8 +222,7 @@ Json scale_numeric_leaves(const Json& doc, double factor) {
   }
 }
 
-BaselineSelfTest self_test_baseline(const Json& baseline_doc,
-                                    double perturb_frac) {
+BaselineSelfTest self_test_baseline(const Json& baseline_doc) {
   const BaselineDoc base = parse_baseline(baseline_doc);
 
   BaselineSelfTest st;
@@ -232,10 +231,12 @@ BaselineSelfTest self_test_baseline(const Json& baseline_doc,
   for (const auto& m : identity.metrics) {
     // A zero-valued metric survives any multiplicative perturbation, so it
     // cannot demonstrate detection.
-    if (m.tolerance < perturb_frac && m.baseline != 0.0) ++st.gated_metrics;
+    if (m.tolerance < kSelfTestPerturbFrac && m.baseline != 0.0) {
+      ++st.gated_metrics;
+    }
   }
   const Json perturbed =
-      scale_numeric_leaves(*base.payload, 1.0 + perturb_frac);
+      scale_numeric_leaves(*base.payload, 1.0 + kSelfTestPerturbFrac);
   st.perturbed_fails = !check_baseline(baseline_doc, perturbed).pass;
   return st;
 }

@@ -77,21 +77,24 @@ BaselineCheck check_baseline(const telemetry::Json& baseline_doc,
 telemetry::Json scale_numeric_leaves(const telemetry::Json& doc,
                                      double factor);
 
+/// The regression size a baseline self-test injects: +10% on every metric.
+inline constexpr double kSelfTestPerturbFrac = 0.10;
+
 /// Result of a baseline self-test: the identity comparison must pass and a
-/// +`perturb_frac` scaling of every metric must fail — i.e. the baseline
-/// actually detects a regression of that size.
+/// +kSelfTestPerturbFrac scaling of every metric must fail — i.e. the
+/// baseline actually detects a regression of that size.
 struct BaselineSelfTest {
   bool identity_pass = false;
   bool perturbed_fails = false;
-  int gated_metrics = 0;  ///< non-ignored paths with tolerance < perturb_frac
+  /// Non-ignored paths with tolerance < kSelfTestPerturbFrac.
+  int gated_metrics = 0;
 
   [[nodiscard]] bool ok() const {
     return identity_pass && perturbed_fails && gated_metrics > 0;
   }
 };
 
-BaselineSelfTest self_test_baseline(const telemetry::Json& baseline_doc,
-                                    double perturb_frac = 0.10);
+BaselineSelfTest self_test_baseline(const telemetry::Json& baseline_doc);
 
 /// Table of out-of-tolerance metrics (or "all N metrics within tolerance").
 std::string format_baseline_check(const BaselineCheck& check);

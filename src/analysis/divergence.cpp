@@ -53,7 +53,6 @@ DivergenceReport check_divergence(const mpi::RunResult& result,
                                   const gyro::Decomposition& decomp, int k,
                                   const net::MachineSpec& machine,
                                   int n_report_intervals, double tolerance,
-                                  double significance_frac,
                                   const mpi::CollSelector* selector) {
   if (tolerance < 1.0) {
     throw InputError("divergence: tolerance must be >= 1 (it is a ratio bound)");
@@ -66,7 +65,7 @@ DivergenceReport check_divergence(const mpi::RunResult& result,
 
   DivergenceReport report;
   report.tolerance = tolerance;
-  report.significance_frac = significance_frac;
+  report.significance_frac = kDefaultSignificanceFrac;
   report.n_report_intervals = n_report_intervals;
   for (const auto& pp : kPredictedPhases) {
     PhaseDivergence d;

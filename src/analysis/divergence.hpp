@@ -49,14 +49,14 @@ inline constexpr double kDefaultSignificanceFrac = 0.01;
 /// Replay perfmodel::estimate_phases for (input, decomp, k, machine) and
 /// compare each predicted phase with result.phase_max_time(phase) divided by
 /// `n_report_intervals`. Phases the model does not predict (e.g. "report")
-/// are excluded; they are part of neither total. `selector` must be the
-/// collective selector the measured run used (nullptr = built-in tuned
-/// table) so the closed forms price the schedules that actually ran.
+/// are excluded; they are part of neither total, and phases under
+/// kDefaultSignificanceFrac of both totals are not gated. `selector` must
+/// be the collective selector the measured run used (nullptr = built-in
+/// tuned table) so the closed forms price the schedules that actually ran.
 DivergenceReport check_divergence(
     const mpi::RunResult& result, const gyro::Input& input,
     const gyro::Decomposition& decomp, int k, const net::MachineSpec& machine,
     int n_report_intervals, double tolerance = kDefaultDivergenceTolerance,
-    double significance_frac = kDefaultSignificanceFrac,
     const mpi::CollSelector* selector = nullptr);
 
 /// { "tolerance", "significance_frac", "n_report_intervals", "pass",

@@ -11,8 +11,7 @@
 namespace xg::campaign {
 
 std::optional<GroupBatch> plan_batch_exact(const gyro::Input& input, int k,
-                                           const net::MachineSpec& machine,
-                                           const mpi::CollSelector* selector) {
+                                           const net::MachineSpec& machine) {
   XG_REQUIRE(k >= 1, "plan_batch_exact: empty batch");
   if (machine.total_ranks() % k != 0) return std::nullopt;
   // Most shapes a planner probes have no (pv, pt) for the grid: answer
@@ -20,26 +19,20 @@ std::optional<GroupBatch> plan_batch_exact(const gyro::Input& input, int k,
   if (!gyro::Decomposition::find(input, machine.total_ranks() / k, k)) {
     return std::nullopt;
   }
-  perfmodel::PlanPoint p;
-  try {
-    p = perfmodel::plan_xgyro(input, k, machine, selector);
-  } catch (const Error&) {
-    return std::nullopt;  // e.g. a selector pick the model cannot price
-  }
+  const perfmodel::PlanPoint p = perfmodel::plan_xgyro(input, k, machine);
   if (!p.fit.fits) return std::nullopt;
   return GroupBatch{k, p.ranks_per_sim, p.decomp, p.per_report.total()};
 }
 
 std::optional<GroupBatch> plan_group(const gyro::Input& input, int group_size,
-                                     const net::MachineSpec& machine,
-                                     const mpi::CollSelector* selector) {
+                                     const net::MachineSpec& machine) {
   XG_REQUIRE(group_size >= 1, "plan_group: empty group");
   // Best k: minimize (#jobs × predicted seconds per job).
   std::optional<GroupBatch> best;
   double best_cost = 0.0;
   for (int k = 1; k <= group_size; ++k) {
     if (group_size % k != 0) continue;
-    const auto gb = plan_batch_exact(input, k, machine, selector);
+    const auto gb = plan_batch_exact(input, k, machine);
     if (!gb.has_value()) continue;
     const double cost = (group_size / k) * gb->predicted_seconds;
     if (!best.has_value() || cost < best_cost) {

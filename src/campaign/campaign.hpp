@@ -61,13 +61,10 @@ struct GroupBatch {
 /// a single simulation overflows the memory budget).
 /// Shared by plan_campaign below and the online campaign service, so
 /// both realize the same grouping given the same members and machine.
-/// `selector` makes predicted_seconds selector-aware (nullptr = built-in
-/// tuned table) — pass the decision table the jobs will actually run with
-/// so the service's fast path prices the same schedules the DES executes.
+/// predicted_seconds prices the built-in tuned collective table, the one
+/// every job runs with.
 std::optional<GroupBatch> plan_group(const gyro::Input& input, int group_size,
-                                     const net::MachineSpec& machine,
-                                     const mpi::CollSelector* selector =
-                                         nullptr);
+                                     const net::MachineSpec& machine);
 
 /// Feasibility + predicted cost of running EXACTLY k members of `input`'s
 /// physics as one job on the whole machine (no splitting into smaller
@@ -77,9 +74,7 @@ std::optional<GroupBatch> plan_group(const gyro::Input& input, int group_size,
 /// online service uses this to consider uneven batch splits (e.g. a batch
 /// of 3 as one k=2 job plus one k=1 job on a 2^n-rank machine).
 std::optional<GroupBatch> plan_batch_exact(const gyro::Input& input, int k,
-                                           const net::MachineSpec& machine,
-                                           const mpi::CollSelector* selector =
-                                               nullptr);
+                                           const net::MachineSpec& machine);
 
 /// Greedy planner: members are grouped by cmat fingerprint; each group is
 /// batched per plan_group and chunked into group_size/k jobs. k = 1

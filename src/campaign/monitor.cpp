@@ -97,9 +97,8 @@ double jain_index(const std::map<std::string, int>& counts) {
 // ---------------------------------------------------------------------------
 // ServiceMonitor
 
-ServiceMonitor::ServiceMonitor(double window_s, SloSpec slo,
-                               int sketch_compression)
-    : window_s_(window_s), slo_(slo), compression_(sketch_compression) {
+ServiceMonitor::ServiceMonitor(double window_s, SloSpec slo)
+    : window_s_(window_s), slo_(slo) {
   XG_REQUIRE(window_s >= 0.0, "monitor: window must be >= 0");
 }
 
@@ -186,10 +185,7 @@ std::vector<Json> ServiceMonitor::consume(const Json& record) {
   switch (kind) {
     case EventKind::kRequestSubmitted: {
       const std::string& tenant = record.at("tenant").as_string();
-      auto [it, fresh] = tenants_.try_emplace(
-          tenant, Tenant{telemetry::QuantileSketch(compression_)});
-      (void)fresh;
-      ++it->second.submitted;
+      ++tenants_[tenant].submitted;
       tenant_of_[id] = tenant;
       break;
     }
@@ -286,7 +282,7 @@ perfmodel::AuditGate ServiceMonitor::audit_gate() const {
 }
 
 telemetry::QuantileSketch ServiceMonitor::overall_sketch() const {
-  telemetry::QuantileSketch all(compression_);
+  telemetry::QuantileSketch all;
   for (const auto& [name, tn] : tenants_) {
     (void)name;
     all.merge(tn.waits);

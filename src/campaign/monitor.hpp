@@ -69,8 +69,7 @@ class ServiceMonitor {
   /// `window_s` bounds the rolling placement window used by the snapshot
   /// calibration and SLO compliance when the SLO has no window of its own
   /// (0 = unbounded: windows cover the whole run).
-  explicit ServiceMonitor(double window_s = 0.0, SloSpec slo = {},
-                          int sketch_compression = 128);
+  explicit ServiceMonitor(double window_s = 0.0, SloSpec slo = {});
 
   /// Feed one event record (live or replayed — monitor.snapshot and
   /// slo.alert records are ignored, so replaying a log that already
@@ -137,7 +136,6 @@ class ServiceMonitor {
 
   double window_s_;
   SloSpec slo_;
-  int compression_;
   double now_ = 0.0;
   std::map<std::string, Tenant> tenants_;
   std::map<int, std::string> tenant_of_;

@@ -353,9 +353,7 @@ struct Engine {
     // fingerprint — one planner sweep per signature, not per request.
     auto [it, fresh] = feasible.try_emplace(fp, false);
     if (fresh) {
-      it->second =
-          plan_group(rq.input, 1, cfg.cluster, cfg.coll_selector.get())
-              .has_value();
+      it->second = plan_group(rq.input, 1, cfg.cluster).has_value();
     }
     if (!it->second) return Admission::kRejectedInfeasible;
     const auto ti = tenant_inflight.find(rq.tenant);
@@ -548,8 +546,7 @@ struct Engine {
     return exact_cache
         .emplace(key, sweep_nodes(k,
                                   [&](const net::MachineSpec& m) {
-                                    return plan_batch_exact(
-                                        input, k, m, cfg.coll_selector.get());
+                                    return plan_batch_exact(input, k, m);
                                   }))
         .first->second;
   }
@@ -585,7 +582,7 @@ struct Engine {
     std::vector<Chunk> uniform;
     double uniform_cost = 0.0;
     const auto u = sweep_nodes(size, [&](const net::MachineSpec& m) {
-      return plan_group(input, size, m, cfg.coll_selector.get());
+      return plan_group(input, size, m);
     });
     if (u.has_value()) {
       uniform.assign(static_cast<size_t>(size / u->gb.k), *u);
@@ -942,9 +939,7 @@ struct Engine {
       }
       o.max_recoveries = js.recoveries_left;
       o.faults = js.faults;
-      o.check_invariants = cfg.check_invariants;
       o.enable_traffic = !cfg.report_dir.empty();
-      o.coll_selector = cfg.coll_selector;
       try {
         js.slice = xgyro::run_job(batch, machine_with(js.rec.nodes),
                                   js.rec.ranks_per_sim, o);
@@ -1138,7 +1133,7 @@ struct Engine {
     if (observing()) {
       SloSpec slo;
       if (!cfg.slo.empty()) slo = SloSpec::parse(cfg.slo);
-      monitor = std::make_unique<ServiceMonitor>(cfg.monitor_window_s, slo);
+      monitor = std::make_unique<ServiceMonitor>(0.0, slo);
     } else {
       XG_REQUIRE(cfg.slo.empty(),
                  "service: slo monitoring requires an event sink");
@@ -1194,7 +1189,9 @@ struct Engine {
                         .set("n_report_intervals", cfg.n_report_intervals)
                         .set("preempt_quantum", cfg.preempt_quantum)
                         .set("metrics_every_s", cfg.metrics_every_s)
-                        .set("monitor_window_s", cfg.monitor_window_s)
+                        // The live monitor's windows cover the whole run;
+                        // the field stays so the record keeps its shape.
+                        .set("monitor_window_s", 0.0)
                         .set("slo", cfg.slo))
                .set("n_requests", static_cast<std::int64_t>(reqs.size())));
       if (cfg.metrics_every_s > 0.0) {

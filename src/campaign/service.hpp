@@ -114,9 +114,6 @@ struct ServiceConfig {
   /// and recovery happen at slice boundaries, which are always snapshotted.
   int preempt_quantum = 1;
   int max_recoveries = 3;         ///< per job, across all its slices
-  bool check_invariants = true;
-  /// Collective decision table for every job (nullptr = built-in tuned).
-  std::shared_ptr<const mpi::CollSelector> coll_selector;
   /// When set, a per-job RunReport is written to
   /// <report_dir>/job-<id>.report.json as each job finishes.
   std::string report_dir;
@@ -128,16 +125,14 @@ struct ServiceConfig {
   /// With a sink: emit a monitor.snapshot record every this many virtual
   /// seconds while the service has work in flight. 0 = end-of-run only.
   double metrics_every_s = 0.0;
-  /// Rolling horizon for windowed monitor views (0 = whole run so far).
-  double monitor_window_s = 0.0;
   /// SLO objective (SloSpec grammar, e.g. "wait=100;target=0.9;burn=2").
   /// Empty = no SLO monitoring. Requires an event sink.
   std::string slo;
 
   // --- Production-scale stream knobs ---------------------------------------
   /// Modeled fast path: price each slice from the perfmodel (the same
-  /// selector-aware closed forms the planner used to choose the job's
-  /// layout) and advance virtual time without spinning up simnet ranks.
+  /// closed forms the planner used to choose the job's layout) and advance
+  /// virtual time without spinning up simnet ranks.
   /// A seeded sample of audit_frac jobs still DES-executes and feeds the
   /// fast-path divergence gate (perfmodel::audit_fast_path); jobs carrying
   /// fault plans are always DES-executed ("forced" audits — the model

@@ -230,19 +230,16 @@ struct CheckpointWriter::Pending {
 struct CheckpointWriter::Impl {
   std::string dir;
   int n_ranks = 0;
-  int keep_last = 2;
   std::mutex mu;
   std::uint64_t committed = 0;
   std::map<std::int64_t, Pending> pending;
 };
 
-CheckpointWriter::CheckpointWriter(std::string dir, int n_ranks, int keep_last)
+CheckpointWriter::CheckpointWriter(std::string dir, int n_ranks)
     : impl_(std::make_shared<Impl>()), dir_(dir) {
   XG_REQUIRE(n_ranks >= 1, "CheckpointWriter: need at least one rank");
-  XG_REQUIRE(keep_last >= 1, "CheckpointWriter: keep_last must be >= 1");
   impl_->dir = dir;
   impl_->n_ranks = n_ranks;
-  impl_->keep_last = keep_last;
   std::error_code ec;
   fs::create_directories(dir, ec);
   if (ec) {
@@ -355,7 +352,7 @@ bool CheckpointWriter::add_shard(std::int64_t interval, const Slice& slice,
   impl_->pending.erase(interval);
   ++impl_->committed;
 
-  // Prune: keep the newest keep_last committed snapshots.
+  // Prune: keep the newest kKeepLast committed snapshots.
   std::vector<std::pair<std::int64_t, fs::path>> committed;
   for (const auto& entry : fs::directory_iterator(impl_->dir)) {
     if (!entry.is_directory()) continue;
@@ -364,7 +361,7 @@ bool CheckpointWriter::add_shard(std::int64_t interval, const Slice& slice,
     }
   }
   std::sort(committed.begin(), committed.end());
-  while (committed.size() > static_cast<size_t>(impl_->keep_last)) {
+  while (committed.size() > static_cast<size_t>(kKeepLast)) {
     fs::remove_all(committed.front().second, ec);
     committed.erase(committed.begin());
   }

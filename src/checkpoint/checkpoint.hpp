@@ -119,12 +119,15 @@ std::string snapshot_dirname(std::int64_t interval);
 /// renames the staging directory into place. Deliberately not an MPI
 /// barrier: registration happens outside the simulated schedule, so
 /// checkpointing perturbs neither the message ordering nor the virtual
-/// clock. Snapshot directories older than `keep_last` committed snapshots
-/// are pruned after each commit; stale *.tmp staging dirs are removed on
-/// construction.
+/// clock. Only the newest kKeepLast committed snapshots are kept: older
+/// snapshot directories are pruned after each commit, so a torn newest
+/// snapshot still leaves one to fall back to. Stale *.tmp staging dirs are
+/// removed on construction.
 class CheckpointWriter {
  public:
-  CheckpointWriter(std::string dir, int n_ranks, int keep_last = 2);
+  static constexpr int kKeepLast = 2;
+
+  CheckpointWriter(std::string dir, int n_ranks);
 
   /// Register this rank's slice for snapshot `interval`. Returns true when
   /// this call was the n_ranks-th registration and performed the commit.

@@ -176,9 +176,9 @@ double estimate_alltoall_alg(const net::MachineSpec& spec, mpi::CollAlg alg,
 }  // namespace
 
 double estimate_coll(const net::MachineSpec& spec, Kind kind, mpi::CollAlg alg,
-                     int participants, std::uint64_t bytes, bool internode,
-                     int nic_sharers) {
+                     int participants, std::uint64_t bytes, bool internode) {
   if (participants <= 1) return 0.0;
+  const int nic_sharers = -1;  // every rank of the node contends
   if (alg == mpi::CollAlg::kAuto) {
     alg = mpi::CollSelector::tuned().choose(kind, bytes, participants,
                                             internode);
@@ -210,25 +210,25 @@ double estimate_coll(const net::MachineSpec& spec, Kind kind, mpi::CollAlg alg,
 }
 
 double estimate_allreduce(const net::MachineSpec& spec, int participants,
-                          std::uint64_t bytes, bool internode, int nic_sharers,
+                          std::uint64_t bytes, bool internode,
                           const mpi::CollSelector* selector) {
   if (participants <= 1) return 0.0;
   const mpi::CollAlg alg =
       (selector != nullptr ? *selector : mpi::CollSelector::tuned())
           .choose(Kind::kAllReduce, bytes, participants, internode);
   return estimate_coll(spec, Kind::kAllReduce, alg, participants, bytes,
-                       internode, nic_sharers);
+                       internode);
 }
 
 double estimate_alltoall(const net::MachineSpec& spec, int participants,
                          std::uint64_t bytes_per_pair, bool internode,
-                         int nic_sharers, const mpi::CollSelector* selector) {
+                         const mpi::CollSelector* selector) {
   if (participants <= 1) return 0.0;
   const mpi::CollAlg alg =
       (selector != nullptr ? *selector : mpi::CollSelector::tuned())
           .choose(Kind::kAllToAll, bytes_per_pair, participants, internode);
   return estimate_coll(spec, Kind::kAllToAll, alg, participants, bytes_per_pair,
-                       internode, nic_sharers);
+                       internode);
 }
 
 net::MachineSpec nl03c_machine(int n_nodes) {
@@ -265,12 +265,12 @@ PhaseEstimate estimate_phases(const gyro::Input& input,
   e.str = steps * 4.0 * place.compute_time(stage_flops, 0.0);
   const bool nv_internode = spans_nodes(spec, d.pv);
   // Solver communicators run bulk-synchronously with siblings on every
-  // node, so the conservative full-node NIC share applies (sharers = -1).
+  // node, so the conservative full-node NIC share applies.
   e.str_comm =
       steps * 4.0 *
       (estimate_allreduce(spec, d.pv, field_bytes * input.n_field, nv_internode,
-                          -1, selector) +
-       estimate_allreduce(spec, d.pv, field_bytes, nv_internode, -1, selector));
+                          selector) +
+       estimate_allreduce(spec, d.pv, field_bytes, nv_internode, selector));
 
   // --- nonlinear bracket ------------------------------------------------------
   if (input.nonlinear) {
@@ -290,7 +290,7 @@ PhaseEstimate estimate_phases(const gyro::Input& input,
         (d.pt - 1) * round_cost(spec, field_bytes, internode);
     e.nl_comm = steps * 4.0 *
                 (gather + 2.0 * estimate_alltoall(spec, d.pt, block, internode,
-                                                  -1, selector));
+                                                  selector));
   }
 
   // --- collisions --------------------------------------------------------------
@@ -316,7 +316,7 @@ PhaseEstimate estimate_phases(const gyro::Input& input,
       k > 1 ? spans_nodes(spec, k * d.pv * d.pt) : spans_nodes(spec, d.pv);
   e.coll_comm =
       steps * 2.0 *
-      estimate_alltoall(spec, coll_p, coll_block, coll_internode, -1, selector);
+      estimate_alltoall(spec, coll_p, coll_block, coll_internode, selector);
   return e;
 }
 
@@ -345,8 +345,7 @@ PlanPoint plan_cgyro(const gyro::Input& input, const net::MachineSpec& machine) 
 }
 
 PlanPoint plan_xgyro(const gyro::Input& input, int k,
-                     const net::MachineSpec& machine,
-                     const mpi::CollSelector* selector) {
+                     const net::MachineSpec& machine) {
   XG_REQUIRE(k >= 1, "plan_xgyro: k must be >= 1");
   XG_REQUIRE(machine.total_ranks() % k == 0,
              "plan_xgyro: total ranks not divisible by ensemble size");
@@ -357,7 +356,7 @@ PlanPoint plan_xgyro(const gyro::Input& input, int k,
   p.decomp = gyro::Decomposition::choose(input, p.ranks_per_sim, k);
   p.fit = cluster::check_fit(
       gyro::Simulation::memory_inventory(input, p.decomp, k), machine);
-  p.per_report = estimate_phases(input, p.decomp, k, machine, selector);
+  p.per_report = estimate_phases(input, p.decomp, k, machine);
   return p;
 }
 
@@ -368,16 +367,15 @@ double estimate_queue_wait(double backlog_node_seconds, int cluster_nodes) {
 }
 
 WaitCalibration calibrate_queue_wait(const std::vector<double>& predicted_s,
-                                     const std::vector<double>& realized_s,
-                                     double tolerance, double min_coverage) {
+                                     const std::vector<double>& realized_s) {
   if (predicted_s.size() != realized_s.size()) {
     throw InputError(strprintf(
         "calibrate_queue_wait: %zu predictions vs %zu realized waits",
         predicted_s.size(), realized_s.size()));
   }
   WaitCalibration c;
-  c.tolerance = tolerance;
-  c.min_coverage = min_coverage;
+  c.tolerance = kDefaultWaitTolerance;
+  c.min_coverage = kDefaultWaitMinCoverage;
   c.n = static_cast<int>(predicted_s.size());
   if (c.n == 0) return c;
   double abs_err = 0.0, err = 0.0, pred = 0.0, real = 0.0;
@@ -401,20 +399,19 @@ WaitCalibration calibrate_queue_wait(const std::vector<double>& predicted_s,
   c.significant = c.n >= kWaitCalibrationMinSamples &&
                   c.mean_realized_s >= kWaitCalibrationMinMeanWaitS;
   c.pass = !c.significant ||
-           (c.ratio <= tolerance && c.coverage >= min_coverage);
+           (c.ratio <= c.tolerance && c.coverage >= c.min_coverage);
   return c;
 }
 
 AuditGate audit_fast_path(const std::vector<double>& price_s,
-                          const std::vector<double>& measured_s,
-                          double tolerance) {
+                          const std::vector<double>& measured_s) {
   if (price_s.size() != measured_s.size()) {
     throw InputError(strprintf(
         "audit_fast_path: %zu prices vs %zu measured costs",
         price_s.size(), measured_s.size()));
   }
   AuditGate g;
-  g.tolerance = tolerance;
+  g.tolerance = kDefaultAuditTolerance;
   g.n = static_cast<int>(price_s.size());
   if (g.n == 0) return g;
   double price_sum = 0.0, measured_sum = 0.0, ratio_sum = 0.0;
@@ -438,7 +435,7 @@ AuditGate audit_fast_path(const std::vector<double>& price_s,
   g.mean_ratio = ratio_sum / g.n;
   g.significant =
       g.n >= kAuditMinSamples && g.mean_measured_s >= kAuditMinMeanMeasuredS;
-  g.pass = !g.significant || g.worst_ratio <= tolerance;
+  g.pass = !g.significant || g.worst_ratio <= g.tolerance;
   return g;
 }
 

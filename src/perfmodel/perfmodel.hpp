@@ -27,27 +27,26 @@ double round_cost(const net::MachineSpec& spec, std::uint64_t bytes,
 /// algorithm. `bytes` follows the selector's decision-key convention
 /// (simmpi/coll.hpp): total buffer bytes for reduce-style collectives,
 /// per-rank block bytes for allgather, per-pair block bytes for alltoall.
-/// Hierarchical formulas assume consecutive rank→node placement (intra-node
-/// groups of `spec.ranks_per_node`, leaders exchanging at nic_sharers = 1 —
-/// the exclusive-NIC window simmpi grants them). Throws xg::InputError on an
-/// (kind, alg) pair the runtime cannot schedule.
+/// Every rank of a node contends for its NIC (the bulk-synchronous solver
+/// phases). Hierarchical formulas assume consecutive rank→node placement
+/// (intra-node groups of `spec.ranks_per_node`, leaders exchanging at
+/// nic_sharers = 1 — the exclusive-NIC window simmpi grants them). Throws
+/// xg::InputError on an (kind, alg) pair the runtime cannot schedule.
 double estimate_coll(const net::MachineSpec& spec, mpi::TraceEvent::Kind kind,
                      mpi::CollAlg alg, int participants, std::uint64_t bytes,
-                     bool internode, int nic_sharers = -1);
+                     bool internode);
 
 /// Closed-form AllReduce estimate. The algorithm is resolved through
 /// `selector` (nullptr = the built-in tuned table, matching what a default
 /// simmpi run schedules) and priced with estimate_coll.
 double estimate_allreduce(const net::MachineSpec& spec, int participants,
                           std::uint64_t bytes, bool internode,
-                          int nic_sharers = -1,
                           const mpi::CollSelector* selector = nullptr);
 
 /// Closed-form AllToAll estimate (`bytes_per_pair` per destination),
 /// selector-resolved like estimate_allreduce.
 double estimate_alltoall(const net::MachineSpec& spec, int participants,
                          std::uint64_t bytes_per_pair, bool internode,
-                         int nic_sharers = -1,
                          const mpi::CollSelector* selector = nullptr);
 
 /// The machine the nl03c-scale experiments run on: Frontier-like topology
@@ -98,13 +97,10 @@ struct PlanPoint {
 PlanPoint plan_cgyro(const gyro::Input& input, const net::MachineSpec& machine);
 
 /// Evaluate running a k-member ensemble XGYRO-style on `nodes` nodes
-/// (ranks split evenly across members). `selector` propagates to
-/// estimate_phases so callers pricing a run that uses a tuned collective
-/// decision table (the campaign service's fast path) get selector-aware
-/// comm costs.
+/// (ranks split evenly across members), with the built-in tuned collective
+/// table.
 PlanPoint plan_xgyro(const gyro::Input& input, int k,
-                     const net::MachineSpec& machine,
-                     const mpi::CollSelector* selector = nullptr);
+                     const net::MachineSpec& machine);
 
 /// Smallest power-of-two node count (≤ max_nodes) at which one CGYRO
 /// simulation fits; -1 if none. Reproduces the paper's "a single CGYRO
@@ -137,7 +133,7 @@ struct WaitCalibration {
   double min_coverage = 0.0;
 };
 
-/// Gate defaults. estimate_queue_wait is a lower bound, so calibration
+/// Gate cuts. estimate_queue_wait is a lower bound, so calibration
 /// checks two things: the error stays inside a multiplicative envelope of
 /// the realized wait (MAE / mean ≤ tolerance), and the lower-bound
 /// property actually holds for most requests (coverage ≥ min_coverage —
@@ -150,13 +146,11 @@ inline constexpr int kWaitCalibrationMinSamples = 16;
 inline constexpr double kWaitCalibrationMinMeanWaitS = 1.0;
 
 /// Compare admission-time predictions with realized waits (parallel
-/// vectors, one entry per placed request). Throws xg::InputError when the
-/// vectors disagree in length.
-WaitCalibration calibrate_queue_wait(
-    const std::vector<double>& predicted_s,
-    const std::vector<double>& realized_s,
-    double tolerance = kDefaultWaitTolerance,
-    double min_coverage = kDefaultWaitMinCoverage);
+/// vectors, one entry per placed request) under kDefaultWaitTolerance and
+/// kDefaultWaitMinCoverage. Throws xg::InputError when the vectors disagree
+/// in length.
+WaitCalibration calibrate_queue_wait(const std::vector<double>& predicted_s,
+                                     const std::vector<double>& realized_s);
 
 /// Divergence verdict for the campaign service's modeled fast path: each
 /// sampled-audit job contributes a (fast-path price, audited DES cost)
@@ -175,7 +169,7 @@ struct AuditGate {
   double tolerance = 0.0;
 };
 
-/// Audit-gate defaults. The tolerance matches the PR-5 divergence envelope:
+/// Audit-gate cuts. The tolerance matches the PR-5 divergence envelope:
 /// the price and the audited cost come from the same model/DES pair, so a
 /// job drifting past 3x means the closed forms no longer describe what the
 /// simulator executes. Significance cuts keep trivial streams (too few
@@ -185,10 +179,10 @@ inline constexpr int kAuditMinSamples = 3;
 inline constexpr double kAuditMinMeanMeasuredS = 1e-6;
 
 /// Compare fast-path prices with audited DES costs (parallel vectors, one
-/// entry per sampled-audit job). Throws xg::InputError when the vectors
-/// disagree in length or a sample is non-positive on one side only.
+/// entry per sampled-audit job) under kDefaultAuditTolerance. Throws
+/// xg::InputError when the vectors disagree in length or a sample is
+/// non-positive on one side only.
 AuditGate audit_fast_path(const std::vector<double>& price_s,
-                          const std::vector<double>& measured_s,
-                          double tolerance = kDefaultAuditTolerance);
+                          const std::vector<double>& measured_s);
 
 }  // namespace xg::perfmodel

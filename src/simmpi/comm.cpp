@@ -1,7 +1,6 @@
 #include "simmpi/comm.hpp"
 
 #include <algorithm>
-#include <map>
 #include <tuple>
 #include <utility>
 
@@ -11,21 +10,6 @@
 
 namespace xg::mpi {
 
-namespace {
-
-/// Max number of communicator members placed on any single node.
-int compute_nic_sharers(const net::Placement& place, const std::vector<int>& members) {
-  std::map<int, int> per_node;
-  int best = 1;
-  for (const int r : members) {
-    const int c = ++per_node[place.node_of(r)];
-    if (c > best) best = c;
-  }
-  return best;
-}
-
-}  // namespace
-
 void Comm::send_bytes(int dst, int tag, const void* data, std::uint64_t bytes) {
   XG_ASSERT_MSG(valid(), "send on an invalid communicator");
   if (dst < 0 || dst >= size()) {
@@ -33,10 +17,8 @@ void Comm::send_bytes(int dst, int tag, const void* data, std::uint64_t bytes) {
                                   dst, size()));
   }
   XG_ASSERT_MSG(dst != myrank_, "send to self is not supported");
-  const int sharers = group_->nic_override > 0 ? group_->nic_override
-                                               : group_->nic_sharers;
   proc_->p2p_send(group_->members[dst], group_->context, tag, data, bytes,
-                  sharers);
+                  group_->nic_override);
 }
 
 void Comm::recv_bytes(int src, int tag, void* data, std::uint64_t bytes) {
@@ -59,10 +41,9 @@ Request Comm::isend_bytes(int dst, int tag, const void* data,
   XG_ASSERT_MSG(dst != myrank_, "isend to self is not supported");
   Request r;
   r.kind_ = Request::Kind::kSend;
-  const int sharers = group_->nic_override > 0 ? group_->nic_override
-                                               : group_->nic_sharers;
-  r.send_complete_at_ = proc_->p2p_isend(group_->members[dst], group_->context,
-                                         tag, data, bytes, sharers);
+  r.send_complete_at_ =
+      proc_->p2p_isend(group_->members[dst], group_->context, tag, data, bytes,
+                       group_->nic_override);
   return r;
 }
 
@@ -181,8 +162,7 @@ void Comm::scan_virtual(std::uint64_t bytes) {
                     /*has_hash=*/false, 0);
 }
 
-Comm Comm::split(int color, int key, std::string label,
-                 bool exclusive_network) const {
+Comm Comm::split(int color, int key, std::string label) const {
   XG_REQUIRE(color >= 0, "split: color must be >= 0 (no MPI_UNDEFINED here)");
   // Exchange (color, key, parent rank) across the parent communicator.
   struct Entry {
@@ -222,9 +202,6 @@ Comm Comm::split(int color, int key, std::string label,
     if (group[i].parent_rank == myrank_) new_rank = static_cast<int>(i);
   }
   XG_ASSERT(new_rank >= 0);
-  g->nic_sharers = exclusive_network
-                       ? compute_nic_sharers(proc_->placement(), g->members)
-                       : -1;
   return Comm(proc_, std::move(g), new_rank);
 }
 

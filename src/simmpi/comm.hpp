@@ -43,17 +43,13 @@ struct Group {
                                ///< members because collective calls are
                                ///< ordered identically on every member)
   std::uint64_t next_split = 1;
-  /// NIC-sharing factor for this communicator's traffic. -1 = conservative
-  /// default (all ranks of the node contend — correct for bulk-synchronous
-  /// phases where sibling communicators run concurrently). A communicator
-  /// created with exclusive_network=true instead uses its own max members
-  /// per node, modelling a communicator that runs alone on the machine.
-  int nic_sharers = -1;
-  /// Temporary NIC-sharing override (> 0 wins over nic_sharers) used by the
-  /// hierarchical schedules: during the inter-node stage only one rank per
-  /// node (the leader) injects, so it gets the exclusive per-rank attach
+  /// NIC-sharing factor for this communicator's traffic. -1 = every rank of
+  /// the node contends (correct for the bulk-synchronous phases, where
+  /// sibling communicators run concurrently). The hierarchical schedules
+  /// set it to 1 for their inter-node stage: only one rank per node (the
+  /// leader) injects then, so it gets the exclusive per-rank attach
   /// bandwidth. Managed by ScopedNicExclusive.
-  int nic_override = 0;
+  int nic_override = -1;
 
   // --- lazily computed topology view (Group objects are per rank — the
   // world group is cached per Proc, split groups are created per rank — so
@@ -258,13 +254,7 @@ class Comm {
 
   /// Collective: partition members by `color` (>= 0); order within a new
   /// communicator by (key, parent rank). Mirrors MPI_Comm_split.
-  /// `exclusive_network`: declare that this communicator's collectives run
-  /// with no sibling traffic on the same nodes, so sparse placements get the
-  /// per-rank NIC attach bandwidth instead of the full-node fair share.
-  /// Leave false (the default) for communicators used in bulk-synchronous
-  /// phases where every co-located rank communicates concurrently.
-  [[nodiscard]] Comm split(int color, int key, std::string label = "",
-                           bool exclusive_network = false) const;
+  [[nodiscard]] Comm split(int color, int key, std::string label = "") const;
 
   static Comm make_world(Proc& proc);
 

@@ -90,22 +90,17 @@ struct FaultPlan {
   /// Per-rank RNG seed: splitmix64-expanded so adjacent ranks decorrelate.
   [[nodiscard]] std::uint64_t rank_seed(int rank) const;
 
-  /// Copy of this plan with kill clauses removed. Elastic recovery treats a
-  /// fired kill as a transient fault: the resumed attempt keeps the
-  /// stragglers, jitter, and message delays (same seed) but must not die
-  /// again at the same virtual time — the restarted clock begins at zero.
-  /// `fired_rank >= 0` strips only the clauses armed for that rank, so a
-  /// plan with kills for several ranks keeps firing across attempts (the
-  /// mechanism behind max_recoveries-exhaustion tests); the default strips
-  /// every kill.
-  [[nodiscard]] FaultPlan without_kill(int fired_rank = -1) const {
+  /// Copy of this plan without the kill clauses armed for `fired_rank`.
+  /// Elastic recovery treats a fired kill as a transient fault: the resumed
+  /// attempt keeps the stragglers, jitter, and message delays (same seed)
+  /// but must not die again at the same virtual time — the restarted clock
+  /// begins at zero. Kills armed for other ranks stay, so a plan with kills
+  /// for several ranks keeps firing across attempts (the mechanism behind
+  /// max_recoveries-exhaustion tests).
+  [[nodiscard]] FaultPlan without_kill(int fired_rank) const {
     FaultPlan plan = *this;
-    if (fired_rank < 0) {
-      plan.kills.clear();
-    } else {
-      std::erase_if(plan.kills,
-                    [fired_rank](const Kill& k) { return k.rank == fired_rank; });
-    }
+    std::erase_if(plan.kills,
+                  [fired_rank](const Kill& k) { return k.rank == fired_rank; });
     return plan;
   }
 

@@ -100,10 +100,10 @@ class Proc {
   /// Eager send: charges injection time to this rank, deposits the message
   /// with its virtual arrival timestamp into dst's mailbox. `data == nullptr`
   /// marks a virtual payload. `nic_sharers` is the number of co-located
-  /// ranks contending for the node NIC (communicator-derived; -1 = worst
-  /// case, all ranks on the node).
+  /// ranks contending for the node NIC (the communicator's nic_override;
+  /// -1 = worst case, all ranks on the node).
   void p2p_send(int dst_world, std::uint64_t context, int tag, const void* data,
-                std::uint64_t bytes, int nic_sharers = -1);
+                std::uint64_t bytes, int nic_sharers);
 
   /// Blocking receive; advances the virtual clock to the message arrival.
   /// `data == nullptr` accepts only virtual payloads.
@@ -115,7 +115,7 @@ class Proc {
   /// other outstanding sends). Returns the virtual time at which the send
   /// completes locally (i.e. when a Wait on it would return).
   double p2p_isend(int dst_world, std::uint64_t context, int tag,
-                   const void* data, std::uint64_t bytes, int nic_sharers = -1);
+                   const void* data, std::uint64_t bytes, int nic_sharers);
 
   /// Complete a nonblocking send: advance the clock to its local completion.
   void complete_send(double complete_at_s);

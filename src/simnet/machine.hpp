@@ -110,10 +110,10 @@ class Placement {
   }
 
   /// Time the sender spends injecting `bytes` onto the path to dst.
-  /// `nic_sharers` = co-located ranks contending for the NIC (defaults to
-  /// the worst case, every rank on the node).
+  /// `nic_sharers` = co-located ranks contending for the NIC (-1 = the
+  /// worst case, every rank on the node).
   [[nodiscard]] double injection_time(int src, int dst, std::uint64_t bytes,
-                                      int nic_sharers = -1) const {
+                                      int nic_sharers) const {
     const double bw = same_node(src, dst)
                           ? spec_.intra_bw_Bps
                           : inter_bw_effective(nic_sharers < 0

@@ -76,7 +76,7 @@ class JobAborted : public Error {
              double virtual_time_s, std::string phase,
              std::vector<RecoveryEvent> recoveries,
              std::uint64_t snapshots_committed,
-             std::uint64_t snapshots_rejected, std::string report = {});
+             std::uint64_t snapshots_rejected, std::string report);
 
   /// One line naming the failure, where and when it happened, `reason` as
   /// the cause, and the recoveries that succeeded before it. A caller that

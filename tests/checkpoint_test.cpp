@@ -101,7 +101,7 @@ void commit_synthetic(CheckpointWriter& writer, std::int64_t interval) {
 
 TEST(Checkpoint, WriterCommitsAtomicallyAndPrunes) {
   const TempDir dir("prune");
-  CheckpointWriter writer(dir.path, /*n_ranks=*/2, /*keep_last=*/2);
+  CheckpointWriter writer(dir.path, /*n_ranks=*/2);
   commit_synthetic(writer, 1);
   commit_synthetic(writer, 2);
   commit_synthetic(writer, 3);
@@ -174,7 +174,7 @@ TEST(Checkpoint, FingerprintMismatchRejected) {
 
 TEST(Checkpoint, TruncatedShardFallsBackToOlderSnapshot) {
   const TempDir dir("truncate");
-  CheckpointWriter writer(dir.path, 2, /*keep_last=*/4);
+  CheckpointWriter writer(dir.path, 2);
   commit_synthetic(writer, 1);
   commit_synthetic(writer, 2);
   // Truncate one shard of the newest snapshot.

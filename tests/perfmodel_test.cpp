@@ -306,11 +306,22 @@ TEST(WaitCalibrationGate, OverpredictionTripsBothCuts) {
   EXPECT_FALSE(c.pass);
   EXPECT_GT(c.ratio, kDefaultWaitTolerance);
   EXPECT_DOUBLE_EQ(c.coverage, 0.0);
+}
 
-  // The same data under a looser gate passes the ratio but still fails
-  // coverage; relaxing both clears it.
-  EXPECT_FALSE(calibrate_queue_wait(pred, real, 3.0).pass);
-  EXPECT_TRUE(calibrate_queue_wait(pred, real, 3.0, 0.0).pass);
+TEST(WaitCalibrationGate, LowCoverageTripsTheGateAlone) {
+  // Half the predictions sit just above the realized wait: the error is
+  // small (ratio 0.05), but the lower-bound property holds for only half
+  // the requests, under the coverage cut.
+  std::vector<double> pred, real(20, 10.0);
+  for (int i = 0; i < 20; ++i) pred.push_back(i % 2 == 0 ? 10.5 : 9.5);
+  const WaitCalibration c = calibrate_queue_wait(pred, real);
+  EXPECT_TRUE(c.significant);
+  EXPECT_NEAR(c.ratio, 0.05, 1e-12);
+  EXPECT_LE(c.ratio, kDefaultWaitTolerance);
+  EXPECT_DOUBLE_EQ(c.coverage, 0.5);
+  EXPECT_LT(c.coverage, kDefaultWaitMinCoverage);
+  EXPECT_FALSE(c.pass);
+  EXPECT_DOUBLE_EQ(c.min_coverage, kDefaultWaitMinCoverage);
 }
 
 TEST(WaitCalibrationGate, RejectsMismatchedVectors) {
@@ -367,10 +378,6 @@ TEST(FastPathAuditGate, SingleDivergentJobTripsTheGate) {
   EXPECT_FALSE(g.pass);
   EXPECT_NEAR(g.worst_ratio, 3.5, 1e-12);
   EXPECT_LT(g.mean_ratio, kDefaultAuditTolerance);
-
-  // A wider tolerance accepts the same stream.
-  EXPECT_TRUE(audit_fast_path({1.0, 1.0, 1.0, 1.0},
-                              {1.0, 1.0, 1.0, 3.5}, 4.0).pass);
 }
 
 TEST(FastPathAuditGate, ZeroPairsCountAsAgreement) {

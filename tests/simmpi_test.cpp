@@ -713,37 +713,6 @@ TEST(Scaling, AllReduceCostGrowsWithParticipants) {
   }
 }
 
-TEST(Scaling, ExclusiveNetworkCommGetsMoreNicBandwidth) {
-  // Frontier-like nodes have a per-rank NIC attach above the full-node fair
-  // share. A communicator declared exclusive_network (no sibling traffic)
-  // with one member per node moves the same inter-node payload faster than
-  // the conservative default, which assumes every co-located rank injects.
-  auto spec = net::frontier_like(2);  // 8 ranks/node, 12.5 GB/s share, 25 cap
-  const std::uint64_t bytes = 4 * 1024 * 1024;
-  auto run_pair = [&](bool exclusive) {
-    // Measure only the AllReduce itself (the split's setup exchange is
-    // identical in both variants and would dilute the ratio).
-    const auto res = run_simulation(spec, 16, [&, exclusive](Proc& p) {
-      // Pair rank i on node 0 with rank i+8 on node 1.
-      auto pair = p.world().split(p.world_rank() % 8, p.world_rank(), "pair",
-                                  exclusive);
-      EXPECT_EQ(pair.size(), 2);
-      p.set_phase("ar");
-      if (p.world_rank() % 8 == 0) pair.allreduce_virtual(bytes);
-      // Only pair 0 communicates — exclusivity is actually true here.
-    });
-    return res.phase_max_comm("ar");
-  };
-  const double shared = run_pair(false);
-  const double exclusive = run_pair(true);
-  // Bandwidth term doubles (12.5 → 25 GB/s): near-2x on a bw-bound payload.
-  EXPECT_GT(shared, 1.7 * exclusive);
-
-  // With the per-rank cap disabled the declaration has no effect.
-  spec.rank_nic_bw_Bps = 0.0;
-  EXPECT_NEAR(run_pair(false), run_pair(true), 1e-12);
-}
-
 TEST(Scaling, InterBwEffectiveFormula) {
   const auto spec = net::frontier_like(1);  // inter 12.5 GB/s, cap 25 GB/s
   const net::Placement place(spec);
