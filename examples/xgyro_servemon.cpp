@@ -26,6 +26,7 @@
 #include "telemetry/json.hpp"
 #include "util/error.hpp"
 #include "util/format.hpp"
+#include "util/strings.hpp"
 
 namespace {
 
@@ -40,17 +41,6 @@ struct Options {
   std::string trace_out;
   std::string json_out;
 };
-
-double parse_double(const std::string& flag, const std::string& value) {
-  errno = 0;
-  char* end = nullptr;
-  const double v = std::strtod(value.c_str(), &end);
-  if (value.empty() || end == nullptr || *end != '\0' || errno == ERANGE) {
-    throw xg::InputError(xg::strprintf("%s: '%s' is not a number",
-                                       flag.c_str(), value.c_str()));
-  }
-  return v;
-}
 
 void print_help() {
   std::printf(
@@ -118,7 +108,7 @@ Options parse_args(int argc, char** argv) {
       o.tenant = need_value(i++);
     } else if (a == "--window") {
       once(a);
-      o.window_s = parse_double(a, need_value(i++));
+      o.window_s = xg::parse_double(need_value(i++), a);
     } else if (a == "--trace-out") {
       once(a);
       o.trace_out = need_value(i++);

@@ -49,22 +49,22 @@ StreamSpec StreamSpec::parse(const std::string& spec) {
     if (key == "seed") {
       out.seed = static_cast<std::uint64_t>(parse_long(value, "stream:seed"));
     } else if (key == "n") {
-      out.n = static_cast<int>(parse_long(value, "stream:n"));
+      out.n = parse_int(value, "stream:n");
       if (out.n < 0) throw InputError("stream: n must be >= 0");
     } else if (key == "rate") {
       out.rate_hz = parse_double(value, "stream:rate");
       if (out.rate_hz <= 0.0) throw InputError("stream: rate must be > 0");
     } else if (key == "tenants") {
-      out.tenants = static_cast<int>(parse_long(value, "stream:tenants"));
+      out.tenants = parse_int(value, "stream:tenants");
       if (out.tenants < 1) throw InputError("stream: tenants must be >= 1");
     } else if (key == "sigs") {
-      out.signatures = static_cast<int>(parse_long(value, "stream:sigs"));
+      out.signatures = parse_int(value, "stream:sigs");
       if (out.signatures < 1) throw InputError("stream: sigs must be >= 1");
     } else if (key == "prios") {
-      out.priorities = static_cast<int>(parse_long(value, "stream:prios"));
+      out.priorities = parse_int(value, "stream:prios");
       if (out.priorities < 1) throw InputError("stream: prios must be >= 1");
     } else if (key == "species") {
-      out.species = static_cast<int>(parse_long(value, "stream:species"));
+      out.species = parse_int(value, "stream:species");
       if (out.species < 1) throw InputError("stream: species must be >= 1");
     } else if (key == "skew") {
       const long v = parse_long(value, "stream:skew");

@@ -39,15 +39,25 @@ void Input::validate() const {
   }
 }
 
+namespace {
+
+/// An int-valued key: a value outside the int range is an InputError, never
+/// a silent wrap.
+int int_or(const KeyValueFile& kv, std::string_view key, int fallback) {
+  return kv.has(key) ? parse_int(kv.get_string(key), key) : fallback;
+}
+
+}  // namespace
+
 Input Input::from_keyvalue(const KeyValueFile& kv) {
   Input in;
-  in.n_radial = static_cast<int>(kv.get_int_or("N_RADIAL", in.n_radial));
-  in.n_theta = static_cast<int>(kv.get_int_or("N_THETA", in.n_theta));
-  in.n_toroidal = static_cast<int>(kv.get_int_or("N_TOROIDAL", in.n_toroidal));
-  in.n_energy = static_cast<int>(kv.get_int_or("N_ENERGY", in.n_energy));
-  in.n_xi = static_cast<int>(kv.get_int_or("N_XI", in.n_xi));
+  in.n_radial = int_or(kv, "N_RADIAL", in.n_radial);
+  in.n_theta = int_or(kv, "N_THETA", in.n_theta);
+  in.n_toroidal = int_or(kv, "N_TOROIDAL", in.n_toroidal);
+  in.n_energy = int_or(kv, "N_ENERGY", in.n_energy);
+  in.n_xi = int_or(kv, "N_XI", in.n_xi);
   in.e_max = kv.get_real_or("E_MAX", in.e_max);
-  in.n_field = static_cast<int>(kv.get_int_or("N_FIELD", in.n_field));
+  in.n_field = int_or(kv, "N_FIELD", in.n_field);
   in.dt = kv.get_real_or("DELTA_T", in.dt);
   in.collision.nu_ee = kv.get_real_or("NU_EE", in.collision.nu_ee);
   // COLLISION_MODEL presets (CGYRO numbering) apply first; the individual
@@ -89,13 +99,12 @@ Input Input::from_keyvalue(const KeyValueFile& kv) {
   in.seed = static_cast<std::uint64_t>(kv.get_int_or("SEED", static_cast<long>(in.seed)));
   in.nonlinear = kv.get_bool_or("NONLINEAR_FLAG", in.nonlinear);
   in.upwind = kv.get_real_or("UP_WIND", in.upwind);
-  in.coll_pipeline_chunks = static_cast<int>(
-      kv.get_int_or("COLL_PIPELINE", in.coll_pipeline_chunks));
-  in.n_steps_per_report = static_cast<int>(
-      kv.get_int_or("PRINT_STEP", in.n_steps_per_report));
+  in.coll_pipeline_chunks =
+      int_or(kv, "COLL_PIPELINE", in.coll_pipeline_chunks);
+  in.n_steps_per_report = int_or(kv, "PRINT_STEP", in.n_steps_per_report);
   in.tag = kv.get_string_or("TAG", in.tag);
 
-  const int ns = static_cast<int>(kv.get_int_or("N_SPECIES", 1));
+  const int ns = int_or(kv, "N_SPECIES", 1);
   in.species.clear();
   for (int s = 0; s < ns; ++s) {
     SpeciesInput sp;

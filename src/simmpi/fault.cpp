@@ -22,12 +22,12 @@ std::pair<std::string, std::string> split_pair(std::string_view value, char sep,
 }
 
 int parse_rank(std::string_view s, std::string_view what) {
-  const long r = parse_long(s, what);
+  const int r = parse_int(s, what);
   if (r < 0) {
-    throw InputError(strprintf("faults: %.*s rank must be >= 0, got %ld",
+    throw InputError(strprintf("faults: %.*s rank must be >= 0, got %d",
                                int(what.size()), what.data(), r));
   }
-  return static_cast<int>(r);
+  return r;
 }
 
 }  // namespace

@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cerrno>
 #include <charconv>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "util/error.hpp"
@@ -104,6 +106,18 @@ long parse_long(std::string_view s, std::string_view context) {
   return value;
 }
 
+int parse_int(std::string_view s, std::string_view context) {
+  const long value = parse_long(s, context);
+  if (value < std::numeric_limits<int>::min() ||
+      value > std::numeric_limits<int>::max()) {
+    s = trim(s);
+    throw InputError(strprintf("integer for %.*s out of range, got '%.*s'",
+                               int(context.size()), context.data(),
+                               int(s.size()), s.data()));
+  }
+  return static_cast<int>(value);
+}
+
 double parse_double(std::string_view s, std::string_view context) {
   s = trim(s);
   // std::from_chars<double> is available in GCC 12, but accept Fortran-style
@@ -113,9 +127,15 @@ double parse_double(std::string_view s, std::string_view context) {
     if (c == 'd' || c == 'D') c = 'e';
   }
   char* end = nullptr;
+  errno = 0;
   const double value = std::strtod(buf.c_str(), &end);
   if (end != buf.c_str() + buf.size() || buf.empty()) {
     throw InputError(strprintf("expected real number for %.*s, got '%.*s'",
+                               int(context.size()), context.data(),
+                               int(s.size()), s.data()));
+  }
+  if (errno == ERANGE) {
+    throw InputError(strprintf("real number for %.*s out of range, got '%.*s'",
                                int(context.size()), context.data(),
                                int(s.size()), s.data()));
   }

@@ -34,8 +34,12 @@ std::vector<std::pair<std::string, std::string>> spec_items(
 /// The whole contents of the file at `path`; nothing if it cannot be opened.
 std::optional<std::string> read_text_file(const std::string& path);
 
-/// Parse helpers that throw xg::InputError with context on failure.
+/// Parse helpers that throw xg::InputError with context on failure: the
+/// whole (trimmed) value must be a number, and in range for the type —
+/// parse_int refuses values outside `int`, parse_double values that
+/// overflow or underflow a double.
 long parse_long(std::string_view s, std::string_view context);
+int parse_int(std::string_view s, std::string_view context);
 double parse_double(std::string_view s, std::string_view context);
 bool parse_bool(std::string_view s, std::string_view context);
 

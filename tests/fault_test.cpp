@@ -86,6 +86,13 @@ TEST(FaultPlan, RejectsMalformedSpecs) {
   EXPECT_THROW(FaultPlan::parse("straggler"), InputError);  // missing '='
 }
 
+TEST(FaultPlan, RejectsRanksOutsideIntRange) {
+  // 4294967297 = 2^32 + 1: a cast to int would arm rank 1.
+  EXPECT_THROW(FaultPlan::parse("kill=4294967297@0.5"), InputError);
+  EXPECT_THROW(FaultPlan::parse("hang=4294967297@0.5"), InputError);
+  EXPECT_THROW(FaultPlan::parse("straggler=4294967297x2.0"), InputError);
+}
+
 TEST(FaultPlan, RankSeedsAreStableAndDecorrelated) {
   const auto a = FaultPlan::parse("seed=7;delay=0.5x1e-6");
   const auto b = FaultPlan::parse("seed=7;delay=0.5x1e-6");

@@ -30,6 +30,15 @@
 namespace xg::gyro {
 namespace {
 
+TEST(Input, IntKeyOutsideIntRangeIsRejectedNotWrapped) {
+  // 4294967304 = 2^32 + 8: a cast to int would read it as N_RADIAL=8.
+  KeyValueFile kv = Input::small_test(1).to_keyvalue();
+  kv.set("N_RADIAL", "8");
+  EXPECT_EQ(Input::from_keyvalue(kv).n_radial, 8);
+  kv.set("N_RADIAL", "4294967304");
+  EXPECT_THROW(static_cast<void>(Input::from_keyvalue(kv)), InputError);
+}
+
 TEST(Input, KeyValueRoundTrip) {
   Input in = Input::small_test(2);
   in.species[0].a_ln_t = 2.25;

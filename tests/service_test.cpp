@@ -811,6 +811,13 @@ TEST(StreamSpec, ParsesFullGrammarAndRejectsJunk) {
   EXPECT_THROW(StreamSpec::parse("skew=2"), InputError);
 }
 
+TEST(StreamSpec, RejectsCountsOutsideIntRange) {
+  // 4294967297 = 2^32 + 1: a cast to int would generate one request.
+  EXPECT_EQ(StreamSpec::parse("seed=1;n=1;rate=2").n, 1);
+  EXPECT_THROW(StreamSpec::parse("seed=1;n=4294967297;rate=2"), InputError);
+  EXPECT_THROW(StreamSpec::parse("tenants=4294967298"), InputError);
+}
+
 TEST(StreamSpec, GeneratesDeterministicSweepSafeStreams) {
   StreamSpec spec;
   spec.seed = 4;

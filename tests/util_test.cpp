@@ -52,6 +52,22 @@ TEST(Strings, ParseLongRejectsGarbage) {
   EXPECT_THROW(parse_long("3.5", "k"), InputError);
 }
 
+TEST(Strings, ParseIntRejectsValuesOutsideIntRange) {
+  EXPECT_EQ(parse_int("2147483647", "k"), 2147483647);
+  EXPECT_EQ(parse_int(" -2147483648 ", "k"), -2147483647 - 1);
+  EXPECT_THROW(parse_int("2147483648", "k"), InputError);
+  EXPECT_THROW(parse_int("-2147483649", "k"), InputError);
+  EXPECT_THROW(parse_int("4294967297", "k"), InputError);
+  EXPECT_THROW(parse_int("4x", "k"), InputError);
+}
+
+TEST(Strings, ParseDoubleRejectsOverflowAndUnderflow) {
+  EXPECT_THROW(parse_double("1e999", "k"), InputError);
+  EXPECT_THROW(parse_double("-1e999", "k"), InputError);
+  EXPECT_THROW(parse_double("1e-400", "k"), InputError);
+  EXPECT_DOUBLE_EQ(parse_double("1e300", "k"), 1e300);
+}
+
 TEST(Strings, ParseDoubleAcceptsFortranExponent) {
   EXPECT_DOUBLE_EQ(parse_double("1.5d-3", "k"), 1.5e-3);
   EXPECT_DOUBLE_EQ(parse_double("2.0E2", "k"), 200.0);
