@@ -17,7 +17,7 @@
 #include <filesystem>
 #include <string>
 
-#include "campaign/campaign.hpp"
+#include "xgyro/driver.hpp"
 #include "checkpoint/checkpoint.hpp"
 #include "gyro/simulation.hpp"
 #include "simnet/machine.hpp"
@@ -51,11 +51,12 @@ int main(int argc, char** argv) {
         .count();
   };
 
-  campaign::RecoveryOptions opts;
+  xgyro::JobOptions opts;
+  opts.n_report_intervals = intervals;
+  opts.mode = gyro::Mode::kReal;
+  opts.max_recoveries = 3;
   double t0 = wall();
-  const auto plain = campaign::run_job_elastic(batch, machine, ranks_per_sim,
-                                               intervals, gyro::Mode::kReal,
-                                               opts);
+  const auto plain = xgyro::run_job(batch, machine, ranks_per_sim, opts);
   const double plain_ms = wall() - t0;
 
   const fs::path dir = fs::temp_directory_path() / "xg_ckpt_overhead";
@@ -63,8 +64,7 @@ int main(int argc, char** argv) {
   opts.checkpoint_dir = dir.string();
   opts.checkpoint_every = 1;
   t0 = wall();
-  const auto ckpt_run = campaign::run_job_elastic(
-      batch, machine, ranks_per_sim, intervals, gyro::Mode::kReal, opts);
+  const auto ckpt_run = xgyro::run_job(batch, machine, ranks_per_sim, opts);
   const double ckpt_ms = wall() - t0;
 
   // Bytes of the newest snapshot vs what checkpointing cmat would cost.

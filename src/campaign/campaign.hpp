@@ -88,9 +88,10 @@ using xgyro::RecoveryEvent;
 
 /// The job runner's options with three recoveries allowed per job.
 /// n_report_intervals and mode are ignored: run_job_elastic takes them as
-/// arguments. Kept, with run_job_elastic, for the host-cost benchmark's
-/// ensemble_real reference run and bench/checkpoint_overhead; the next
-/// change to the benchmark moves those onto xgyro::run_job and deletes both.
+/// arguments. Kept, with run_job_elastic, only for the host-cost
+/// benchmark's ensemble_real reference run (perfbench/); every other caller
+/// uses xgyro::run_job. The next change to the benchmark moves that run onto
+/// xgyro::run_job and deletes both.
 struct RecoveryOptions : xgyro::JobOptions {
   RecoveryOptions() { max_recoveries = 3; }
 };

@@ -21,7 +21,6 @@
 #include <string>
 #include <vector>
 
-#include "campaign/campaign.hpp"
 #include "checkpoint/checkpoint.hpp"
 #include "gyro/simulation.hpp"
 #include "simmpi/fault.hpp"
@@ -502,9 +501,11 @@ TEST(ElasticRecovery, SpareNodeKeepsPhysicsBitIdentical) {
   // bit-for-bit).
   const auto machine = net::testbox(4, 2);
 
-  campaign::RecoveryOptions opts;
-  const auto clean =
-      campaign::run_job_elastic(batch, machine, 2, 4, Mode::kReal, opts);
+  xgyro::JobOptions opts;
+  opts.n_report_intervals = 4;
+  opts.mode = Mode::kReal;
+  opts.max_recoveries = 3;
+  const auto clean = xgyro::run_job(batch, machine, 2, opts);
   ASSERT_EQ(clean.diagnostics.size(), 2u);
   EXPECT_TRUE(clean.recoveries.empty());
 
@@ -514,8 +515,7 @@ TEST(ElasticRecovery, SpareNodeKeepsPhysicsBitIdentical) {
   // Late enough that at least one snapshot has committed, so the recovery
   // resumes instead of restarting from scratch.
   opts.faults.add_kill(1, 0.75 * clean.run.makespan_s);
-  const auto faulty =
-      campaign::run_job_elastic(batch, machine, 2, 4, Mode::kReal, opts);
+  const auto faulty = xgyro::run_job(batch, machine, 2, opts);
 
   ASSERT_EQ(faulty.recoveries.size(), 1u);
   const auto& ev = faulty.recoveries.front();
@@ -544,17 +544,18 @@ TEST(ElasticRecovery, ShrinkReplansToFewerRanksPerSim) {
   // decomposition for the survivor.
   const auto machine = net::testbox(2, 2);
 
-  campaign::RecoveryOptions opts;
+  xgyro::JobOptions opts;
+  opts.n_report_intervals = 4;
+  opts.mode = Mode::kReal;
+  opts.max_recoveries = 3;
   opts.cgyro_layout = true;
-  const auto clean =
-      campaign::run_job_elastic(batch, machine, 4, 4, Mode::kReal, opts);
+  const auto clean = xgyro::run_job(batch, machine, 4, opts);
 
   const TempDir dir("elastic_shrink");
   opts.checkpoint_dir = dir.path;
   opts.faults.seed = 5;
   opts.faults.add_kill(2, 0.75 * clean.run.makespan_s);
-  const auto faulty =
-      campaign::run_job_elastic(batch, machine, 4, 4, Mode::kReal, opts);
+  const auto faulty = xgyro::run_job(batch, machine, 4, opts);
 
   ASSERT_EQ(faulty.recoveries.size(), 1u);
   EXPECT_LT(faulty.recoveries.front().ranks_per_sim_after, 4);
@@ -574,16 +575,17 @@ TEST(ElasticRecovery, ResumeSkipsCompletedIntervals) {
   const auto machine = net::testbox(1, 2);
 
   const TempDir dir("elastic_resume");
-  campaign::RecoveryOptions opts;
+  xgyro::JobOptions opts;
+  opts.n_report_intervals = 2;
+  opts.mode = Mode::kReal;
+  opts.max_recoveries = 3;
   opts.cgyro_layout = true;
   opts.checkpoint_dir = dir.path;
-  const auto first =
-      campaign::run_job_elastic(batch, machine, 2, 2, Mode::kReal, opts);
+  const auto first = xgyro::run_job(batch, machine, 2, opts);
   EXPECT_GT(first.snapshots_committed, 0u);
 
   opts.resume = true;
-  const auto second =
-      campaign::run_job_elastic(batch, machine, 2, 2, Mode::kReal, opts);
+  const auto second = xgyro::run_job(batch, machine, 2, opts);
   // Everything was already done: no new snapshots, same diagnostics.
   EXPECT_EQ(second.snapshots_committed, 0u);
   EXPECT_EQ(second.diagnostics[0].steps, first.diagnostics[0].steps);
@@ -594,16 +596,16 @@ TEST(ElasticRecovery, ExhaustedRecoveriesRaiseStructuredAbort) {
   const Input in = Input::small_test(1);
   xgyro::EnsembleInput batch;
   batch.members.push_back(in);
-  campaign::RecoveryOptions opts;
+  xgyro::JobOptions opts;
+  opts.mode = Mode::kReal;
   opts.cgyro_layout = true;
   opts.max_recoveries = 0;
   opts.faults.seed = 1;
   opts.faults.add_kill(0, 1e-9);
   try {
-    campaign::run_job_elastic(batch, net::testbox(2, 2), 2, 1, Mode::kReal,
-                              opts);
+    xgyro::run_job(batch, net::testbox(2, 2), 2, opts);
     FAIL() << "expected JobAborted";
-  } catch (const campaign::JobAborted& e) {
+  } catch (const xgyro::JobAborted& e) {
     EXPECT_EQ(e.kind(), "rank_failure");
     EXPECT_EQ(e.reason(), "recovery budget exhausted");
     EXPECT_EQ(e.world_rank(), 0);
@@ -643,12 +645,12 @@ TEST(ElasticRecovery, BudgetExhaustedAfterARecoveryKeepsItsHistory) {
 TEST(ElasticRecovery, CheckpointingRequiresRealMode) {
   // Model mode carries no solver state, so there is nothing to snapshot.
   const TempDir dir("elastic_model");
-  campaign::RecoveryOptions opts;
+  xgyro::JobOptions opts;
+  opts.mode = Mode::kModel;
+  opts.max_recoveries = 3;
   opts.checkpoint_dir = dir.path;
   const xgyro::EnsembleInput batch{{Input::small_test(1)}};
-  EXPECT_THROW(campaign::run_job_elastic(batch, net::testbox(1, 2), 2, 1,
-                                         Mode::kModel, opts),
-               Error);
+  EXPECT_THROW(xgyro::run_job(batch, net::testbox(1, 2), 2, opts), Error);
 }
 
 size_t count_of(const std::string& text, const std::string& needle) {
@@ -727,14 +729,14 @@ TEST(ElasticRecovery, HangIsTransientLikeAKill) {
   // The retry after a deadlock runs without the hang clauses, so one
   // recovery brings the job to the clean run's result.
   const xgyro::EnsembleInput batch{{Input::small_test(1)}};
-  campaign::RecoveryOptions opts;
+  xgyro::JobOptions opts;
+  opts.mode = Mode::kReal;
+  opts.max_recoveries = 3;
   opts.cgyro_layout = true;
-  const auto clean = campaign::run_job_elastic(batch, net::testbox(1, 2), 2, 1,
-                                               Mode::kReal, opts);
+  const auto clean = xgyro::run_job(batch, net::testbox(1, 2), 2, opts);
   opts.max_recoveries = 1;
   opts.faults = mpi::FaultPlan::parse("seed=1;hang=1@1e-9");
-  const auto recovered = campaign::run_job_elastic(
-      batch, net::testbox(1, 2), 2, 1, Mode::kReal, opts);
+  const auto recovered = xgyro::run_job(batch, net::testbox(1, 2), 2, opts);
   ASSERT_EQ(recovered.recoveries.size(), 1u);
   EXPECT_EQ(recovered.recoveries[0].kind, "deadlock");
   EXPECT_EQ(recovered.diagnostics[0].flux_proxy, clean.diagnostics[0].flux_proxy);

@@ -69,9 +69,12 @@ gyro::Diagnostics standalone_diagnostics(const gyro::Input& input,
                                          int ranks_per_sim, int intervals) {
   xgyro::EnsembleInput single;
   single.members.push_back(input);
-  const auto res =
-      run_job_elastic(single, net::testbox(1, ranks_per_sim), ranks_per_sim,
-                      intervals, gyro::Mode::kReal, {});
+  xgyro::JobOptions opts;
+  opts.n_report_intervals = intervals;
+  opts.mode = gyro::Mode::kReal;
+  opts.max_recoveries = 3;
+  const auto res = xgyro::run_job(single, net::testbox(1, ranks_per_sim),
+                                  ranks_per_sim, opts);
   return res.diagnostics.at(0);
 }
 

@@ -608,10 +608,11 @@ TEST(Golden, OneMemberToroidalSplitLongLines) {
 // --- Golden signatures of every job entry point ------------------------------
 //
 // Each entry point that runs a whole job (the CGYRO/XGYRO job drivers, the
-// campaign executor, the elastic executor in both layouts) is pinned to the
-// bits it produced before they were folded into one runner: the makespan,
-// the max-over-ranks time of every solver phase and of init, the message,
-// byte and checked-collective counts, and every member's diagnostics.
+// campaign executor, the elastic executor in both layouts — now run_job
+// with three recoveries allowed) is pinned to the bits it produced before
+// they were folded into one runner: the makespan, the max-over-ranks time
+// of every solver phase and of init, the message, byte and
+// checked-collective counts, and every member's diagnostics.
 
 std::string hex_bits(double v) {
   return strprintf("%016llx", static_cast<unsigned long long>(
@@ -700,10 +701,13 @@ TEST(Golden, JobRunnerSignatures) {
             "3f0ac57f4ea02344|m1.j1|10:3fc999999999999a:3f5b2325e20a9f3b:"
             "3ef192d75fd710d2:3f08f7cf736a1fdc");
 
-  campaign::RecoveryOptions layout_cgyro;
+  JobOptions elastic;
+  elastic.n_report_intervals = 2;
+  elastic.mode = Mode::kReal;
+  elastic.max_recoveries = 3;
+  JobOptions layout_cgyro = elastic;
   layout_cgyro.cgyro_layout = true;
-  const auto single = campaign::run_job_elastic(
-      EnsembleInput{{cg}}, box, 4, 2, Mode::kReal, layout_cgyro);
+  const auto single = run_job(EnsembleInput{{cg}}, box, 4, layout_cgyro);
   std::string single_sig = run_signature(single.run);
   for (const auto& d : single.diagnostics) single_sig += diag_signature(d);
   EXPECT_EQ(single_sig,
@@ -713,8 +717,7 @@ TEST(Golden, JobRunnerSignatures) {
             "10:3fc999999999999a:3f5b57bef1ea27c0:3ef24f76e57768ca:"
             "3f0b9686e1410982");
 
-  const auto pair =
-      campaign::run_job_elastic(ens, box, 2, 2, Mode::kReal, {});
+  const auto pair = run_job(ens, box, 2, elastic);
   std::string pair_sig = run_signature(pair.run);
   for (const auto& d : pair.diagnostics) pair_sig += diag_signature(d);
   EXPECT_EQ(pair_sig,
