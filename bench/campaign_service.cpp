@@ -22,10 +22,12 @@
 // plane on (event sink + periodic monitor snapshots + an SLO monitor) and
 // gates two claims: the virtual-time results are bit-identical to the
 // unobserved run (observability must never perturb the simulation), and
-// the wall-clock overhead of emitting/consuming the event stream stays
-// under 2% (best-of-N, interleaved, with a small absolute slack so timer
-// noise on a fast run cannot fail the gate). Wall-clock fields in the JSON
-// are --ignore'd by the baseline harness; the record count is gated.
+// the overhead of emitting/consuming the event stream stays under 2% of
+// process CPU time (median over interleaved pairs, with a small absolute
+// slack so timer noise on a fast run cannot fail the gate; CPU time, not
+// wall time, so other processes contending for the cores cannot fail it
+// either). The best-of-N wall times are printed and written to the JSON,
+// where the baseline harness --ignore's them; the record count is gated.
 //
 // The scale study pushes a 10⁵-request production-shaped stream (a long
 // Poisson mix of short, medium, and wide 2-node jobs) through the modeled
@@ -58,6 +60,8 @@
 #include <cstring>
 #include <string>
 #include <vector>
+
+#include <sys/resource.h>
 
 #include "campaign/monitor.hpp"
 #include "campaign/service.hpp"
@@ -192,12 +196,32 @@ xg::campaign::ServiceResult run_scale_arm(
   return service.run(stream);
 }
 
+/// CPU time of the whole process so far (user + sys, summed over every
+/// thread, so the DES's worker threads count too), in ms.
+double process_cpu_ms() {
+  rusage ru{};
+  getrusage(RUSAGE_SELF, &ru);
+  const auto ms = [](const timeval& tv) {
+    return static_cast<double>(tv.tv_sec) * 1e3 +
+           static_cast<double>(tv.tv_usec) * 1e-3;
+  };
+  return ms(ru.ru_utime) + ms(ru.ru_stime);
+}
+
+/// Wall and process CPU milliseconds one call of `fn` takes.
+struct Cost {
+  double wall_ms = 0.0;
+  double cpu_ms = 0.0;
+};
+
 template <typename F>
-double wall_ms(F&& fn) {
+Cost measure(F&& fn) {
+  const double c0 = process_cpu_ms();
   const auto t0 = std::chrono::steady_clock::now();
   fn();
   const auto t1 = std::chrono::steady_clock::now();
-  return std::chrono::duration<double, std::milli>(t1 - t0).count();
+  return {std::chrono::duration<double, std::milli>(t1 - t0).count(),
+          process_cpu_ms() - c0};
 }
 
 xg::telemetry::Json arm_json(const xg::campaign::ServiceResult& r) {
@@ -257,21 +281,33 @@ int main(int argc, char** argv) {
     const auto ablation = run_arm(stream, false, intervals, 0.5, 8);
 
     // Observability arm: the batched configuration with the event plane
-    // on. Interleaved best-of-N wall times keep the overhead comparison
-    // fair on a machine with drifting load.
-    const int reps = 5;
+    // on, run in interleaved plain/observed pairs so slow drift in the host
+    // load cancels within a pair. The gate reads process CPU time, not
+    // wall time: the two arms do identical virtual work, so their wall-time
+    // gap under CPU contention from other processes is host noise, not
+    // emission cost. It takes the median over the pairs, because a single
+    // pair's CPU times still differ by up to ~90 ms on a loaded 4-vCPU host.
+    const int reps = 9;
     double plain_best_ms = 1e300, observed_best_ms = 1e300;
+    // Per pair: observed CPU ms minus the allowance of 2% over plain + 50 ms.
+    std::vector<double> cpu_excess_ms;
     telemetry::EventBuffer events;
     campaign::ServiceResult observed;
     for (int rep = 0; rep < reps; ++rep) {
-      plain_best_ms = std::min(plain_best_ms, wall_ms([&] {
+      const Cost plain = measure([&] {
         (void)run_arm(stream, true, intervals, 0.5, 8);
-      }));
-      observed_best_ms = std::min(observed_best_ms, wall_ms([&] {
+      });
+      const Cost obs = measure([&] {
         events.records.clear();
         observed = run_arm(stream, true, intervals, 0.5, 8, &events);
-      }));
+      });
+      plain_best_ms = std::min(plain_best_ms, plain.wall_ms);
+      observed_best_ms = std::min(observed_best_ms, obs.wall_ms);
+      cpu_excess_ms.push_back(obs.cpu_ms - (plain.cpu_ms * 1.02 + 50.0));
     }
+    std::nth_element(cpu_excess_ms.begin(),
+                     cpu_excess_ms.begin() + reps / 2, cpu_excess_ms.end());
+    const double median_cpu_excess_ms = cpu_excess_ms[reps / 2];
     const double overhead_pct =
         plain_best_ms > 0.0
             ? 100.0 * (observed_best_ms - plain_best_ms) / plain_best_ms
@@ -304,6 +340,10 @@ int main(int argc, char** argv) {
                 "results %s\n",
                 ev.records, overhead_pct, reps, observed_best_ms,
                 plain_best_ms, bit_identical ? "bit-identical" : "DIVERGED");
+    std::printf("observability CPU time (gated): observed minus allowance "
+                "%+.1f ms (median over %d pairs; allowance 2%% of plain + "
+                "50 ms)\n",
+                median_cpu_excess_ms, reps);
 
     if (batched.completed != n || ablation.completed != n) {
       std::printf("\nFAIL: not every request completed (batched %d, ablation "
@@ -315,11 +355,11 @@ int main(int argc, char** argv) {
     if (batched.makespan_s > ablation.makespan_s) pass = false;
     // Observability gates: the event plane must not perturb the
     // virtual-time results, the emitted log must be schema-valid and
-    // complete, and its wall-clock cost must stay under 2% (plus 50 ms of
-    // absolute slack: this arm emits only ~40 records, so on a ~2 s wall
-    // any smaller margin gates scheduler jitter, not event-plane cost —
-    // a real per-record regression shows up orders of magnitude earlier
-    // in the 6·10⁵-record scale arm's wall time).
+    // complete, and its CPU cost must stay under 2% (plus 50 ms of
+    // absolute slack: this arm emits only ~40 records, so any smaller
+    // margin gates scheduler jitter, not event-plane cost — a real
+    // per-record regression shows up orders of magnitude earlier in the
+    // 6·10⁵-record scale arm's wall time).
     if (!bit_identical) {
       std::printf("FAIL: observability perturbed the virtual-time results\n");
       pass = false;
@@ -329,9 +369,9 @@ int main(int argc, char** argv) {
                   "ended=%d)\n", ev.completed, n, ev.ended ? 1 : 0);
       pass = false;
     }
-    if (observed_best_ms > plain_best_ms * 1.02 + 50.0) {
-      std::printf("FAIL: observability overhead %.2f%% exceeds the 2%% "
-                  "gate\n", overhead_pct);
+    if (median_cpu_excess_ms > 0.0) {
+      std::printf("FAIL: observability CPU overhead exceeds the 2%% gate by "
+                  "%.1f ms\n", median_cpu_excess_ms);
       pass = false;
     }
 

@@ -17,11 +17,12 @@
 # wait crosses it, so a benign scheduling change moves p99 further than the
 # aggregate throughput it gates alongside (the suffix match covers the
 # scale study's per-arm percentiles too). Its observability arm records
-# wall-clock overhead numbers that are likewise --ignore'd (the <2% gate
-# lives in the bench binary itself); the deterministic event-record census
-# stays gated, as are the scale study's throughput, audit worst-ratio, and
-# starvation-peak numbers (all virtual-time, bit-deterministic — only the
-# production arm's wall_production_ms is machine-dependent).
+# wall-clock overhead numbers that are likewise --ignore'd (the <2% gate,
+# on process CPU time, lives in the bench binary itself); the deterministic
+# event-record census stays gated, as are the scale study's throughput,
+# audit worst-ratio, and starvation-peak numbers (all virtual-time,
+# bit-deterministic — only the production arm's wall_production_ms is
+# machine-dependent).
 #
 # Recording refuses baselines that fail their own self-test (identity must
 # pass, a +10% perturbation must be detected), so anything this script
