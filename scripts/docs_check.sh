@@ -2,7 +2,8 @@
 # docs_check.sh BUILD_DIR
 #
 # Keeps docs/USER_GUIDE.md and the binaries consistent, both ways, and
-# EXPERIMENTS.md's campaign_demo claims tied to the pinned output:
+# EXPERIMENTS.md's Fig. 2 and campaign_demo claims tied to the pinned
+# output:
 #
 #   1. Flag parity: every --flag printed by `xgyro_cli --help` must appear
 #      in the guide's marked reference block, and every --flag in the block
@@ -22,10 +23,11 @@
 #      xgyro_serve additionally exits 2 (not 1) when admitted requests
 #      fail, per its documented 0/1/2 convention, and xgyro_servemon
 #      exits 1 on missing/corrupt logs and bad SLO grammar.
-#   4. Every decimal number in EXPERIMENTS.md's campaign_demo section
-#      appears as a number in tests/data/examples/campaign_demo.stdout (the
-#      output examples_stdout_check pins), so the quoted prediction,
-#      measurement and speedup cannot drift from what the program prints.
+#   4. Every decimal number in EXPERIMENTS.md's Figure 2 and campaign_demo
+#      sections appears as a number in tests/data/examples/
+#      fig2_breakdown.stdout and campaign_demo.stdout respectively (the
+#      outputs examples_stdout_check pins), so the quoted results cannot
+#      drift from what the programs print.
 #
 # Registered with ctest as `docs_consistency_check` and run as gate 5 of
 # ci.sh. Run from the repository root.
@@ -286,19 +288,27 @@ expect_servemon_error "unknown flag"      --events a --bogus
 
 "$SERVEMON" --help > /dev/null || fail "xgyro_servemon --help must exit 0"
 
-# --- 4. campaign_demo numbers in EXPERIMENTS.md ----------------------------
+# --- 4. quoted numbers in EXPERIMENTS.md ---------------------------------
 
-DEMO_OUT=tests/data/examples/campaign_demo.stdout
-awk '/^## End-to-end — examples\/campaign_demo/{f=1;next} /^## /{f=0} f' \
-  EXPERIMENTS.md > "$WORK/demo.md"
-[[ -s "$WORK/demo.md" ]] || fail "EXPERIMENTS.md: no campaign_demo section"
-{ grep -oE '[0-9]+\.[0-9]+' "$WORK/demo.md" || true; } | sort -u \
-  > "$WORK/demo.nums"
-[[ -s "$WORK/demo.nums" ]] || fail "EXPERIMENTS.md: campaign_demo section quotes no numbers"
-while read -r num; do
-  grep -qE "(^|[^0-9.])${num//./\\.}([^0-9]|\$)" "$DEMO_OUT" \
-    || fail "EXPERIMENTS.md quotes $num for campaign_demo; $DEMO_OUT does not print it"
-done < "$WORK/demo.nums"
+N_NUMS=0
+check_section_numbers() {  # $1 = section heading prefix, $2 = pinned stdout
+  local heading=$1 out=$2 md="$WORK/section.md" nums="$WORK/section.nums"
+  awk -v h="## $heading" 'index($0, h) == 1 {f=1; next} /^## /{f=0} f' \
+    EXPERIMENTS.md > "$md"
+  [[ -s "$md" ]] || fail "EXPERIMENTS.md: no section '## $heading'"
+  { grep -oE '[0-9]+\.[0-9]+' "$md" || true; } | sort -u > "$nums"
+  [[ -s "$nums" ]] || fail "EXPERIMENTS.md: section '$heading' quotes no numbers"
+  while read -r num; do
+    grep -qE "(^|[^0-9.])${num//./\\.}([^0-9]|\$)" "$out" \
+      || fail "EXPERIMENTS.md quotes $num in '$heading'; $out does not print it"
+  done < "$nums"
+  N_NUMS=$((N_NUMS + $(wc -l < "$nums")))
+}
+
+check_section_numbers "Figure 2 — runtime breakdown" \
+  tests/data/examples/fig2_breakdown.stdout
+check_section_numbers "End-to-end — examples/campaign_demo" \
+  tests/data/examples/campaign_demo.stdout
 
 echo "docs_check: $N_FENCES guide fences, all six flag references and" \
-  "$(wc -l < "$WORK/demo.nums") campaign_demo numbers verified"
+  "$N_NUMS quoted EXPERIMENTS.md numbers verified"
